@@ -25,12 +25,12 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .characteristic import build_quartic, real_roots
 from .continuation import FoldPoint, find_fold
 from .errors import NoFoldInBracketError, NoRealEigenvalueError
 from .pencil import Family, Polynomial, build_eigenfunction, combine, nodal_set
+from .shooting import _angle_scan, _half_line, two_sided_profile
 
 DEFAULT_TOL = 1e-8
 
@@ -131,13 +131,8 @@ def check_linear(
     occupy consecutive positions of the combination's sorted zero list;
     pass False for the looser any-subset reading.
     """
-    m = spec.m
-    if l_max is None:
-        l_max = m + 10
-    if l_max < m:
-        raise ValueError("l_max must be at least the number of slopes")
     matches: List[CrackMatch] = []
-    for l in range(m, l_max + 1):
+    for l in _index_range(spec, l_max):
         ratio = _ratio_from_first_slope(l, spec.alphas[0])
         candidates = [ratio] if ratio is not None else [(1.0, 0.0), (0.0, 1.0)]
         for c, d in candidates:
@@ -162,14 +157,21 @@ def check_linear(
                 CrackMatch(l=l, ratio=(c, d), zero_indices=idx, max_residual=worst, zeros=ns.zeros)
             )
             break
-    admissible = bool(matches)
-    return AdmissibilityReport(
-        admissible=admissible,
-        matches=tuple(matches),
-        decay_exponent=(min(mm.l for mm in matches) if admissible else None),
-        mode="linear",
-        n=0.0,
-    )
+    return _report(matches, mode="linear", n=0.0)
+
+
+def _index_range(spec: CrackSpec, l_max: Optional[int]) -> range:
+    """Indices l = m .. l_max scanned for m slopes (l_max defaults to m + 10)."""
+    if l_max is None:
+        l_max = spec.m + 10
+    if l_max < spec.m:
+        raise ValueError("l_max must be at least the number of slopes")
+    return range(spec.m, l_max + 1)
+
+
+def _report(matches: List[CrackMatch], **kwargs) -> AdmissibilityReport:
+    decay = min(mm.l for mm in matches) if matches else None
+    return AdmissibilityReport(bool(matches), tuple(matches), decay, **kwargs)
 
 
 def roundtrip_generate(l: int, c: float, d: float) -> CrackSpec:
@@ -221,18 +223,14 @@ def check_nonlinear(
     so the scan reduces to the linear one.  Results are experimental: the
     one-parameter family is an extrapolation of the n = 0 structure.
     """
-    from .shooting import _half_line, two_sided_profile  # local import to avoid a cycle
+    from scipy.optimize import brentq
 
     if n < 0.0:
         raise ValueError("n must be >= 0")
-    m = spec.m
-    if l_max is None:
-        l_max = m + 10
-    if l_max < m:
-        raise ValueError("l_max must be at least the number of slopes")
+    scan = _index_range(spec, l_max)
     notes: List[str] = []
     usable: List[int] = []
-    for l in range(m, l_max + 1):
+    for l in scan:
         fold = _fold_cached(l)
         if fold is not None and n >= fold.n_star:
             notes.append(f"l={l}: past fold (n >= {fold.n_star:.8g}), no real eigenvalue")
@@ -240,7 +238,7 @@ def check_nonlinear(
             usable.append(l)
     if not usable:
         raise NoRealEigenvalueError(
-            f"no real eigenvalue at n={n} for any l in [{m}, {l_max}]"
+            f"no real eigenvalue at n={n} for any l in [{scan.start}, {scan.stop - 1}]"
         )
 
     z_reach = max(abs(a) for a in spec.alphas) + z_pad
@@ -251,21 +249,19 @@ def check_nonlinear(
         lam = _upper_eigenvalue(l, n)
 
         def alpha1_value(theta: float) -> float:
-            # scan only the half-line carrying the first slope; the full
-            # two-sided profile is built for the few root candidates
+            # one trajectory on the half-line carrying the first slope, to
+            # refine each sign change of the batched scan below
             sol = _half_line(lam, n, (math.cos(theta), math.sin(theta)), scan_end, 1e-10, 1e-12)
             return float(sol.sol(alpha1)[0])
 
         thetas = np.linspace(-math.pi / 2, math.pi / 2, theta_samples)
-        vals = [alpha1_value(t) for t in thetas]
-        candidates = []
-        for a, b, fa, fb in zip(thetas, thetas[1:], vals, vals[1:]):
-            if np.sign(fa) * np.sign(fb) < 0:
-                candidates.append(brentq(alpha1_value, a, b, xtol=1e-12))
-        for fa, t in zip(vals, thetas):
-            if fa == 0.0:
-                candidates.append(float(t))
-        found = None
+        vals = _angle_scan(lam, n, thetas, alpha1, 1e-10, 1e-12)
+        candidates = [
+            brentq(alpha1_value, a, b, xtol=1e-12)
+            for a, b, fa, fb in zip(thetas, thetas[1:], vals, vals[1:])
+            if np.sign(fa) * np.sign(fb) < 0
+        ]
+        candidates += [float(t) for fa, t in zip(vals, thetas) if fa == 0.0]
         for theta in candidates:
             ic = (math.cos(theta), math.sin(theta))
             prof = two_sided_profile(n, lam, ic, z_reach)
@@ -279,19 +275,8 @@ def check_nonlinear(
             )
             if idx is None:
                 continue
-            found = CrackMatch(
-                l=l, ratio=ic, zero_indices=idx, max_residual=worst, zeros=tuple(zeros)
+            matches.append(
+                CrackMatch(l=l, ratio=ic, zero_indices=idx, max_residual=worst, zeros=tuple(zeros))
             )
             break
-        if found is not None:
-            matches.append(found)
-    admissible = bool(matches)
-    return AdmissibilityReport(
-        admissible=admissible,
-        matches=tuple(matches),
-        decay_exponent=(min(mm.l for mm in matches) if admissible else None),
-        mode="nonlinear",
-        n=float(n),
-        experimental=True,
-        notes=tuple(notes),
-    )
+    return _report(matches, mode="nonlinear", n=float(n), experimental=True, notes=tuple(notes))

@@ -33,9 +33,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.integrate
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .characteristic import affine_parts
 from .errors import DegenerateSeedError, GradientDegeneracyError, NumericsError
@@ -143,6 +140,8 @@ def mu_via_quadrature(
     convergent window decays like 1/Z, so the returned value is the
     Richardson extrapolation of the last two windows.
     """
+    import scipy.integrate
+
     lam, pair = _seed(l, family)
     p = pair.poly
     d1 = p.derivative()
@@ -264,6 +263,8 @@ def solve_correction(
     well conditioned.  A large resonance amplitude means the supplied mu
     does not satisfy the solvability condition.
     """
+    import scipy.sparse.linalg
+
     if num_points < 9:
         raise ValueError("num_points too small for the boundary stencils")
     lam, pair = _seed(l, family)

@@ -14,11 +14,11 @@ log-log fit over the outer decade of the window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NumericsError, QuasilinearDegeneracyError
 from .pencil import NodalSet
@@ -29,8 +29,8 @@ DEFAULT_ATOL = 1e-10
 COEFF_TOL = 1e-12
 
 
-def isolate_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: float) -> float:
-    """Solve the tip equation for Psi'' at one phase-space point.
+def tip_second_derivative(z, psi, dpsi, lam, n):
+    """Psi'' of the tip equation and the coefficient it was divided by.
 
     Collecting the Psi''-linear terms of both sides gives
 
@@ -40,18 +40,34 @@ def isolate_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: 
     with g = lam psi + z psi', den = psi'^2 + g^2, Phi1 = g^2/den and
     P0 = lam(lam+1) psi + 2(lam+1) z psi'.  At n = 0 this reduces to the
     linear pencil form  Psi'' = -P0 / (1 + z^2).
+
+    Elementwise on floats or broadcasting arrays, so one call serves one
+    trajectory or a batch.  A vanishing den or a coefficient below
+    COEFF_TOL * (1 + z^2) raises for the first such element.
     """
     g = lam * psi + z * dpsi
     den = dpsi * dpsi + g * g
-    if den == 0.0:
-        raise QuasilinearDegeneracyError(z, 0.0)
+    _check_degeneracy(den == 0.0, z, 0.0)
     f1 = g * g / den
-    p0 = lam * (lam + 1.0) * psi + 2.0 * (lam + 1.0) * z * dpsi
     coeff = z * z * (1.0 + n * f1) + 1.0 + n * (dpsi * dpsi + 2.0 * z * dpsi * g) / den
-    if abs(coeff) < COEFF_TOL * (1.0 + z * z):
-        raise QuasilinearDegeneracyError(z, coeff)
+    _check_degeneracy(abs(coeff) < COEFF_TOL * (1.0 + z * z), z, coeff)
+    p0 = lam * (lam + 1.0) * psi + 2.0 * (lam + 1.0) * z * dpsi
     num = -p0 * (1.0 + n * f1) - 2.0 * n * lam * dpsi * dpsi * g / den
-    return num / coeff
+    return num / coeff, coeff
+
+
+def _check_degeneracy(bad, z, coeff) -> None:
+    # Python floats keep the single-trajectory path cheap: np.bool_.any()
+    # alone costs more than a whole evaluation
+    if bad is True or (bad is not False and bad.any()):
+        k = int(np.argmax(bad))
+        z_k, coeff_k = (float(np.broadcast_to(v, np.shape(bad)).flat[k]) for v in (z, coeff))
+        raise QuasilinearDegeneracyError(z_k, coeff_k, index=k)
+
+
+def isolate_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: float) -> float:
+    """Solve the tip equation for Psi'' at one phase-space point."""
+    return tip_second_derivative(float(z), float(psi), float(dpsi), float(lam), float(n))[0]
 
 
 @dataclass(frozen=True)
@@ -93,24 +109,14 @@ class ShootingSolution:
 SOFT_COEFF_TOL = 1e-6
 
 
-def _rhs(lam: float, n: float, near_events: Optional[List[float]] = None) -> Callable:
-    def f(z, y):
-        psi, dpsi = y[0], y[1]
-        g = lam * psi + z * dpsi
-        den = dpsi * dpsi + g * g
-        if den == 0.0:
-            raise QuasilinearDegeneracyError(z, 0.0)
-        f1 = g * g / den
-        coeff = z * z * (1.0 + n * f1) + 1.0 + n * (dpsi * dpsi + 2.0 * z * dpsi * g) / den
-        if abs(coeff) < COEFF_TOL * (1.0 + z * z):
-            raise QuasilinearDegeneracyError(z, coeff)
-        if near_events is not None and abs(coeff) < SOFT_COEFF_TOL * (1.0 + z * z):
-            near_events.append(float(z))
-        p0 = lam * (lam + 1.0) * psi + 2.0 * (lam + 1.0) * z * dpsi
-        num = -p0 * (1.0 + n * f1) - 2.0 * n * lam * dpsi * dpsi * g / den
-        return (dpsi, num / coeff)
+def _solve(fun: Callable, z_end: float, y0, rtol: float, atol: float, **options):
+    """RK45 from z = 0 to z_end (either sign)."""
+    from scipy.integrate import solve_ivp
 
-    return f
+    sol = solve_ivp(fun, (0.0, z_end), y0, method="RK45", rtol=rtol, atol=atol, **options)
+    if not sol.success:
+        raise NumericsError(f"integration failed: {sol.message}")
+    return sol
 
 
 def _half_line(
@@ -123,24 +129,36 @@ def _half_line(
     near_events: Optional[List[float]] = None,
 ):
     """Integrate from 0 to z_end (either sign), reporting Psi = 0 events."""
+    lam, n = float(lam), float(n)
 
-    def event_zero(z, y):
-        return y[0]
+    def f(z, y):
+        d2, coeff = tip_second_derivative(float(z), float(y[0]), float(y[1]), lam, n)
+        if near_events is not None and abs(coeff) < SOFT_COEFF_TOL * (1.0 + z * z):
+            near_events.append(float(z))
+        return (y[1], d2)
 
-    event_zero.terminal = False
-    sol = solve_ivp(
-        _rhs(lam, n, near_events),
-        (0.0, z_end),
-        list(ic),
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=[event_zero],
-    )
-    if not sol.success:
-        raise NumericsError(f"integration failed: {sol.message}")
-    return sol
+    return _solve(f, z_end, list(ic), rtol, atol, dense_output=True, events=[lambda z, y: y[0]])
+
+
+def _angle_scan(lam: float, n: float, thetas, z_end: float, rtol: float, atol: float) -> np.ndarray:
+    """Psi(z_end) from the data (cos t, sin t) for every t in thetas.
+
+    One solve of the stacked state (psi_1..psi_K, psi'_1..psi'_K) carries
+    all K trajectories, its steps set by the hardest; only the end is kept.
+    """
+    k = len(thetas)
+
+    def f(z, y):
+        try:
+            d2, _ = tip_second_derivative(z, y[:k], y[k:], lam, n)
+        except QuasilinearDegeneracyError as exc:
+            raise QuasilinearDegeneracyError(
+                exc.z, exc.coeff, exc.index, theta=float(thetas[exc.index])
+            ) from exc
+        return np.concatenate((y[k:], d2))
+
+    y0 = [math.cos(t) for t in thetas] + [math.sin(t) for t in thetas]
+    return _solve(f, z_end, y0, rtol, atol).y[:k, -1]
 
 
 def shoot(
@@ -175,20 +193,14 @@ def shoot(
     psi_half, dpsi_half = vals[0], vals[1]
 
     # parity mirror onto the negative half-line
+    sign_psi, sign_dpsi = (1.0, -1.0) if even else (-1.0, 1.0)
     z_full = np.concatenate([-zs[:0:-1], zs])
-    if even:
-        psi_full = np.concatenate([psi_half[:0:-1], psi_half])
-        dpsi_full = np.concatenate([-dpsi_half[:0:-1], dpsi_half])
-    else:
-        psi_full = np.concatenate([-psi_half[:0:-1], psi_half])
-        dpsi_full = np.concatenate([dpsi_half[:0:-1], dpsi_half])
+    psi_full = np.concatenate([sign_psi * psi_half[:0:-1], psi_half])
+    dpsi_full = np.concatenate([sign_dpsi * dpsi_half[:0:-1], dpsi_half])
 
     pos_zeros = [float(t) for t in sol.t_events[0] if t > 1e-13]
     zeros = sorted({-t for t in pos_zeros} | set(pos_zeros) | ({0.0} if not even else set()))
-    dmags = []
-    for t in zeros:
-        y = sol.sol(abs(t))
-        dmags.append(abs(float(y[1])))
+    dmags = [abs(float(sol.sol(abs(t))[1])) for t in zeros]
     window = max(1.0, (abs(zeros[-1]) + 1.0) if zeros else 1.0)
     local = np.abs(psi_half[zs <= window])
     scale = float(local.max()) if local.size else float(np.abs(psi_half).max())

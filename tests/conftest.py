@@ -18,7 +18,7 @@ def pytest_runtest_makereport(item, call):
     if report.passed:
         status = "PASS"
     elif report.skipped and hasattr(report, "wasxfail"):
-        status = "EXPECTED-FAIL (documented reference-data defect)"
+        status = f"EXPECTED-FAIL ({report.wasxfail})"
     elif report.failed:
         status = "FAIL"
     else:

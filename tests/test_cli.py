@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,3 +265,19 @@ def test_figure_ids_validated():
     for fid in (2, 3, 4, 5, 6):
         ds = emit_figure(fid)
         assert len({len(r) for r in ds.values}) == 1
+
+
+def test_scipy_loads_on_first_use():
+    # fold needs no scipy, so neither the import nor the command loads it
+    code = (
+        "import sys, cracktip, cracktip.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded(), loaded()\n"
+        "assert cracktip.cli.run(['fold', '--l', '3']) == 0\n"
+        "assert not loaded(), loaded()\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from cracktip import (
     CrackSpec,
@@ -11,9 +13,12 @@ from cracktip import (
     check_linear,
     check_nonlinear,
     combine,
+    isolate_second_derivative,
     nodal_set,
     roundtrip_generate,
 )
+from cracktip.crack import _upper_eigenvalue
+from cracktip.shooting import _angle_scan
 
 
 def test_spec_validation():
@@ -171,3 +176,47 @@ def test_nonlinear_single_slope_any_n():
     report = check_nonlinear(CrackSpec(alphas=(0.4,)), 0.3, l_max=1, tol=1e-6)
     assert report.admissible
     assert report.decay_exponent == 1
+
+
+def _scalar_alpha1_value(lam, n, theta, alpha1):
+    """Psi(alpha1) of one trajectory from (cos theta, sin theta), solved alone."""
+    sol = solve_ivp(
+        lambda z, y: (y[1], isolate_second_derivative(z, y[0], y[1], lam, n)),
+        (0.0, alpha1),
+        [math.cos(theta), math.sin(theta)],
+        rtol=1e-10,
+        atol=1e-12,
+    )
+    return float(sol.y[0, -1])
+
+
+@pytest.mark.parametrize(
+    "alphas,n,kwargs",
+    [
+        ((-1.0, 1.0), 0.0, dict(l_max=3)),
+        ((-1.0, 1.0), 0.01, dict(l_max=2, tol=0.05)),
+        ((0.4,), 0.3, dict(l_max=1, tol=1e-6)),
+    ],
+)
+def test_batched_scan_matches_per_angle_scan(alphas, n, kwargs):
+    spec = CrackSpec(alphas=alphas)
+    report = check_nonlinear(spec, n, **kwargs)
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, 61)
+    alpha1 = alphas[0]
+    for l in range(spec.m, kwargs["l_max"] + 1):
+        lam = _upper_eigenvalue(l, n)
+        batched = _angle_scan(lam, n, thetas, alpha1, 1e-10, 1e-12)
+        scalar = [_scalar_alpha1_value(lam, n, t, alpha1) for t in thetas]
+        assert np.max(np.abs(batched - scalar)) <= 1e-8
+        assert list(np.sign(batched)) == list(np.sign(scalar))
+        roots = [
+            brentq(lambda t: _scalar_alpha1_value(lam, n, t, alpha1), a, b, xtol=1e-12)
+            for a, b, fa, fb in zip(thetas, thetas[1:], scalar, scalar[1:])
+            if fa * fb < 0.0
+        ]
+        for match in (m for m in report.matches if m.l == l):
+            assert any(
+                abs(match.ratio[0] - math.cos(t)) + abs(match.ratio[1] - math.sin(t)) <= 1e-9
+                for t in roots
+            )
+    assert report.matches
