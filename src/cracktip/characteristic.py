@@ -34,19 +34,19 @@ from .errors import RootFindingError
 REAL_ROOT_IMAG_TOL = 1e-8
 
 
-def affine_parts(l: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Integer arrays A, B (descending powers) with Phi = A + n*B."""
+def _integer_parts(l: int) -> Tuple[List[int], List[int]]:
+    """Exact integer lists A, B (descending powers) with Phi = A + n*B."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    A = np.array(
-        [1, 4 * l + 1, l * (7 * l + 3), l * l * (6 * l + 4), l ** 3 * (2 * l + 2)],
-        dtype=float,
-    )
-    B = np.array(
-        [1, 4 * l + 1, l * (6 * l + 5), l * l * (6 * l + 3), l ** 3 * (4 * l - 2)],
-        dtype=float,
-    )
+    A = [1, 4 * l + 1, l * (7 * l + 3), l * l * (6 * l + 4), l ** 3 * (2 * l + 2)]
+    B = [1, 4 * l + 1, l * (6 * l + 5), l * l * (6 * l + 3), l ** 3 * (4 * l - 2)]
     return A, B
+
+
+def affine_parts(l: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer-valued float arrays A, B (descending powers) with Phi = A + n*B."""
+    A, B = _integer_parts(l)
+    return np.array(A, dtype=float), np.array(B, dtype=float)
 
 
 @dataclass(frozen=True)

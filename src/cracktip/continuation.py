@@ -7,22 +7,25 @@ n_l*, beyond which the characteristic quartic has no real roots near the
 pair.  l = 1 is the exception: Lam = -1 is a root for every n, the second
 branch crosses it at n = 1/2, and real eigenvalues persist for all n.
 
-Because the quartic is affine in n, folds satisfy a closed 2x2 polynomial
-system (Phi = 0, dPhi/dLam = 0) with an analytic Jacobian, so they are
-located by Newton iteration to essentially machine precision after a
-root-count bisection supplies the seed.
+The quartic is affine in n, Phi = A(Lam) + n B(Lam), so both branches lie
+on the explicit graph n = -A/B.  In the shifted variable x = Lam + l the
+seeds sit at x = 0 and x = -1, where A vanishes; for l >= 2, B > 0 on
+[-1, 0], the graph rises from 0 at x = -1 to its peak n* and falls back to
+0 at x = 0.  The fold is that peak, the root of W = A'B - AB' in (-1, 0),
+and each branch is the inverse of the graph on one side of it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .characteristic import affine_parts, build_quartic, real_roots
-from .errors import NoFoldInBracketError, NumericsError
+from .characteristic import _integer_parts, build_quartic
+from .errors import NoFoldInBracketError, NoRealEigenvalueError, NumericsError
 
 
 class BranchFamily(enum.Enum):
@@ -63,40 +66,57 @@ class Branch:
     reached_n_max: bool
 
 
-def _phi_and_derivs(l: int, lam: float, n: float):
-    A, B = affine_parts(l)
-    dA, dB = np.polyder(A), np.polyder(B)
-    phi = np.polyval(A, lam) + n * np.polyval(B, lam)
-    phi_lam = np.polyval(dA, lam) + n * np.polyval(dB, lam)
-    return phi, phi_lam
+def _shifted_parts(l: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A(x), B(x) in x = Lam + l, descending powers, by an exact integer
+    Taylor shift.  For l = 1 the common factor x is divided out."""
+    parts = []
+    for c in _integer_parts(l):
+        for i in range(len(c) - 1):
+            for j in range(1, len(c) - i):
+                c[j] -= l * c[j - 1]
+        parts.append(np.array(c[:-1] if l == 1 else c, dtype=float))
+    return parts[0], parts[1]
 
 
-def _phi_scale(l: int, lam: float, n: float) -> float:
-    q = build_quartic(l, n)
-    m = max(1.0, abs(lam))
-    return sum(abs(c) * m ** (4 - k) for k, c in enumerate(q.coeffs))
+def _root(p: np.ndarray, seed: float, other: float) -> float:
+    """The root of p between ``seed`` and ``other``, where p changes sign:
+    Newton from ``seed``, bisecting whenever a step leaves the bracket."""
+    if np.polyval(p, seed) < 0.0:
+        p = -p
+    dp = np.polyder(p)
+    pos, neg, x = seed, other, seed
+    for _ in range(100):
+        fx = np.polyval(p, x)
+        if fx == 0.0:
+            return float(x)
+        if fx > 0.0:
+            pos = x
+        else:
+            neg = x
+        d = np.polyval(dp, x)
+        step = fx / d if d != 0.0 else math.inf
+        if abs(step) <= 2.0 ** -52 or abs(pos - neg) <= 2.0 ** -52:
+            return float(x)
+        x = x - step if min(pos, neg) < x - step < max(pos, neg) else 0.5 * (pos + neg)
+    raise NumericsError(f"no convergence to the root of {p!r} between {seed!r} and {other!r}")
 
 
-def _newton_lambda(l: int, n: float, lam: float, max_iter: int = 30) -> Optional[float]:
-    """Corrector: 1-D Newton on Phi(. ; n) = 0 from ``lam``.
+def _meeting_point(l: int) -> FoldPoint:
+    """Where the two branches of index l meet: the fold, or for l = 1 the crossing."""
+    return double_root_l1() if l == 1 else find_fold(l)
 
-    The acceptance scale is re-evaluated at the current iterate so a wild
-    starting point cannot inflate the tolerance.
-    """
-    for _ in range(max_iter):
-        phi, phi_lam = _phi_and_derivs(l, lam, n)
-        if abs(phi) <= 1e-13 * _phi_scale(l, lam, n):
-            return lam
-        if phi_lam == 0.0:
-            return None
-        step = phi / phi_lam
-        if not np.isfinite(step) or abs(step) > 1.0 + abs(lam):
-            return None
-        lam -= step
-        if abs(step) <= 1e-15 * (1.0 + abs(lam)):
-            phi, _ = _phi_and_derivs(l, lam, n)
-            return lam if abs(phi) <= 1e-10 * _phi_scale(l, lam, n) else None
-    return None
+
+def _eigenvalue(meet: FoldPoint, family: BranchFamily, n: float) -> float:
+    """Lam on ``family``'s branch at exponent n, the root of A + n B on the
+    branch's side of the meeting point of index ``meet.l``."""
+    l = meet.l
+    if meet.kind == "crossing" and (family is BranchFamily.UPPER or n >= meet.n_star):
+        return -1.0  # the persistent root
+    if meet.kind == "fold" and n >= meet.n_star:
+        raise NoRealEigenvalueError(f"past fold (n >= {meet.n_star:.8g}), no real eigenvalue")
+    A, B = _shifted_parts(l)
+    seed = 0.0 if family is BranchFamily.UPPER else -1.0
+    return _root(A + n * B, seed, meet.lambda_star + l) - l
 
 
 def continue_branch(
@@ -107,178 +127,72 @@ def continue_branch(
     min_step: float = 1e-9,
     growth: float = 1.4,
 ) -> Branch:
-    """Natural-parameter predictor-corrector continuation of one branch.
+    """Sample one branch on a geometric n grid up to ``n_max`` or its fold.
 
-    The predictor uses the exact implicit-function slope -Phi_n / Phi_Lam;
-    the corrector is Newton in Lam at fixed n.  The step halves on
-    corrector failure down to ``min_step``; hitting the floor is treated
-    as fold proximity and hands off to :func:`find_fold`.
+    Steps start at ``initial_step`` and grow by ``growth`` up to 0.05; a
+    step that would reach the fold is halved, and once it falls below
+    ``min_step`` the branch ends with the fold.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     if n_max <= 0.0:
         raise ValueError("n_max must be positive")
-    seed = -float(l) if family is BranchFamily.UPPER else -float(l) - 1.0
-    samples: List[Tuple[float, float]] = [(0.0, seed)]
-    n, lam = 0.0, seed
-    step = initial_step
+    meet = _meeting_point(l)
+    n_end = meet.n_star if meet.kind == "fold" else math.inf
+    samples: List[Tuple[float, float]] = [(0.0, _eigenvalue(meet, family, 0.0))]
+    n, step = 0.0, initial_step
     while n < n_max:
         dn = min(step, n_max - n)
-        advanced = False
-        while True:
-            n_try = n + dn
-            phi, phi_lam = _phi_and_derivs(l, lam, n)
-            slope = 0.0 if phi_lam == 0.0 else -np.polyval(affine_parts(l)[1], lam) / phi_lam
-            # a predictor jump beyond the root's basin means the step is
-            # too large for the local curvature; shrink before correcting
-            if abs(dn * slope) <= 0.25 * (1.0 + abs(lam)):
-                lam_pred = lam + dn * slope
-                lam_corr = _newton_lambda(l, n_try, lam_pred)
-                if lam_corr is not None and abs(lam_corr - lam) <= 0.5 * (1.0 + abs(lam)):
-                    n, lam = n_try, lam_corr
-                    samples.append((n, lam))
-                    step = min(dn * growth, 0.05)
-                    advanced = True
-                    break
+        while n + dn >= n_end:
             dn *= 0.5
             if dn < min_step:
-                break
-        if not advanced:
-            # Step floor reached: a fold is closer than min_step.
-            try:
-                fold = find_fold(l, bracket=(max(samples[-1][0] * 0.5, min_step), n_max))
-            except NoFoldInBracketError as exc:
-                raise NumericsError(
-                    f"corrector diverged at n={samples[-1][0]!r} with no fold in "
-                    f"reach; last good sample (n, lambda) = {samples[-1]!r}"
-                ) from exc
-            return Branch(l, family, tuple(samples), fold, reached_n_max=False)
+                return Branch(l, family, tuple(samples), meet, reached_n_max=False)
+        n += dn
+        samples.append((n, _eigenvalue(meet, family, n)))
+        step = min(dn * growth, 0.05)
     return Branch(l, family, tuple(samples), None, reached_n_max=True)
 
 
-def _count_tracked_roots(l: int, n: float) -> int:
-    """Real roots inside the window where the seeded pair lives."""
-    roots = real_roots(build_quartic(l, n))
-    lo, hi = -float(l) - 2.0, -float(l) + 0.5
-    return sum(1 for r in roots if lo < r < hi)
-
-
-def _newton_fold(l: int, lam: float, n: float, deflate_l1: bool = False):
-    """Newton on (Phi, Phi_Lam) = 0 with the analytic 2x2 Jacobian.
-
-    For l = 1, Lam = -1 is a root of Phi for every n, which makes the raw
-    system rank-deficient at its solution; dividing that factor out
-    restores a regular root, so the same iteration converges quadratically.
-    """
-    A, B = affine_parts(l)
-    if deflate_l1:
-        # synthetic division of A, B by (Lam + 1); remainders vanish exactly
-        A = _deflate_at_minus_one(A)
-        B = _deflate_at_minus_one(B)
-    dA, dB = np.polyder(A), np.polyder(B)
-    d2A, d2B = np.polyder(A, 2), np.polyder(B, 2)
-    for _ in range(80):
-        f1 = np.polyval(A, lam) + n * np.polyval(B, lam)
-        d1 = np.polyval(dA, lam) + n * np.polyval(dB, lam)
-        if deflate_l1:
-            # second equation stays dPhi/dLam of the full quartic
-            f2 = f1 + (lam + 1.0) * d1
-            j21 = 2.0 * d1 + (lam + 1.0) * (np.polyval(d2A, lam) + n * np.polyval(d2B, lam))
-            j22 = np.polyval(B, lam) + (lam + 1.0) * np.polyval(dB, lam)
-        else:
-            f2 = d1
-            j21 = np.polyval(d2A, lam) + n * np.polyval(d2B, lam)
-            j22 = np.polyval(dB, lam)
-        j11 = d1 if not deflate_l1 else np.polyval(dA, lam) + n * np.polyval(dB, lam)
-        j12 = np.polyval(B, lam)
-        J = np.array([[j11, j12], [j21, j22]])
-        try:
-            delta = np.linalg.solve(J, -np.array([f1, f2]))
-        except np.linalg.LinAlgError:
-            delta, *_ = np.linalg.lstsq(J, -np.array([f1, f2]), rcond=None)
-        lam += delta[0]
-        n += delta[1]
-        if max(abs(delta[0]), abs(delta[1])) <= 1e-15 * (1.0 + abs(lam) + abs(n)):
-            break
-    return lam, n
-
-
-def _deflate_at_minus_one(coeffs: np.ndarray) -> np.ndarray:
-    quot, rem = np.polydiv(coeffs, np.array([1.0, 1.0]))
-    if abs(rem[0]) > 1e-9 * np.abs(coeffs).sum():
-        raise NumericsError("expected (Lam + 1) to divide the l = 1 quartic exactly")
-    return quot
-
-
-def find_fold(l: int, bracket: Optional[Tuple[float, float]] = None) -> FoldPoint:
-    """Locate the fold of index l by root-count bisection plus 2x2 Newton.
-
-    Without an explicit bracket, a geometric scan (factor 1.3 from 1e-6 up
-    to 1) looks for the n at which the tracked real-root pair disappears;
-    the bracket is bisected to width 1e-8 before Newton takes over.
-    """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if bracket is None:
-        grid = [0.0]
-        x = 1e-6
-        while x <= 1.0:
-            grid.append(x)
-            x *= 1.3
-        grid.append(1.0)
-        lo = None
-        for a, b in zip(grid, grid[1:]):
-            if _count_tracked_roots(l, a) >= 2 and _count_tracked_roots(l, b) < 2:
-                lo, hi = a, b
-                break
-        if lo is None:
-            raise NoFoldInBracketError(
-                f"no change in tracked real-root count for l={l} on (0, 1]"
-            )
-    else:
-        lo, hi = bracket
-        if not (_count_tracked_roots(l, lo) >= 2 and _count_tracked_roots(l, hi) < 2):
-            raise NoFoldInBracketError(
-                f"root count does not drop from 2 inside bracket {bracket!r} for l={l}"
-            )
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if _count_tracked_roots(l, mid) >= 2:
-            lo = mid
-        else:
-            hi = mid
-    n_seed = 0.5 * (lo + hi)
-    pair = [r for r in real_roots(build_quartic(l, lo)) if -l - 2.0 < r < -l + 0.5]
-    lam_seed = float(np.mean(pair)) if pair else -float(l) - 0.5
-    lam, n = _newton_fold(l, lam_seed, n_seed)
+def _fold_point(l: int, n: float, lam: float, kind: str) -> FoldPoint:
     q = build_quartic(l, n)
-    res_phi, res_dphi = abs(q(lam)), abs(q.d_dlam(lam))
-    second = q.d2_dlam2(lam)
-    if second == 0.0:
-        raise NumericsError(f"fold for l={l} is not quadratic (Phi_LamLam = 0)")
     return FoldPoint(
         l=l,
         n_star=float(n),
         lambda_star=float(lam),
-        residual_phi=float(res_phi),
-        residual_dphi=float(res_dphi),
-        second_derivative=float(second),
-        kind="fold",
+        residual_phi=float(abs(q(lam))),
+        residual_dphi=float(abs(q.d_dlam(lam))),
+        second_derivative=float(q.d2_dlam2(lam)),
+        kind=kind,
     )
+
+
+def find_fold(l: int, bracket: Optional[Tuple[float, float]] = None) -> FoldPoint:
+    """The fold of index l >= 2: the peak x* of n = -A/B on (-1, 0).
+
+    x* is the root of W = A'B - AB', which is negative at x = -1 and
+    positive at x = 0.  With ``bracket=(lo, hi)`` the fold must satisfy
+    lo < n* <= hi.
+    """
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    if l == 1:
+        raise NoFoldInBracketError("l = 1 has no fold: Lam = -1 is a root for every n")
+    A, B = _shifted_parts(l)
+    W = np.polysub(np.polymul(np.polyder(A), B), np.polymul(A, np.polyder(B)))
+    x = _root(W, 0.0, -1.0)
+    n = -np.polyval(A, x) / np.polyval(B, x)
+    if bracket is not None and not bracket[0] < n <= bracket[1]:
+        raise NoFoldInBracketError(f"fold n*={n!r} of l={l} is not inside bracket {bracket!r}")
+    fold = _fold_point(l, n, x - l, "fold")
+    if fold.second_derivative == 0.0:
+        raise NumericsError(f"fold for l={l} is not quadratic (Phi_LamLam = 0)")
+    return fold
 
 
 def double_root_l1() -> FoldPoint:
     """The l = 1 double root: Lam = -1 is persistent, and the second branch
-    crosses it at n = 1/2.  Real roots survive on both sides, so the point
-    is reported as a crossing rather than a fold."""
-    lam, n = _newton_fold(1, -1.05, 0.42, deflate_l1=True)
-    q = build_quartic(1, n)
-    return FoldPoint(
-        l=1,
-        n_star=float(n),
-        lambda_star=float(lam),
-        residual_phi=abs(q(lam)),
-        residual_dphi=abs(q.d_dlam(lam)),
-        second_derivative=q.d2_dlam2(lam),
-        kind="crossing",
-    )
+    crosses it at n = 1/2, where the deflated A + n B vanishes at x = 0.
+    Real roots survive on both sides, so the point is reported as a
+    crossing rather than a fold."""
+    A, B = _shifted_parts(1)
+    return _fold_point(1, -A[-1] / B[-1], -1.0, "crossing")

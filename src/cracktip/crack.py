@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .characteristic import build_quartic, real_roots
-from .continuation import FoldPoint, find_fold
-from .errors import NoFoldInBracketError, NoRealEigenvalueError
+from .continuation import BranchFamily, _eigenvalue, _meeting_point
+from .errors import NoRealEigenvalueError
 from .pencil import Family, Polynomial, build_eigenfunction, combine, nodal_set
 from .shooting import _angle_scan, _half_line, two_sided_profile
 
@@ -183,24 +181,10 @@ def roundtrip_generate(l: int, c: float, d: float) -> CrackSpec:
     return CrackSpec(alphas=ns.zeros)
 
 
-@lru_cache(maxsize=None)
-def _fold_cached(l: int) -> Optional[FoldPoint]:
-    if l == 1:
-        return None  # real eigenvalues persist for every n
-    try:
-        return find_fold(l)
-    except NoFoldInBracketError:
-        return None
-
-
 def _upper_eigenvalue(l: int, n: float) -> float:
-    """Continued upper-branch eigenvalue at exponent n (largest tracked root)."""
-    if l == 1:
-        return -1.0
-    roots = [r for r in real_roots(build_quartic(l, n)) if -l - 2.0 < r < -l + 0.5]
-    if not roots:
-        raise NoRealEigenvalueError(f"no real eigenvalue for l={l} at n={n}")
-    return max(roots)
+    """Continued upper-branch eigenvalue at exponent n; raises
+    NoRealEigenvalueError past the fold."""
+    return _eigenvalue(_meeting_point(l), BranchFamily.UPPER, n)
 
 
 def check_nonlinear(
@@ -229,13 +213,12 @@ def check_nonlinear(
         raise ValueError("n must be >= 0")
     scan = _index_range(spec, l_max)
     notes: List[str] = []
-    usable: List[int] = []
+    usable: List[Tuple[int, float]] = []
     for l in scan:
-        fold = _fold_cached(l)
-        if fold is not None and n >= fold.n_star:
-            notes.append(f"l={l}: past fold (n >= {fold.n_star:.8g}), no real eigenvalue")
-        else:
-            usable.append(l)
+        try:
+            usable.append((l, _upper_eigenvalue(l, n)))
+        except NoRealEigenvalueError as exc:
+            notes.append(f"l={l}: {exc}")
     if not usable:
         raise NoRealEigenvalueError(
             f"no real eigenvalue at n={n} for any l in [{scan.start}, {scan.stop - 1}]"
@@ -245,9 +228,7 @@ def check_nonlinear(
     alpha1 = spec.alphas[0]
     scan_end = math.copysign(abs(alpha1) + 0.5, alpha1) if alpha1 != 0.0 else 0.5
     matches: List[CrackMatch] = []
-    for l in usable:
-        lam = _upper_eigenvalue(l, n)
-
+    for l, lam in usable:
         def alpha1_value(theta: float) -> float:
             # one trajectory on the half-line carrying the first slope, to
             # refine each sign change of the batched scan below
@@ -261,7 +242,10 @@ def check_nonlinear(
             for a, b, fa, fb in zip(thetas, thetas[1:], vals, vals[1:])
             if np.sign(fa) * np.sign(fb) < 0
         ]
-        candidates += [float(t) for fa, t in zip(vals, thetas) if fa == 0.0]
+        # exact zeros, up to rounding: at alpha1 = 0 the scanned value is
+        # cos(theta), whose zeros sit at the scan ends
+        zero_tol = 1e-12 * np.max(np.abs(vals))
+        candidates += [float(t) for fa, t in zip(vals, thetas) if abs(fa) <= zero_tol]
         for theta in candidates:
             ic = (math.cos(theta), math.sin(theta))
             prof = two_sided_profile(n, lam, ic, z_reach)

@@ -30,7 +30,7 @@ class GradientDegeneracyError(NumericsError):
 
 
 class NoFoldInBracketError(NumericsError):
-    """No change in the real-root count was detected inside the bracket."""
+    """The index has no fold (l = 1), or its fold lies outside the bracket."""
 
 
 class DegenerateSeedError(NumericsError):

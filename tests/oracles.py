@@ -133,6 +133,16 @@ def exact_fold(l, halvings=140):
     return float(best[0]), float(best[1])
 
 
+def quartic_residual(l, n, lam):
+    """|Phi_l(lam; n)| over the sum of the absolute values of its terms,
+    in exact arithmetic at the float arguments."""
+    A, B = quartic_parts_exact(l)
+    x, nq = Fraction(lam), Fraction(n)
+    m = max(Fraction(1), abs(x))
+    scale = sum((abs(a) + nq * abs(b)) * m ** (4 - k) for k, (a, b) in enumerate(zip(A, B)))
+    return float(abs(_polyval(A, x) + nq * _polyval(B, x)) / scale)
+
+
 def integral_over_reals(f, order=600):
     """Gauss-Legendre integral of f over the real line via z = tan(theta).
 

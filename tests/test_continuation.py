@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cracktip import (
     BranchFamily,
     NoFoldInBracketError,
+    NoRealEigenvalueError,
     build_quartic,
     continue_branch,
     double_root_l1,
@@ -11,9 +14,10 @@ from cracktip import (
     mu_via_ift,
     real_roots,
 )
+from cracktip.continuation import _eigenvalue
 from cracktip.pencil import Family
 
-from oracles import exact_fold
+from oracles import exact_fold, quartic_residual
 
 
 def test_branch_l1_upper_is_flat():
@@ -52,12 +56,12 @@ def test_branch_terminates_at_fold():
     assert br.samples[-1][0] < br.fold.n_star
 
 
-@pytest.mark.parametrize("l", [2, 3, 5, 10, 100])
+@pytest.mark.parametrize("l", [2, 3, 5, 10, 100, 1000, 3000])
 def test_fold_matches_exact_elimination(l):
     fp = find_fold(l)
     n_ref, lam_ref = exact_fold(l)
-    assert fp.n_star == pytest.approx(n_ref, rel=1e-9)
-    assert fp.lambda_star == pytest.approx(lam_ref, rel=1e-9)
+    assert fp.n_star == pytest.approx(n_ref, rel=1e-13, abs=0.0)
+    assert fp.lambda_star == pytest.approx(lam_ref, rel=1e-13)
     assert fp.kind == "fold"
 
 
@@ -111,11 +115,13 @@ def test_branch_l1_lower_crosses_persistent_root():
 def test_double_root_l1():
     fp = double_root_l1()
     assert fp.kind == "crossing"
-    assert fp.n_star == pytest.approx(0.5, abs=1e-10)
-    assert fp.lambda_star == pytest.approx(-1.0, abs=1e-10)
+    assert fp.n_star == 0.5
+    assert fp.lambda_star == -1.0
+    assert fp.residual_phi == 0.0
+    assert fp.residual_dphi == 0.0
     q = build_quartic(1, 0.5)
-    assert abs(q(fp.lambda_star)) <= 1e-12
-    assert abs(q.d_dlam(fp.lambda_star)) <= 1e-12
+    assert q(fp.lambda_star) == 0.0
+    assert q.d_dlam(fp.lambda_star) == 0.0
     # real eigenvalues persist past the crossing
     assert real_roots(build_quartic(1, 0.6))
 
@@ -128,6 +134,50 @@ def test_no_fold_for_l1():
 def test_bracket_without_root_count_change():
     with pytest.raises(NoFoldInBracketError):
         find_fold(2, bracket=(0.01, 0.02))
+
+
+def test_bracket_holding_the_fold():
+    n_star = find_fold(3).n_star
+    assert find_fold(3, bracket=(0.5 * n_star, n_star)) == find_fold(3)
+    with pytest.raises(NoFoldInBracketError):
+        find_fold(3, bracket=(n_star, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    l=st.integers(min_value=2, max_value=3000),
+    u=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+def test_branches_invert_the_graph_below_the_fold(l, u):
+    fp = find_fold(l)
+    n = u * fp.n_star
+    upper = _eigenvalue(fp, BranchFamily.UPPER, n)
+    lower = _eigenvalue(fp, BranchFamily.LOWER, n)
+    assert fp.lambda_star <= upper <= -l
+    assert -l - 1 <= lower <= fp.lambda_star
+    assert upper > lower
+    assert quartic_residual(l, n, upper) <= 1e-12
+    assert quartic_residual(l, n, lower) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.floats(min_value=0.0, max_value=10.0))
+def test_l1_lower_branch_reaches_persistent_root(n):
+    crossing = double_root_l1()
+    assert _eigenvalue(crossing, BranchFamily.UPPER, n) == -1.0
+    lower = _eigenvalue(crossing, BranchFamily.LOWER, n)
+    if n >= 0.5:
+        assert lower == -1.0
+    else:
+        assert -2.0 <= lower < -1.0
+        assert quartic_residual(1, n, lower) <= 1e-12
+
+
+def test_past_the_fold_has_no_eigenvalue():
+    fp = find_fold(4)
+    for family in BranchFamily:
+        with pytest.raises(NoRealEigenvalueError):
+            _eigenvalue(fp, family, fp.n_star)
 
 
 def test_preconditions():

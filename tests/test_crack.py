@@ -190,6 +190,16 @@ def _scalar_alpha1_value(lam, n, theta, alpha1):
     return float(sol.y[0, -1])
 
 
+@pytest.mark.parametrize("alphas", [(0.0,), (0.0, math.sqrt(3.0))])
+def test_nonlinear_at_n_zero_matches_linear_with_slope_zero(alphas):
+    # at alpha1 = 0 the scanned value is cos(theta), whose zeros are the
+    # scan ends, so they are found only up to rounding
+    spec = CrackSpec(alphas=alphas)
+    linear = check_linear(spec, l_max=3)
+    assert linear.decay_exponent is not None
+    assert check_nonlinear(spec, 0.0, l_max=3).decay_exponent == linear.decay_exponent
+
+
 @pytest.mark.parametrize(
     "alphas,n,kwargs",
     [
