@@ -70,9 +70,6 @@ class CharacteristicQuartic:
     def d_dlam(self, lam: float) -> float:
         return np.polyval(np.polyder(np.asarray(self.coeffs)), lam)
 
-    def d2_dlam2(self, lam: float) -> float:
-        return np.polyval(np.polyder(np.asarray(self.coeffs), 2), lam)
-
     def d_dn(self, lam: float) -> float:
         """partial Phi / partial n; exact because Phi is affine in n."""
         _, B = affine_parts(self.l)

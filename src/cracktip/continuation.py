@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .characteristic import _integer_parts, build_quartic
+from .characteristic import _integer_parts
 from .errors import NoFoldInBracketError, NoRealEigenvalueError, NumericsError
 
 
@@ -153,15 +153,21 @@ def continue_branch(
     return Branch(l, family, tuple(samples), None, reached_n_max=True)
 
 
-def _fold_point(l: int, n: float, lam: float, kind: str) -> FoldPoint:
-    q = build_quartic(l, n)
+def _fold_point(l: int, n: float, x: float, kind: str) -> FoldPoint:
+    """The meeting point at exponent n and x = Lam + l, with Phi and its
+    Lam-derivatives (d/dLam = d/dx) evaluated from the shifted parts."""
+    A, B = _shifted_parts(l)
+    phi = A + n * B
+    if l == 1:
+        phi = np.append(phi, 0.0)  # restore the divided-out factor x
+    d1 = np.polyder(phi)
     return FoldPoint(
         l=l,
         n_star=float(n),
-        lambda_star=float(lam),
-        residual_phi=float(abs(q(lam))),
-        residual_dphi=float(abs(q.d_dlam(lam))),
-        second_derivative=float(q.d2_dlam2(lam)),
+        lambda_star=float(x - l),
+        residual_phi=float(abs(np.polyval(phi, x))),
+        residual_dphi=float(abs(np.polyval(d1, x))),
+        second_derivative=float(np.polyval(np.polyder(d1), x)),
         kind=kind,
     )
 
@@ -183,7 +189,7 @@ def find_fold(l: int, bracket: Optional[Tuple[float, float]] = None) -> FoldPoin
     n = -np.polyval(A, x) / np.polyval(B, x)
     if bracket is not None and not bracket[0] < n <= bracket[1]:
         raise NoFoldInBracketError(f"fold n*={n!r} of l={l} is not inside bracket {bracket!r}")
-    fold = _fold_point(l, n, x - l, "fold")
+    fold = _fold_point(l, n, x, "fold")
     if fold.second_derivative == 0.0:
         raise NumericsError(f"fold for l={l} is not quadratic (Phi_LamLam = 0)")
     return fold
@@ -195,4 +201,4 @@ def double_root_l1() -> FoldPoint:
     Real roots survive on both sides, so the point is reported as a
     crossing rather than a fold."""
     A, B = _shifted_parts(1)
-    return _fold_point(1, -A[-1] / B[-1], -1.0, "crossing")
+    return _fold_point(1, -A[-1] / B[-1], 0.0, "crossing")

@@ -7,9 +7,11 @@ eigenfunctions sharing the eigenvalue -l.  Inadmissible configurations
 admit no tip solution at all; admissible ones force the solution to vanish
 like |x, y|**l with l the smallest matching index.
 
-The (c : d) ratio is pinned by the first slope (one linear condition, with
-role swapping when the second eigenfunction vanishes there), then verified
-on the remaining slopes, so each l costs one nodal-set extraction.
+With z = cot(theta), (z + i)**l = exp(i l theta) / sin(theta)**l, so every
+combination is sin(l (theta - theta_1)) / sin(theta)**l up to scale: its
+zeros are the cotangents of an angle lattice with spacing pi / l.  The
+first slope pins the lattice, and each further slope is tested by its
+angle offset from it, so each l costs O(m) angle arithmetic.
 
 ``check_nonlinear`` extends the construction to n > 0 by replacing the
 two-dimensional combination space with the one-parameter family of initial
@@ -27,7 +29,6 @@ import numpy as np
 
 from .continuation import BranchFamily, _eigenvalue, _meeting_point
 from .errors import NoRealEigenvalueError
-from .pencil import Family, Polynomial, build_eigenfunction, combine, nodal_set
 from .shooting import _angle_scan, _half_line, two_sided_profile
 
 DEFAULT_TOL = 1e-8
@@ -73,28 +74,6 @@ class AdmissibilityReport:
     notes: Tuple[str, ...] = ()
 
 
-def _value_scale(poly: Polynomial, x: float) -> float:
-    """Magnitude available to cancellation when evaluating poly at x."""
-    m = max(1.0, abs(x))
-    return max(1.0, sum(abs(c) * m ** k for k, c in enumerate(poly.coeffs)))
-
-
-def _ratio_from_first_slope(l: int, alpha: float) -> Optional[Tuple[float, float]]:
-    """(c : d) killing the combination at ``alpha``; the larger eigenfunction
-    value takes the denominator role, so the division is always tame."""
-    p1 = build_eigenfunction(l, Family.FIRST).poly
-    p2 = build_eigenfunction(l - 1, Family.SECOND).poly
-    v1, v2 = p1(alpha), p2(alpha)
-    if abs(v2) >= abs(v1):
-        if v2 == 0.0:
-            return None  # both vanish: degenerate, handled by caller
-        c, d = 1.0, -v1 / v2
-    else:
-        c, d = -v2 / v1, 1.0
-    norm = max(abs(c), abs(d))
-    return (c / norm, d / norm)
-
-
 def _match_alphas_to_zeros(
     alphas: Sequence[float],
     zeros: Sequence[float],
@@ -117,6 +96,29 @@ def _match_alphas_to_zeros(
     return tuple(idx)
 
 
+def _lattice_points(l: int, p: float) -> range:
+    """The j with 0 < j + p < l, descending: the nodal angles pi (j + p) / l
+    of the index-l combination with phase p in [-1/2, 1/2], in the order
+    of ascending slopes.  At p = 0 (no first-family part) there are l - 1."""
+    return range(l if p < 0.0 else l - 1, -1 if p > 0.0 else 0, -1)
+
+
+def _lattice_zeros(l: int, p: float) -> Tuple[float, ...]:
+    """Ascending zeros cot(pi (j + p) / l) of the index-l combination with
+    phase p.  Each is the tangent of its angle from pi / 2, or within
+    pi / 4 of an end the cotangent of its angle from that end, so every
+    angle is formed without cancellation."""
+    zeros = []
+    for j in _lattice_points(l, p):
+        h = (l - 2 * j) - 2.0 * p  # the angle from pi / 2, in units of pi / (2 l)
+        if 2.0 * abs(h) <= l:
+            zeros.append(math.tan(math.pi * h / (2 * l)))
+        else:
+            e = j + p if h > 0.0 else (j - l) + p
+            zeros.append(1.0 / math.tan(math.pi * e / l))
+    return tuple(zeros)
+
+
 def check_linear(
     spec: CrackSpec,
     l_max: Optional[int] = None,
@@ -125,36 +127,48 @@ def check_linear(
 ) -> AdmissibilityReport:
     """Scan l = m .. l_max for combinations whose zeros carry the slopes.
 
-    ``consecutive`` enforces the strict reading where the m slopes must
-    occupy consecutive positions of the combination's sorted zero list;
-    pass False for the looser any-subset reading.
+    With theta_j = atan2(1, alpha_j), slope j lies on the lattice pinned by
+    the first slope when x_j = l (theta_1 - theta_j) / pi is near an
+    integer k_j; its residual |sin(pi (x_j - k_j))| is the value of the
+    unit-normalised combination in the stable form, and must not exceed
+    ``tol``.  The k_j must strictly increase, and with ``consecutive``
+    (the strict reading) they must be 0, 1, ..., m - 1; pass False for
+    the looser any-subset reading.
     """
+    halfturns = [math.atan2(1.0, a) / math.pi for a in spec.alphas]  # theta_j / pi
+    # theta_1 / pi measured from the nearer end of (0, 1), so that a steep
+    # first slope keeps its precision
+    a1 = spec.alphas[0]
+    tau = math.atan2(1.0, abs(a1)) / math.pi
     matches: List[CrackMatch] = []
     for l in _index_range(spec, l_max):
-        ratio = _ratio_from_first_slope(l, spec.alphas[0])
-        candidates = [ratio] if ratio is not None else [(1.0, 0.0), (0.0, 1.0)]
-        for c, d in candidates:
-            combo = combine(c, d, l)
-            worst = 0.0
-            ok = True
-            for a in spec.alphas:
-                r = abs(combo(a)) / _value_scale(combo, a)
-                worst = max(worst, r)
-                if r > tol:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            ns = nodal_set(combo)
-            idx = _match_alphas_to_zeros(
-                spec.alphas, ns.zeros, consecutive, dist_tol=max(1e-6, 10.0 * tol)
-            )
-            if idx is None:
-                continue
-            matches.append(
-                CrackMatch(l=l, ratio=(c, d), zero_indices=idx, max_residual=worst, zeros=ns.zeros)
-            )
-            break
+        u = l * tau
+        r = round(u)
+        # the first slope sits at lattice point K with phase p; lattice
+        # point j is zero number points.start - j
+        K, p = (r, u - r) if a1 >= 0.0 else (l - r, r - u)
+        points = _lattice_points(l, p)
+        first = points.start - K
+        idx: List[int] = []
+        worst = 0.0
+        for t in halfturns:
+            x = l * (halfturns[0] - t)
+            k = round(x)
+            worst = max(worst, abs(math.sin(math.pi * (x - k))))
+            i = first + k
+            if worst > tol or not 0 <= i < len(points) or idx and (
+                i <= idx[-1] or consecutive and i != idx[-1] + 1
+            ):
+                break
+            idx.append(i)
+        else:
+            # (c, d) ~ (-sin(l theta_1), l cos(l theta_1)), exact zeros at
+            # p = 0 and +-1/2, the larger one scaled to 1; adding 0.0 turns
+            # -0.0 into 0.0
+            c, d = -math.sin(math.pi * p), l * math.sin(math.pi * (0.5 - abs(p)))
+            big = c if abs(c) >= abs(d) else d
+            ratio = (c / big + 0.0, d / big + 0.0)
+            matches.append(CrackMatch(l, ratio, tuple(idx), worst, _lattice_zeros(l, p)))
     return _report(matches, mode="linear", n=0.0)
 
 
@@ -174,11 +188,16 @@ def _report(matches: List[CrackMatch], **kwargs) -> AdmissibilityReport:
 
 def roundtrip_generate(l: int, c: float, d: float) -> CrackSpec:
     """Nodal set of the (c, d) combination, as a crack specification."""
-    combo = combine(c, d, l)
-    ns = nodal_set(combo)
-    if len(ns) == 0:
+    if c == 0.0 and d == 0.0:
+        raise ValueError("combination requires c^2 + d^2 != 0")
+    # c cos(l theta) + (d / l) sin(l theta) vanishes at l theta = pi p (mod pi);
+    # with d >= 0, p = atan2(-c l, d) / pi lies in [-1/2, 1/2]
+    if d < 0.0:
+        c, d = -c, -d
+    zeros = _lattice_zeros(l, math.atan2(-c * l, d) / math.pi)
+    if not zeros:
         raise ValueError("combination has no real zeros; nothing to generate")
-    return CrackSpec(alphas=ns.zeros)
+    return CrackSpec(alphas=zeros)
 
 
 def _upper_eigenvalue(l: int, n: float) -> float:

@@ -10,9 +10,10 @@ lam = -d - 1 (second family).  This module constructs them exactly, maps
 the ODE to its symmetric Sturm-Liouville form, and extracts nodal sets,
 which downstream modules interpret as admissible crack slopes.
 
-All coefficients are produced by a two-step downward recursion from the
-monic leading term, in exact rational arithmetic for moderate degrees, so
-the classical low-degree table is reproduced without rounding.
+The eigenfunctions are the binomial expansions of Re (z + i)**d (first
+family) and Im (z + i)**(d + 1) / (d + 1) (second family), kept as exact
+rationals at every degree, so the classical low-degree table is
+reproduced without rounding.
 """
 
 from __future__ import annotations
@@ -26,11 +27,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NumericsError, RootFindingError
-
-# Exact rational coefficients are kept up to this degree; beyond it the
-# recursion runs directly in floating point.
-_EXACT_DEGREE_LIMIT = 64
+from .errors import RootFindingError
 
 DEFAULT_TRANSVERSALITY_TOL = 1e-8
 
@@ -53,8 +50,8 @@ class Family(enum.Enum):
 class Polynomial:
     """Dense real polynomial; ``coeffs[k]`` multiplies ``z**k``.
 
-    ``exact`` carries the rational coefficients when the polynomial was
-    produced by the exact recursion; it is None for generic combinations.
+    ``exact`` carries the rational coefficients of a pencil eigenfunction;
+    it is None for generic combinations.
     """
 
     coeffs: Tuple[float, ...]
@@ -156,56 +153,23 @@ def family_eigenvalue(degree: int, family: Family) -> float:
     return -float(degree) - 1.0
 
 
-def _exact_recursion(degree: int, lam: int) -> Tuple[Fraction, ...]:
-    coeffs = [Fraction(0)] * (degree + 1)
-    coeffs[degree] = Fraction(1)
-    k = degree - 2
-    while k >= 0:
-        denom = (k + lam) * (k + lam + 1)
-        if denom == 0:
-            raise NumericsError(
-                f"recursion denominator vanished at k={k}, lam={lam}; "
-                "(degree, family) pair is not an admissible eigenpair"
-            )
-        coeffs[k] = Fraction(-(k + 2) * (k + 1), denom) * coeffs[k + 2]
-        k -= 2
-    return tuple(coeffs)
-
-
-def _float_recursion(degree: int, lam: float) -> Tuple[float, ...]:
-    coeffs = [0.0] * (degree + 1)
-    coeffs[degree] = 1.0
-    k = degree - 2
-    while k >= 0:
-        denom = (k + lam) * (k + lam + 1)
-        if denom == 0.0:
-            raise NumericsError(
-                f"recursion denominator vanished at k={k}, lam={lam}"
-            )
-        coeffs[k] = -(k + 2) * (k + 1) / denom * coeffs[k + 2]
-        k -= 2
-    return tuple(coeffs)
-
-
 @lru_cache(maxsize=1024)
 def build_eigenfunction(degree: int, family: Family) -> PencilEigenpair:
     """Construct the monic degree-``degree`` eigenfunction of ``family``.
 
-    The recursion runs downward from the leading coefficient,
-    a_k = -(k+2)(k+1) / ((k+lam)(k+lam+1)) * a_{k+2}, which only touches
-    coefficients of the same parity as the degree; the opposite-parity
-    coefficients are identically zero.
+    The first family is Re (z + i)**d, the second Im (z + i)**(d + 1) / (d + 1).
+    With e the exponent, the coefficient of z**(d - 2m) is (-1)**m C(e, d - 2m),
+    over d + 1 for the second family; coefficients of the other parity vanish.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    lam_int = -degree if family is Family.FIRST else -degree - 1
-    if degree <= _EXACT_DEGREE_LIMIT:
-        exact = _exact_recursion(degree, lam_int)
-        coeffs = tuple(float(c) for c in exact)
-        poly = Polynomial(coeffs, exact=exact)
-    else:
-        poly = Polynomial(_float_recursion(degree, float(lam_int)))
-    return PencilEigenpair(degree=degree, family=family, lam=float(lam_int), poly=poly)
+    e, denom = (degree, 1) if family is Family.FIRST else (degree + 1, degree + 1)
+    exact = [Fraction(0)] * (degree + 1)
+    for m in range(degree // 2 + 1):
+        exact[degree - 2 * m] = Fraction((-1) ** m * math.comb(e, degree - 2 * m), denom)
+    exact = tuple(exact)
+    poly = Polynomial(tuple(float(c) for c in exact), exact=exact)
+    return PencilEigenpair(degree, family, float(-e), poly)
 
 
 def pencil_ode_residual(poly: Polynomial, lam: float, z):

@@ -133,6 +133,14 @@ def exact_fold(l, halvings=140):
     return float(best[0]), float(best[1])
 
 
+def exact_fold_derivatives(l, n, lam):
+    """Phi, dPhi/dLam and d2Phi/dLam2 at float arguments, exactly."""
+    A, B = quartic_parts_exact(l)
+    p = [a + Fraction(n) * b for a, b in zip(A, B)]
+    x = Fraction(lam)
+    return tuple(float(_polyval(q, x)) for q in (p, _polyder(p), _polyder(_polyder(p))))
+
+
 def quartic_residual(l, n, lam):
     """|Phi_l(lam; n)| over the sum of the absolute values of its terms,
     in exact arithmetic at the float arguments."""
@@ -141,6 +149,33 @@ def quartic_residual(l, n, lam):
     m = max(Fraction(1), abs(x))
     scale = sum((abs(a) + nq * abs(b)) * m ** (4 - k) for k, (a, b) in enumerate(zip(A, B)))
     return float(abs(_polyval(A, x) + nq * _polyval(B, x)) / scale)
+
+
+def pencil_pair_exact(l):
+    """Ascending exact coefficients of Re (z+i)^l and Im (z+i)^l / l, by
+    l multiplications with (z + i) in Gaussian integers."""
+    p = [(1, 0)]  # (re, im) per power of z
+    for _ in range(l):
+        # (z + i) p = z p + i p, with i (r + i s) = -s + i r
+        zp = [(0, 0)] + p
+        ip = [(-s, r) for r, s in p] + [(0, 0)]
+        p = [(a + c, b + d) for (a, b), (c, d) in zip(zp, ip)]
+    return [Fraction(r) for r, _ in p], [Fraction(i, l) for _, i in p]
+
+
+def stable_residuals_sq(l, alphas):
+    """Squared |sin(l (theta_j - theta_1))| at each slope, in exact
+    arithmetic at the float slopes: the combination c Re (z+i)^l +
+    d Im (z+i)^l / l pinned by the first slope, over
+    (1 + z^2)^(l/2) sqrt(c^2 + (d / l)^2)."""
+    re, im = pencil_pair_exact(l)
+    xs = [Fraction(a) for a in alphas]
+    c, d = _polyval(im[::-1], xs[0]), -_polyval(re[::-1], xs[0])
+    norm = c * c + d * d / (l * l)
+    return [
+        (c * _polyval(re[::-1], x) + d * _polyval(im[::-1], x)) ** 2 / ((1 + x * x) ** l * norm)
+        for x in xs
+    ]
 
 
 def integral_over_reals(f, order=600):

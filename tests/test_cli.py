@@ -169,6 +169,13 @@ def test_mu_degenerate_quadrature_is_numerical_failure(capsys):
     assert "orthogonality degenerate" in err
 
 
+def test_pencil_past_double_range_is_numerical_failure(capsys):
+    # the exact coefficients of degree 1100 exceed the largest double
+    code, out, err = run_capture(["pencil", "--degree", "1100", "--family", "first"], capsys)
+    assert code == EXIT_NUMERICAL
+    assert out == "" and "numerical failure" in err
+
+
 def test_usage_errors(capsys):
     code, _, _ = run_capture(["pencil", "--degree", "3", "--family", "third"], capsys)
     assert code == EXIT_USAGE
@@ -268,12 +275,15 @@ def test_figure_ids_validated():
 
 
 def test_scipy_loads_on_first_use():
-    # fold needs no scipy, so neither the import nor the command loads it
+    # fold and the linear crack check need no scipy, so neither the import
+    # nor these commands load it
     code = (
         "import sys, cracktip, cracktip.cli\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded(), loaded()\n"
         "assert cracktip.cli.run(['fold', '--l', '3']) == 0\n"
+        "assert not loaded(), loaded()\n"
+        "assert cracktip.cli.run(['crack', '--alphas', '-1,1']) == 0\n"
         "assert not loaded(), loaded()\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

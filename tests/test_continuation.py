@@ -17,7 +17,7 @@ from cracktip import (
 from cracktip.continuation import _eigenvalue
 from cracktip.pencil import Family
 
-from oracles import exact_fold, quartic_residual
+from oracles import exact_fold, exact_fold_derivatives, quartic_residual
 
 
 def test_branch_l1_upper_is_flat():
@@ -75,6 +75,17 @@ def test_fold_residuals(l):
     assert fp.second_derivative != 0.0
 
 
+@pytest.mark.parametrize("l", [100, 1000, 3000])
+def test_fold_residuals_at_large_index(l):
+    # measured in x = Lam + l, the residuals show the fold's accuracy, not
+    # the rounding of a quartic with terms of size l^4 (0.0625 at l = 3000)
+    fp = find_fold(l)
+    _, _, phi2 = exact_fold_derivatives(l, fp.n_star, fp.lambda_star)
+    assert fp.residual_phi <= 1e-9
+    assert fp.residual_dphi <= 1e-9 * phi2
+    assert fp.second_derivative == pytest.approx(phi2, rel=1e-12)
+
+
 @pytest.mark.parametrize("l", list(range(2, 11)))
 def test_fold_is_pair_annihilation(l):
     fp = find_fold(l)
@@ -119,6 +130,7 @@ def test_double_root_l1():
     assert fp.lambda_star == -1.0
     assert fp.residual_phi == 0.0
     assert fp.residual_dphi == 0.0
+    assert fp.second_derivative == 4.0
     q = build_quartic(1, 0.5)
     assert q(fp.lambda_star) == 0.0
     assert q.d_dlam(fp.lambda_star) == 0.0

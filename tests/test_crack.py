@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -19,6 +21,7 @@ from cracktip import (
 )
 from cracktip.crack import _upper_eigenvalue
 from cracktip.shooting import _angle_scan
+from oracles import stable_residuals_sq
 
 
 def test_spec_validation():
@@ -143,6 +146,173 @@ def test_decay_exponent_is_smallest_match():
     assert len(report.matches) >= 2
     assert report.decay_exponent == 1
     assert report.decay_exponent == min(m.l for m in report.matches)
+
+
+def _cot(theta):
+    return math.cos(theta) / math.sin(theta)
+
+
+def _lattice_slopes(l, ks, u):
+    """Ascending slopes cot((k + u) pi / l) for the lattice points ks."""
+    return tuple(sorted(_cot((k + u) * math.pi / l) for k in ks))
+
+
+@st.composite
+def _lattices(draw, l_max=600):
+    """(l, k0, m, u): m >= 2 consecutive lattice points k0 .. k0 + m - 1 of
+    spacing pi / l, at phase u of a cell."""
+    l = draw(st.integers(min_value=2, max_value=l_max))
+    m = draw(st.integers(min_value=2, max_value=l))
+    k0 = draw(st.integers(min_value=0, max_value=l - m))
+    u = draw(st.floats(min_value=1e-3, max_value=1.0 - 1e-3))
+    return l, k0, m, u
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lattices())
+def test_lattice_is_admissible_at_its_index(lattice):
+    l, k0, m, u = lattice
+    report = check_linear(CrackSpec(_lattice_slopes(l, range(k0, k0 + m), u)), l_max=l)
+    assert report.decay_exponent == l
+    (match,) = report.matches
+    # ascending slopes are descending angles, so lattice point k is zero l - 1 - k
+    assert match.zero_indices == tuple(range(l - k0 - m, l - k0))
+    assert match.max_residual <= 1e-9
+    assert match.zeros == pytest.approx(_lattice_slopes(l, range(l), u), rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lattices(), st.data())
+def test_moved_slope_is_inadmissible_at_its_index(lattice, data):
+    l, k0, m, u = lattice
+    ks = [k + u for k in range(k0, k0 + m)]
+    # never the largest angle, which carries the first slope; the move
+    # stays short of the next lattice point, so the order is kept
+    j = data.draw(st.integers(min_value=0, max_value=m - 2))
+    ks[j] += data.draw(st.floats(min_value=0.1, max_value=0.9))
+    spec = CrackSpec(tuple(sorted(_cot(k * math.pi / l) for k in ks)))
+    for consecutive in (True, False):
+        report = check_linear(spec, l_max=l, consecutive=consecutive)
+        assert not any(mm.l == l for mm in report.matches)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    l=st.integers(min_value=1, max_value=600),
+    phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    scale=st.floats(min_value=1e-3, max_value=1e3),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_verdict_is_projectively_invariant(l, phi, scale, sign):
+    c, d = math.cos(phi), math.sin(phi)
+    assume(l > 1 or c != 0.0)
+    reports = []
+    for s in (1.0, sign * scale):
+        spec = roundtrip_generate(l, s * c, s * d)
+        reports.append(check_linear(spec, l_max=l))
+        match = next(mm for mm in reports[-1].matches if mm.l == l)
+        # the recovered combination is (c, d) up to scale
+        norm = math.hypot(*match.ratio) * math.hypot(c, d)
+        assert abs(match.ratio[0] * d - match.ratio[1] * c) <= 1e-9 * norm
+    assert reports[0].admissible == reports[1].admissible
+    assert reports[0].decay_exponent == reports[1].decay_exponent
+    assert [mm.l for mm in reports[0].matches] == [mm.l for mm in reports[1].matches]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    l0=st.integers(min_value=1, max_value=12),
+    u=st.floats(min_value=0.05, max_value=0.95),
+    data=st.data(),
+)
+def test_verdict_agrees_with_exact_residuals(l0, u, data):
+    # slopes on or off an index-l0 lattice, checked at every l <= 12
+    # against the pinned combination evaluated in exact arithmetic
+    tol = 1e-6
+    ks = data.draw(st.lists(st.integers(0, l0 - 1), min_size=1, max_size=l0, unique=True))
+    moves = data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.05, 0.45), st.floats(-0.45, -0.05)),
+        min_size=len(ks), max_size=len(ks),
+    ))
+    shifted = [k + u + e for k, e in zip(ks, moves)]
+    assume(all(0.0 < y < l0 for y in shifted))
+    alphas = tuple(sorted(_cot(y * math.pi / l0) for y in shifted))
+    report = check_linear(CrackSpec(alphas), l_max=12, tol=tol, consecutive=False)
+    expected = set()
+    for l in range(len(alphas), 13):
+        res = stable_residuals_sq(l, alphas)
+        assume(all(abs(r - tol * tol) > 1e-6 * tol * tol for r in res))
+        if all(r <= tol * tol for r in res):
+            expected.add(l)
+    assert {mm.l for mm in report.matches} == expected
+
+
+@pytest.mark.parametrize("L", [90, 120, 150])
+def test_many_equally_spaced_slopes(L):
+    # companion-matrix nodal sets misjudged these or overflowed
+    spec = CrackSpec(_lattice_slopes(L, range(L), 0.3))
+    report = check_linear(spec)
+    assert report.decay_exponent == L
+    (match,) = report.matches
+    assert match.zero_indices == tuple(range(L))
+    assert match.zeros == pytest.approx(spec.alphas, rel=1e-12)
+
+
+@pytest.mark.parametrize("L", [8, 10])
+def test_half_offset_lattice_at_twice_its_index(L):
+    # cot((k + 1/2) pi / L) are the zeros of the first family at L and
+    # every other zero of the second family at 2L, where the combination
+    # has degree 2L - 1; the companion-matrix route raised there
+    spec = CrackSpec(_lattice_slopes(L, range(L), 0.5))
+    strict = check_linear(spec, l_max=2 * L)
+    assert strict.decay_exponent == L
+    assert not any(mm.l == 2 * L for mm in strict.matches)
+    loose = check_linear(spec, l_max=2 * L, consecutive=False)
+    match = next(mm for mm in loose.matches if mm.l == 2 * L)
+    assert match.ratio[0] == pytest.approx(0.0, abs=1e-12)
+    assert match.ratio[1] == 1.0
+    assert np.all(np.diff(match.zero_indices) == 2)
+
+
+@pytest.mark.parametrize("l", range(1, 13))
+def test_pure_second_family_has_l_minus_one_zeros(l):
+    # c = 0: the combination drops to degree l - 1
+    second = nodal_set(build_eigenfunction(l - 1, Family.SECOND).poly).zeros
+    if l == 1:
+        with pytest.raises(ValueError):
+            roundtrip_generate(l, 0.0, 1.0)
+    else:
+        assert roundtrip_generate(l, 0.0, -2.0).alphas == pytest.approx(second, abs=1e-12)
+    if l % 2 == 0:
+        # z = 0 is a zero of the second family exactly at even l
+        (match,) = check_linear(CrackSpec((0.0,)), l_max=l).matches[l - 1:]
+        assert match.ratio == (0.0, 1.0)
+        assert match.zeros == pytest.approx(second, abs=1e-12)
+
+
+def test_residual_is_the_stable_form_value():
+    # the second slope sits a tenth of a cell off the l = 2 lattice of the first
+    spec = CrackSpec((-1.0, _cot(0.2 * math.pi)))
+    assert not check_linear(spec, l_max=2).admissible
+    (match,) = check_linear(spec, l_max=2, tol=0.5).matches
+    assert match.max_residual == pytest.approx(math.sin(0.1 * math.pi), rel=1e-12)
+
+
+def test_slope_near_a_lost_zero_is_not_matched():
+    # at even l the slope 0 pins the pure second family, of degree l - 1:
+    # its zero at infinity is lost, so a steep second slope whose angle
+    # sits within tol of it is no zero, though its residual is small
+    spec = CrackSpec((0.0, 1e9))
+    report = check_linear(spec, l_max=12, consecutive=False)
+    assert not report.admissible
+
+
+def test_steep_first_slope():
+    # theta_1 within 1e-17 of pi: the first slope's lattice point is kept
+    report = check_linear(CrackSpec((-1e17,)), l_max=3)
+    assert [mm.l for mm in report.matches] == [1, 2, 3]
+    for mm in report.matches:
+        assert mm.zeros[mm.zero_indices[0]] == pytest.approx(-1e17, rel=1e-12)
 
 
 def test_nonlinear_reduces_to_linear_at_zero():

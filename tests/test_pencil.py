@@ -16,6 +16,7 @@ from cracktip import (
     sturm_liouville_map,
 )
 from cracktip.pencil import Polynomial, pencil_ode_residual
+from oracles import pencil_pair_exact
 
 F = Fraction
 
@@ -40,6 +41,19 @@ def test_low_degree_table_exact(degree, family, lam, coeffs):
     assert pair.lam == lam
     assert pair.poly.exact is not None
     assert list(pair.poly.exact) == coeffs
+
+
+@pytest.mark.parametrize("degree", [1, 7, 64, 65, 100, 199])
+def test_exact_table_at_every_degree(degree):
+    # Re (z+i)^d and Im (z+i)^(d+1) / (d+1), expanded independently
+    re, _ = pencil_pair_exact(degree)
+    _, im = pencil_pair_exact(degree + 1)
+    first = build_eigenfunction(degree, Family.FIRST).poly
+    second = build_eigenfunction(degree, Family.SECOND).poly
+    assert list(first.exact) == re
+    assert list(second.exact) + [0] == im
+    assert first.coeffs == tuple(float(c) for c in re)
+    assert second.coeffs == tuple(float(c) for c in im[:-1])
 
 
 def test_eigenvalue_pairs():
