@@ -1,0 +1,45 @@
+"""Byte-for-byte regression of CLI output against recorded files.
+
+None of these invocations runs an ODE solver, so their bytes do not depend
+on the scipy version.  After a deliberate change to the output, record the
+files again with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from cracktip.cli import EXIT_INADMISSIBLE, EXIT_OK, run
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden"
+
+# file name -> (argv, exit code)
+CASES = {
+    "pencil_7_second.csv": (["pencil", "--degree", "7", "--family", "second"], EXIT_OK),
+    "pencil_7_second.json": (
+        ["pencil", "--degree", "7", "--family", "second", "--format", "json"], EXIT_OK),
+    "char_scan_figure_5.csv": (["char-scan", "--figure", "5"], EXIT_OK),
+    "fold_2.json": (["fold", "--l", "2"], EXIT_OK),
+    "branch_3_lower.json": (
+        ["branch", "--l", "3", "--family", "lower", "--format", "json"], EXIT_OK),
+    "crack_admissible.json": (["crack", "--alphas", "-1,1"], EXIT_OK),
+    "crack_inadmissible.json": (
+        ["crack", "--alphas", "-3,3", "--l-max", "2"], EXIT_INADMISSIBLE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_recorded_bytes(name, capsysbinary):
+    argv, code = CASES[name]
+    assert run(argv) == code
+    assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for name, (argv, code) in CASES.items():
+        got = run(argv + ["--output", str(GOLDEN / name)])
+        if got != code:
+            raise SystemExit(f"{name}: exit {got}, expected {code}")
