@@ -135,10 +135,14 @@ def continue_branch(
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    if n_max <= 0.0:
+    if not n_max > 0.0:
         raise ValueError("n_max must be positive")
+    if not (initial_step > 0.0 and min_step > 0.0 and growth >= 1.0):
+        raise ValueError("initial_step and min_step must be positive and growth at least 1")
     meet = _meeting_point(l)
     n_end = meet.n_star if meet.kind == "fold" else math.inf
+    if math.isinf(n_max) and math.isinf(n_end):
+        raise ValueError(f"n_max must be finite for l={l}, whose branches never end")
     samples: List[Tuple[float, float]] = [(0.0, _eigenvalue(meet, family, 0.0))]
     n, step = 0.0, initial_step
     while n < n_max:

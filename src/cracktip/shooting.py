@@ -182,6 +182,8 @@ def shoot(
         raise ValueError("l must be >= 1")
     if n < 0.0:
         raise ValueError("n must be >= 0")
+    if not 0.0 < z_max < math.inf:
+        raise ValueError("z_max must be positive and finite")
     even = l % 2 == 0
     ic = (1.0, 0.0) if even else (0.0, 1.0)
     near: List[float] = []
@@ -266,6 +268,8 @@ def two_sided_profile(
     atol: float = 1e-12,
 ) -> Profile:
     """Integrate both half-lines from z = 0 with the given initial data."""
+    if not 0.0 < z_max < math.inf:
+        raise ValueError("z_max must be positive and finite")
     pos = _half_line(lam, n, ic, z_max, rtol, atol)
     neg = _half_line(lam, n, ic, -z_max, rtol, atol)
     return Profile(lam=lam, n=n, ic=tuple(ic), z_max=z_max, _pos=pos, _neg=neg)

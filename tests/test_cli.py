@@ -213,6 +213,95 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "unknown configuration key" in err
 
 
+# command -> (required flags, optional options as config keys, the JSON config they give)
+CONFIGURED = {
+    "pencil": (["--degree", "5"], {"family": "second"}, {"degree": 5, "family": "second"}),
+    "char-scan": (
+        [],
+        {"l": "2", "n-list": "0,0.1", "lambda_min": "-3", "lambda-max": "-1",
+         "lambda-step": "0.1"},
+        {"l": 2, "n_list": "0,0.1", "lambda_min": -3, "lambda_max": -1, "lambda_step": 0.1},
+    ),
+    "fold": (["--l", "2"], {}, {"l": 2}),
+    "branch": (
+        ["--l", "2"],
+        {"family": "lower", "n-max": "0.05", "initial_step": "0.002"},
+        {"l": 2, "family": "lower", "n_max": 0.05, "initial_step": 0.002},
+    ),
+    "mu": (["--l", "3"], {"family": "second", "method": "ift"},
+           {"l": 3, "family": "second", "method": "ift"}),
+    "shoot": (
+        ["--l", "2", "--n", "0", "--lambda", "-2"],
+        {"z-max": "8", "transversality_tol": "1e-3"},
+        {"l": 2, "n": 0, "lam": -2, "z_max": 8, "transversality_tol": 1e-3},
+    ),
+    "crack": (
+        ["--alphas", "-1,0,1"],
+        {"n": "0", "l-max": "6", "tol": "1e-6", "any-subset": "true"},
+        {"alphas": "-1,0,1", "n": 0, "l_max": 6, "tol": 1e-6, "any_subset": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGURED))
+def test_config_file_matches_flags(command, tmp_path, capsys):
+    required, options, config = CONFIGURED[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in options.items()) + "format=json\n")
+    flags = []
+    for k, v in options.items():
+        flags += ["--" + k.replace("_", "-")] + ([] if v == "true" else [v])
+    by_flag = run_capture([command, *required, *flags, "--format", "json"], capsys)
+    by_file = run_capture(["--config", str(cfg), command, *required], capsys)
+    assert by_flag[0] == EXIT_OK
+    assert by_file == by_flag
+    assert json.loads(by_flag[1])["config"] == config
+
+
+@pytest.mark.parametrize(
+    "line, argv, message",
+    [
+        ("format=xml", ["pencil", "--degree", "3"], "invalid choice"),
+        ("format=csv", ["fold", "--l", "2"], "invalid choice"),
+        ("any_subset=maybe", ["crack", "--alphas", "-1,0,1"], "expected true or false"),
+        ("degree=3", ["crack", "--alphas", "-1,1"], "unknown configuration key"),
+        ("figure=two", ["char-scan"], "invalid literal"),
+    ],
+)
+def test_config_values_checked_like_flags(line, argv, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_capture(["--config", str(cfg), *argv], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fold", "--l", "2", "--format", "csv"], "invalid choice"),
+        (["mu", "--l", "2", "--format", "csv"], "invalid choice"),
+        (["crack", "--alphas", "-1,1", "--format", "csv"], "invalid choice"),
+        (["branch", "--l", "2", "--initial-step", "0"], "initial_step"),
+        (["branch", "--l", "2", "--initial-step", "-0.01"], "initial_step"),
+        (["branch", "--l", "2", "--n-max", "nan"], "n_max"),
+        (["char-scan", "--l", "2", "--n-list", "0", "--lambda-step", "0"], "must be positive"),
+        (["char-scan", "--l", "2", "--n-list", "0", "--lambda-step", "-0.01"], "must be positive"),
+        (["char-scan", "--l", "2", "--n-list", "0", "--lambda-min", "1", "--lambda-max", "0"],
+         "not a finite interval"),
+        (["char-scan", "--l", "2", "--n-list", "0", "--lambda-max", "inf"],
+         "not a finite interval"),
+        (["shoot", "--l", "2", "--n", "0", "--lambda", "-2", "--z-max", "0"], "z_max"),
+        (["shoot", "--l", "2", "--n", "0", "--lambda", "-2", "--z-max", "-5"], "z_max"),
+        (["shoot", "--l", "2", "--n", "0", "--lambda", "-2", "--z-max", "inf"], "z_max"),
+    ],
+)
+def test_invalid_options_are_usage_errors(argv, message, capsys):
+    code, out, err = run_capture(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and message in err
+
+
 def test_figure_two_contains_published_minimum():
     ds = emit_figure(2)
     assert ds.n_values[0] == math.inf

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,5 +197,13 @@ def test_past_the_fold_has_no_eigenvalue():
 def test_preconditions():
     with pytest.raises(ValueError):
         continue_branch(0, BranchFamily.UPPER, 0.1)
+    for n_max in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            continue_branch(2, BranchFamily.UPPER, n_max)
+    # steps that cannot carry n to n_max would loop for ever
+    for stall in (dict(initial_step=0.0), dict(initial_step=-0.01), dict(growth=0.9),
+                  dict(min_step=0.0)):
+        with pytest.raises(ValueError):
+            continue_branch(2, BranchFamily.UPPER, 0.1, **stall)
     with pytest.raises(ValueError):
-        continue_branch(2, BranchFamily.UPPER, -1.0)
+        continue_branch(1, BranchFamily.LOWER, math.inf)

@@ -203,5 +203,10 @@ def test_preconditions():
         shoot(0, 0.0, -1.0)
     with pytest.raises(ValueError):
         shoot(2, -0.5, -2.0)
+    for z_max in (0.0, -5.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="z_max"):
+            shoot(2, 0.0, -2.0, z_max=z_max)
+        with pytest.raises(ValueError, match="z_max"):
+            two_sided_profile(0.0, -2.0, (1.0, 0.0), z_max)
     with pytest.raises(ValueError):
         closed_form_lambda0_derivative(-1.0, 0.0)
