@@ -70,11 +70,6 @@ class CharacteristicQuartic:
     def d_dlam(self, lam: float) -> float:
         return np.polyval(np.polyder(np.asarray(self.coeffs)), lam)
 
-    def d_dn(self, lam: float) -> float:
-        """partial Phi / partial n; exact because Phi is affine in n."""
-        _, B = affine_parts(self.l)
-        return np.polyval(B, lam)
-
 
 def build_quartic(l: int, n: float) -> CharacteristicQuartic:
     if l < 1:

@@ -166,6 +166,9 @@ def _cmd_pencil(args):
 
 def _cmd_char_scan(args):
     if args.figure is not None:
+        grid = (args.l, args.n_list, args.lambda_min, args.lambda_max, args.lambda_step)
+        if any(v is not None for v in grid):
+            raise ValueError("--figure fixes its own grid; drop --l, --n-list and --lambda-*")
         ds = emit_figure(args.figure)
     elif args.l is None or args.n_list is None:
         raise ValueError("char-scan needs either --figure or both --l and --n-list")
@@ -201,7 +204,7 @@ def _cmd_branch(args):
         "family": family.value,
         "reached_n_max": br.reached_n_max,
         "samples": [[n, lam] for n, lam in br.samples],
-        "fold": None if br.fold is None else {**_provenance(args), **asdict(br.fold)},
+        "fold": None if br.fold is None else asdict(br.fold),
     }
     return fields, _csv("n,lambda", br.samples), EXIT_OK
 

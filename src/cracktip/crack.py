@@ -11,7 +11,8 @@ With z = cot(theta), (z + i)**l = exp(i l theta) / sin(theta)**l, so every
 combination is sin(l (theta - theta_1)) / sin(theta)**l up to scale: its
 zeros are the cotangents of an angle lattice with spacing pi / l.  The
 first slope pins the lattice, and each further slope is tested by its
-angle offset from it, so each l costs O(m) angle arithmetic.
+angle offset from it, so each l costs O(m) angle arithmetic.  The lattice
+itself, its points and its zeros, lives in ``pencil``.
 
 ``check_nonlinear`` extends the construction to n > 0 by replacing the
 two-dimensional combination space with the one-parameter family of initial
@@ -29,7 +30,8 @@ import numpy as np
 
 from .continuation import BranchFamily, _eigenvalue, _meeting_point
 from .errors import NoRealEigenvalueError
-from .shooting import _angle_scan, _half_line, two_sided_profile
+from .pencil import _lattice, _lattice_points, combine, nodal_set
+from .shooting import _angle_scan, _solve, _tip_system, two_sided_profile
 
 DEFAULT_TOL = 1e-8
 
@@ -96,29 +98,6 @@ def _match_alphas_to_zeros(
     return tuple(idx)
 
 
-def _lattice_points(l: int, p: float) -> range:
-    """The j with 0 < j + p < l, descending: the nodal angles pi (j + p) / l
-    of the index-l combination with phase p in [-1/2, 1/2], in the order
-    of ascending slopes.  At p = 0 (no first-family part) there are l - 1."""
-    return range(l if p < 0.0 else l - 1, -1 if p > 0.0 else 0, -1)
-
-
-def _lattice_zeros(l: int, p: float) -> Tuple[float, ...]:
-    """Ascending zeros cot(pi (j + p) / l) of the index-l combination with
-    phase p.  Each is the tangent of its angle from pi / 2, or within
-    pi / 4 of an end the cotangent of its angle from that end, so every
-    angle is formed without cancellation."""
-    zeros = []
-    for j in _lattice_points(l, p):
-        h = (l - 2 * j) - 2.0 * p  # the angle from pi / 2, in units of pi / (2 l)
-        if 2.0 * abs(h) <= l:
-            zeros.append(math.tan(math.pi * h / (2 * l)))
-        else:
-            e = j + p if h > 0.0 else (j - l) + p
-            zeros.append(1.0 / math.tan(math.pi * e / l))
-    return tuple(zeros)
-
-
 def check_linear(
     spec: CrackSpec,
     l_max: Optional[int] = None,
@@ -168,7 +147,9 @@ def check_linear(
             c, d = -math.sin(math.pi * p), l * math.sin(math.pi * (0.5 - abs(p)))
             big = c if abs(c) >= abs(d) else d
             ratio = (c / big + 0.0, d / big + 0.0)
-            matches.append(CrackMatch(l, ratio, tuple(idx), worst, _lattice_zeros(l, p)))
+            # p - copysign(1/2, p) is exact wherever it is the smaller offset
+            zeros = tuple(z for z, _ in _lattice(l, p, p - math.copysign(0.5, p)))
+            matches.append(CrackMatch(l, ratio, tuple(idx), worst, zeros))
     return _report(matches, mode="linear", n=0.0)
 
 
@@ -188,13 +169,7 @@ def _report(matches: List[CrackMatch], **kwargs) -> AdmissibilityReport:
 
 def roundtrip_generate(l: int, c: float, d: float) -> CrackSpec:
     """Nodal set of the (c, d) combination, as a crack specification."""
-    if c == 0.0 and d == 0.0:
-        raise ValueError("combination requires c^2 + d^2 != 0")
-    # c cos(l theta) + (d / l) sin(l theta) vanishes at l theta = pi p (mod pi);
-    # with d >= 0, p = atan2(-c l, d) / pi lies in [-1/2, 1/2]
-    if d < 0.0:
-        c, d = -c, -d
-    zeros = _lattice_zeros(l, math.atan2(-c * l, d) / math.pi)
+    zeros = nodal_set(combine(c, d, l)).zeros
     if not zeros:
         raise ValueError("combination has no real zeros; nothing to generate")
     return CrackSpec(alphas=zeros)
@@ -245,14 +220,13 @@ def check_nonlinear(
 
     z_reach = max(abs(a) for a in spec.alphas) + z_pad
     alpha1 = spec.alphas[0]
-    scan_end = math.copysign(abs(alpha1) + 0.5, alpha1) if alpha1 != 0.0 else 0.5
     matches: List[CrackMatch] = []
     for l, lam in usable:
         def alpha1_value(theta: float) -> float:
-            # one trajectory on the half-line carrying the first slope, to
-            # refine each sign change of the batched scan below
-            sol = _half_line(lam, n, (math.cos(theta), math.sin(theta)), scan_end, 1e-10, 1e-12)
-            return float(sol.sol(alpha1)[0])
+            # Psi(alpha1) of one trajectory, to refine each sign change of
+            # the batched scan below
+            ic = [math.cos(theta), math.sin(theta)]
+            return float(_solve(_tip_system(lam, n), alpha1, ic, 1e-10, 1e-12).y[0, -1])
 
         thetas = np.linspace(-math.pi / 2, math.pi / 2, theta_samples)
         vals = _angle_scan(lam, n, thetas, alpha1, 1e-10, 1e-12)

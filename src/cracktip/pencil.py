@@ -14,6 +14,11 @@ The eigenfunctions are the binomial expansions of Re (z + i)**d (first
 family) and Im (z + i)**(d + 1) / (d + 1) (second family), kept as exact
 rationals at every degree, so the classical low-degree table is
 reproduced without rounding.
+
+With z = cot(theta), c Re (z + i)**l + d Im (z + i)**l / l is
+(c cos(l theta) + (d / l) sin(l theta)) / sin(theta)**l, so its zeros are
+the cotangents of an angle lattice with spacing pi / l.  The lattice lives
+here; ``nodal_set`` and ``crack.check_linear`` read zeros off it.
 """
 
 from __future__ import annotations
@@ -23,13 +28,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
-
-from .errors import RootFindingError
+from typing import Iterator, Optional, Sequence, Tuple
 
 DEFAULT_TRANSVERSALITY_TOL = 1e-8
+
+# pi to 40 decimals, so that each nodal angle is rounded once
+_PI = Fraction(31415926535897932384626433832795028841972, 10 ** 40)
 
 
 class Family(enum.Enum):
@@ -51,11 +55,14 @@ class Polynomial:
     """Dense real polynomial; ``coeffs[k]`` multiplies ``z**k``.
 
     ``exact`` carries the rational coefficients of a pencil eigenfunction;
-    it is None for generic combinations.
+    it is None for generic combinations.  ``lattice`` is (l, c, d), the
+    index and phase (c : d) of the nodal lattice, when the polynomial is
+    c Re (z + i)**l + d Im (z + i)**l / l, and None otherwise.
     """
 
     coeffs: Tuple[float, ...]
     exact: Optional[Tuple[Fraction, ...]] = field(default=None, compare=False)
+    lattice: Optional[Tuple[int, float, float]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
@@ -168,7 +175,8 @@ def build_eigenfunction(degree: int, family: Family) -> PencilEigenpair:
     for m in range(degree // 2 + 1):
         exact[degree - 2 * m] = Fraction((-1) ** m * math.comb(e, degree - 2 * m), denom)
     exact = tuple(exact)
-    poly = Polynomial(tuple(float(c) for c in exact), exact=exact)
+    lattice = (e, 1.0, 0.0) if family is Family.FIRST else (e, 0.0, 1.0)
+    poly = Polynomial(tuple(float(c) for c in exact), exact=exact, lattice=lattice)
     return PencilEigenpair(degree, family, float(-e), poly)
 
 
@@ -192,57 +200,62 @@ def sturm_liouville_map(lam: float) -> SturmLiouvilleImage:
     )
 
 
-def _polish_real_root(coeffs_desc: np.ndarray, deriv_desc: np.ndarray, x: float) -> float:
-    for _ in range(3):
-        p = np.polyval(coeffs_desc, x)
-        dp = np.polyval(deriv_desc, x)
-        if dp == 0.0:
-            break
-        step = p / dp
-        if not math.isfinite(step):
-            break
-        x -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(x)):
-            break
-    return x
+def _lattice_points(l: int, p) -> range:
+    """The j with 0 < j + p < l, descending: the nodal angles pi (j + p) / l
+    of the index-l combination with phase p in [-1/2, 1/2], in the order
+    of ascending slopes.  At p = 0 (no first-family part) there are l - 1."""
+    return range(l if p < 0.0 else l - 1, -1 if p > 0.0 else 0, -1)
+
+
+def _lattice(l: int, p, q) -> Iterator[Tuple[float, float]]:
+    """(cot theta, |sin theta|) at the nodal angles theta = pi (j + p) / l,
+    j in ``_lattice_points(l, p)``, for exact p and its offset q from the
+    nearer half-integer.  The smaller of the two carries the phase, so an
+    angle near pi / 2 or an end keeps its relative precision.  Each angle
+    is taken from pi / 2 (tangent) or, within pi / 4 of an end, from that
+    end (cotangent), formed exactly and rounded once."""
+    b2, s = (0, p) if abs(p) <= abs(q) else ((1 if p > 0 else -1), q)  # p = b2 / 2 + s
+    sn, sd = s.as_integer_ratio()
+    den = _PI.denominator * 2 * l * sd
+    for j in _lattice_points(l, p):
+        t = (2 * j + b2) * sd + 2 * sn  # 2 (j + p) sd
+        h = l * sd - t  # the angle from pi / 2 in units of pi / (2 l sd)
+        if 2 * abs(h) <= l * sd:
+            x = _PI.numerator * h / den
+            yield math.tan(x), math.cos(x)
+        else:
+            x = _PI.numerator * (t if h > 0 else t - 2 * l * sd) / den
+            yield 1.0 / math.tan(x), abs(math.sin(x))
 
 
 def nodal_set(poly: Polynomial, tol: float = DEFAULT_TRANSVERSALITY_TOL) -> NodalSet:
-    """All real zeros of ``poly``, sorted, each annotated with |poly'|.
+    """Sorted zeros of a pencil eigenfunction or combination, read off its
+    lattice, each annotated with |poly'| = hypot(l c, d) |sin theta|**(2 - l).
 
-    Companion-matrix eigenvalues followed by Newton polishing; roots whose
-    imaginary part is below 1e-9 * (1 + |root|) count as real.  Clusters
-    closer than the same threshold are merged (a multiple root appears
-    once, flagged non-transversal through its derivative magnitude).
+    There are l zeros, l - 1 without a first-family part.  A polynomial
+    that carries no lattice raises ValueError.
     """
-    if all(c == 0.0 for c in poly.coeffs):
-        raise ValueError("nodal_set of the zero polynomial is undefined")
-    if poly.degree == 0:
-        return NodalSet((), (), (), tol)
-    desc = np.array(poly.coeffs[::-1], dtype=float)
-    deriv = np.polyder(desc)
-    raw = np.roots(desc)
-    real = []
-    for r in raw:
-        if abs(r.imag) <= 1e-9 * (1.0 + abs(r)):
-            real.append(_polish_real_root(desc, deriv, float(r.real)))
-    real.sort()
-    merged = []
-    for r in real:
-        if merged and abs(r - merged[-1]) <= 1e-9 * (1.0 + abs(r)):
-            continue
-        merged.append(r)
-    scale = sum(abs(c) for c in poly.coeffs)
-    for r in merged:
-        bound = 1e-6 * scale * max(1.0, abs(r)) ** poly.degree
-        if abs(np.polyval(desc, r)) > bound:
-            raise RootFindingError(
-                f"root {r!r} failed to converge: |p(r)| = {abs(np.polyval(desc, r))!r} "
-                f"exceeds bound {bound!r}"
-            )
-    dmags = tuple(abs(float(np.polyval(deriv, r))) for r in merged)
-    flags = tuple(m > tol for m in dmags)
-    return NodalSet(tuple(merged), dmags, flags, tol)
+    if poly.lattice is None:
+        raise ValueError("nodal_set needs a pencil eigenfunction or a combine() result; "
+                         "this polynomial carries no nodal lattice")
+    l, c, d = poly.lattice
+    if math.copysign(1.0, d) < 0.0:
+        c, d = -c, -d
+    # with d >= 0 the phase is p = -atan2(|c| l, d) / pi in [-1/2, 1/2], and
+    # its offset from the nearer half-integer is q = atan2(d, |c| l) / pi,
+    # both signed by c; each is formed directly and divided by pi exactly
+    a = abs(c) * l
+    p = Fraction(-math.copysign(math.atan2(a, d), c)) / _PI
+    q = Fraction(math.copysign(math.atan2(d, a), c)) / _PI
+    scale = math.hypot(l * c, d)
+    zeros, dmags = [], []
+    for z, sine in _lattice(l, p, q):
+        zeros.append(z)
+        try:
+            dmags.append(scale * sine ** (2 - l))
+        except OverflowError:
+            dmags.append(math.inf)
+    return NodalSet(tuple(zeros), tuple(dmags), tuple(m > tol for m in dmags), tol)
 
 
 def combine(c: float, d: float, l: int) -> Polynomial:
@@ -255,6 +268,8 @@ def combine(c: float, d: float, l: int) -> Polynomial:
         raise ValueError("l must be >= 1")
     if c == 0.0 and d == 0.0:
         raise ValueError("combination requires c^2 + d^2 != 0")
+    if not (math.isfinite(c) and math.isfinite(d)):
+        raise ValueError("combination weights must be finite")
     p1 = build_eigenfunction(l, Family.FIRST).poly
     p2 = build_eigenfunction(l - 1, Family.SECOND).poly
     n = max(len(p1.coeffs), len(p2.coeffs))
@@ -263,7 +278,7 @@ def combine(c: float, d: float, l: int) -> Polynomial:
         out[k] += c * v
     for k, v in enumerate(p2.coeffs):
         out[k] += d * v
-    return Polynomial(_trim(out))
+    return Polynomial(_trim(out), lattice=(l, c, d))
 
 
 def blowup_coordinates(x: float, y: float) -> Tuple[float, float]:

@@ -119,6 +119,21 @@ def _solve(fun: Callable, z_end: float, y0, rtol: float, atol: float, **options)
     return sol
 
 
+def _tip_system(lam: float, n: float, near_events: Optional[List[float]] = None) -> Callable:
+    """The tip ODE as a first-order system for one trajectory, on Python
+    floats; each z whose coefficient falls below SOFT_COEFF_TOL * (1 + z^2)
+    is appended to ``near_events`` when that is given."""
+    lam, n = float(lam), float(n)
+
+    def f(z, y):
+        d2, coeff = tip_second_derivative(float(z), float(y[0]), float(y[1]), lam, n)
+        if near_events is not None and abs(coeff) < SOFT_COEFF_TOL * (1.0 + z * z):
+            near_events.append(float(z))
+        return (y[1], d2)
+
+    return f
+
+
 def _half_line(
     lam: float,
     n: float,
@@ -129,14 +144,7 @@ def _half_line(
     near_events: Optional[List[float]] = None,
 ):
     """Integrate from 0 to z_end (either sign), reporting Psi = 0 events."""
-    lam, n = float(lam), float(n)
-
-    def f(z, y):
-        d2, coeff = tip_second_derivative(float(z), float(y[0]), float(y[1]), lam, n)
-        if near_events is not None and abs(coeff) < SOFT_COEFF_TOL * (1.0 + z * z):
-            near_events.append(float(z))
-        return (y[1], d2)
-
+    f = _tip_system(lam, n, near_events)
     return _solve(f, z_end, list(ic), rtol, atol, dense_output=True, events=[lambda z, y: y[0]])
 
 

@@ -7,6 +7,7 @@ the tangent substitution.  Expected values frozen in the tests were
 produced by these routines.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +162,35 @@ def pencil_pair_exact(l):
         ip = [(-s, r) for r, s in p] + [(0, 0)]
         p = [(a + c, b + d) for (a, b), (c, d) in zip(zp, ip)]
     return [Fraction(r) for r, _ in p], [Fraction(i, l) for _, i in p]
+
+
+def combination_exact(l, c, d):
+    """Descending exact coefficients of c Re (z+i)^l + d Im (z+i)^l / l at
+    the float (or rational) weights c, d."""
+    re, im = pencil_pair_exact(l)
+    cq, dq = Fraction(c), Fraction(d)
+    return [cq * a + dq * b for a, b in zip(re, im)][::-1]
+
+
+def sign_at(coeffs, x):
+    """Sign of the descending exact polynomial at the float x = u / w,
+    exactly: Horner on w^k times the partial sums, in integers."""
+    u, w = Fraction(x).as_integer_ratio()
+    den = math.lcm(*(a.denominator for a in coeffs))
+    acc, wk = 0, 1
+    for a in coeffs:
+        acc = acc * u + a.numerator * (den // a.denominator) * wk
+        wk *= w
+    return (acc > 0) - (acc < 0)
+
+
+def slope_at(coeffs, x):
+    """|p'(x)| of the descending exact polynomial at the float x, exactly,
+    rounded once (inf beyond the float range)."""
+    try:
+        return float(abs(_polyval(_polyder(coeffs), Fraction(x))))
+    except OverflowError:
+        return float("inf")
 
 
 def stable_residuals_sq(l, alphas):

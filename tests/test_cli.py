@@ -294,6 +294,10 @@ def test_config_values_checked_like_flags(line, argv, message, tmp_path, capsys)
         (["shoot", "--l", "2", "--n", "0", "--lambda", "-2", "--z-max", "0"], "z_max"),
         (["shoot", "--l", "2", "--n", "0", "--lambda", "-2", "--z-max", "-5"], "z_max"),
         (["shoot", "--l", "2", "--n", "0", "--lambda", "-2", "--z-max", "inf"], "z_max"),
+        (["char-scan", "--figure", "5", "--l", "3"], "fixes its own grid"),
+        (["char-scan", "--figure", "5", "--n-list", "0", "--format", "json"],
+         "fixes its own grid"),
+        (["char-scan", "--figure", "3", "--lambda-step", "0.1"], "fixes its own grid"),
     ],
 )
 def test_invalid_options_are_usage_errors(argv, message, capsys):

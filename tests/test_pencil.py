@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cracktip import (
     Family,
@@ -16,7 +18,7 @@ from cracktip import (
     sturm_liouville_map,
 )
 from cracktip.pencil import Polynomial, pencil_ode_residual
-from oracles import pencil_pair_exact
+from oracles import combination_exact, pencil_pair_exact, sign_at, slope_at
 
 F = Fraction
 
@@ -145,6 +147,11 @@ def test_combine_examples():
     assert combine(1.0, 1.0, 2).coeffs == (-1.0, 1.0, 1.0)  # z^2 + z - 1
     with pytest.raises(ValueError):
         combine(0.0, 0.0, 2)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            combine(bad, 1.0, 3)
+        with pytest.raises(ValueError):
+            combine(1.0, bad, 3)
 
 
 @pytest.mark.parametrize("scale", [3.0, -0.25, 1e6])
@@ -152,6 +159,66 @@ def test_combine_zero_set_scale_invariant(scale):
     base = nodal_set(combine(0.7, -1.3, 4))
     scaled = nodal_set(combine(scale * 0.7, scale * -1.3, 4))
     assert scaled.zeros == pytest.approx(base.zeros, abs=1e-9)
+
+
+def _weights(smallest):
+    """A combination weight: zero, or of either sign with magnitude in
+    [smallest, 1e3]."""
+    mag = st.floats(min_value=smallest, max_value=1e3)
+    return st.one_of(st.just(0.0), mag, mag.map(lambda v: -v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=st.integers(1, 1000), c=_weights(1e-3), d=_weights(1e-3),
+       scale=st.floats(1e-3, 1e3), sign=st.sampled_from([1.0, -1.0]))
+def test_nodal_set_is_the_whole_lattice(l, c, d, scale, sign):
+    assume(c != 0.0 or d != 0.0)
+    ns = nodal_set(combine(c, d, l))
+    assert len(ns) == (l if c != 0.0 else l - 1)
+    assert all(a < b for a, b in zip(ns.zeros, ns.zeros[1:]))
+    assert all(m > 0.0 for m in ns.derivative_magnitudes)
+    assert ns.all_transversal
+    # (c, d) and (s c, s d) are one combination up to scale; each side
+    # rounds s c and s d, so the zeros agree to a few ulp
+    scaled = nodal_set(combine(sign * scale * c, sign * scale * d, l)).zeros
+    assert len(scaled) == len(ns)
+    for a, b in zip(ns.zeros, scaled):
+        assert abs(a - b) <= 16 * math.ulp(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=st.integers(1, 40), c=_weights(1e-9), d=_weights(1e-9))
+def test_nodal_set_brackets_exact_sign_changes(l, c, d):
+    # each zero is within 4 ulp of a sign change of the exact combination,
+    # |d / c| and |c / d| down to 1e-12 included; the brackets are disjoint
+    # and there are as many as the degree allows, so no zero is missed
+    assume(c != 0.0 or d != 0.0)
+    exact = combination_exact(l, c, d)
+    ns = nodal_set(combine(c, d, l))
+    brackets = [(z - 4 * math.ulp(z), z + 4 * math.ulp(z)) for z in ns.zeros]
+    assert len(brackets) == (l if c != 0.0 else l - 1)
+    assert all(hi < lo for (_, hi), (lo, _) in zip(brackets, brackets[1:]))
+    for (lo, hi), z, m in zip(brackets, ns.zeros, ns.derivative_magnitudes):
+        assert sign_at(exact, lo) * sign_at(exact, hi) <= 0
+        assert m == pytest.approx(slope_at(exact, z), rel=1e-12)
+
+
+@pytest.mark.parametrize("l", [90, 120, 150])
+def test_nodal_set_at_high_degree_returns_every_zero(l):
+    # degrees at which generic polynomial root finding loses real zeros
+    for c, d in ((1.0, 0.3), (0.0, 1.0)):
+        exact = combination_exact(l, c, d)
+        zeros = nodal_set(combine(c, d, l)).zeros
+        assert len(zeros) == (l if c else l - 1)
+        for z in zeros:
+            assert sign_at(exact, z - 4 * math.ulp(z)) * sign_at(exact, z + 4 * math.ulp(z)) <= 0
+
+
+def test_nodal_set_needs_a_lattice():
+    with pytest.raises(ValueError, match="no nodal lattice"):
+        nodal_set(Polynomial((1.0, 2.0, 3.0)))
+    with pytest.raises(ValueError, match="no nodal lattice"):
+        nodal_set(build_eigenfunction(4, Family.FIRST).poly.derivative())
 
 
 def test_expansion_single_terms():
