@@ -116,7 +116,14 @@ def _eigenvalue(meet: FoldPoint, family: BranchFamily, n: float) -> float:
         raise NoRealEigenvalueError(f"past fold (n >= {meet.n_star:.8g}), no real eigenvalue")
     A, B = _shifted_parts(l)
     seed = 0.0 if family is BranchFamily.UPPER else -1.0
-    return _root(A + n * B, seed, meet.lambda_star + l) - l
+    x_star, p = meet.lambda_star + l, A + n * B
+    # below a fold A + n B = B(x*) (n - n*) < 0 at x*; so near the fold that
+    # rounding loses that sign, and with it the bracket, take the local
+    # expansion Phi'' (x - x*)^2 / 2 = B(x*) (n* - n), upper to the right
+    if meet.kind == "fold" and np.polyval(p, x_star) >= 0.0:
+        dx = math.sqrt(2.0 * np.polyval(B, x_star) * (meet.n_star - n) / meet.second_derivative)
+        return x_star + (dx if family is BranchFamily.UPPER else -dx) - l
+    return _root(p, seed, x_star) - l
 
 
 def continue_branch(

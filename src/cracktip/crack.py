@@ -26,12 +26,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .continuation import BranchFamily, _eigenvalue, _meeting_point
 from .errors import NoRealEigenvalueError
 from .pencil import _lattice, _lattice_points, combine, nodal_set
-from .shooting import _angle_scan, _solve, _tip_system, two_sided_profile
+from .shooting import _initial_angle, two_sided_profile
 
 DEFAULT_TOL = 1e-8
 
@@ -84,10 +82,7 @@ def _match_alphas_to_zeros(
 ) -> Optional[Tuple[int, ...]]:
     if len(zeros) < len(alphas):
         return None
-    idx = []
-    for a in alphas:
-        k = int(np.argmin([abs(a - z) for z in zeros]))
-        idx.append(k)
+    idx = [min(range(len(zeros)), key=lambda k: abs(a - zeros[k])) for a in alphas]
     if len(set(idx)) != len(idx) or any(j <= i for i, j in zip(idx, idx[1:])):
         return None
     for a, k in zip(alphas, idx):
@@ -187,22 +182,21 @@ def check_nonlinear(
     l_max: Optional[int] = None,
     tol: float = DEFAULT_TOL,
     consecutive: bool = True,
-    theta_samples: int = 61,
     z_pad: float = 4.0,
 ) -> AdmissibilityReport:
     """Nonlinear analog of :func:`check_linear` for exponent n > 0.
 
-    For every l whose fold has not been passed, the quasilinear equation is
-    shot at the continued eigenvalue over the one-parameter family of
-    initial ratios (cos t, sin t); the parity profiles are the endpoints.
-    A slope match fixes t from the first slope, then the remaining slopes
-    are tested against the profile's zeros exactly as in the linear scan.
-    At n = 0 the family reproduces the two-dimensional combination space,
-    so the scan reduces to the linear one.  Results are experimental: the
+    For every l whose fold has not been passed, the quasilinear equation
+    at the continued eigenvalue has a one-parameter family of initial
+    ratios (cos t, sin t) at z = 0; the parity profiles are its endpoints.
+    The equation is homogeneous of degree 1, so exactly one t (mod pi)
+    gives a profile vanishing at the first slope, and one backward solve
+    from that slope reads it off.  The remaining slopes are then tested
+    against that profile's zeros exactly as in the linear scan.  At n = 0
+    the family reproduces the two-dimensional combination space, so the
+    check reduces to the linear one.  Results are experimental: the
     one-parameter family is an extrapolation of the n = 0 structure.
     """
-    from scipy.optimize import brentq
-
     if n < 0.0:
         raise ValueError("n must be >= 0")
     scan = _index_range(spec, l_max)
@@ -219,41 +213,21 @@ def check_nonlinear(
         )
 
     z_reach = max(abs(a) for a in spec.alphas) + z_pad
-    alpha1 = spec.alphas[0]
     matches: List[CrackMatch] = []
     for l, lam in usable:
-        def alpha1_value(theta: float) -> float:
-            # Psi(alpha1) of one trajectory, to refine each sign change of
-            # the batched scan below
-            ic = [math.cos(theta), math.sin(theta)]
-            return float(_solve(_tip_system(lam, n), alpha1, ic, 1e-10, 1e-12).y[0, -1])
-
-        thetas = np.linspace(-math.pi / 2, math.pi / 2, theta_samples)
-        vals = _angle_scan(lam, n, thetas, alpha1, 1e-10, 1e-12)
-        candidates = [
-            brentq(alpha1_value, a, b, xtol=1e-12)
-            for a, b, fa, fb in zip(thetas, thetas[1:], vals, vals[1:])
-            if np.sign(fa) * np.sign(fb) < 0
-        ]
-        # exact zeros, up to rounding: at alpha1 = 0 the scanned value is
-        # cos(theta), whose zeros sit at the scan ends
-        zero_tol = 1e-12 * np.max(np.abs(vals))
-        candidates += [float(t) for fa, t in zip(vals, thetas) if abs(fa) <= zero_tol]
-        for theta in candidates:
-            ic = (math.cos(theta), math.sin(theta))
-            prof = two_sided_profile(n, lam, ic, z_reach)
-            zeros = prof.zeros()
-            scale = max(1.0, max(abs(prof.psi(a)) + abs(a) * abs(prof.dpsi(a)) for a in spec.alphas))
-            worst = max(abs(prof.psi(a)) / scale for a in spec.alphas)
-            if worst > tol:
-                continue
-            idx = _match_alphas_to_zeros(
-                spec.alphas, zeros, consecutive, dist_tol=max(1e-6, 10.0 * tol)
-            )
-            if idx is None:
-                continue
+        theta = _initial_angle(lam, n, spec.alphas[0])
+        ic = (math.cos(theta), math.sin(theta))
+        prof = two_sided_profile(n, lam, ic, z_reach)
+        scale = max(1.0, max(abs(prof.psi(a)) + abs(a) * abs(prof.dpsi(a)) for a in spec.alphas))
+        worst = max(abs(prof.psi(a)) / scale for a in spec.alphas)
+        if worst > tol:
+            continue
+        zeros = prof.zeros()
+        idx = _match_alphas_to_zeros(
+            spec.alphas, zeros, consecutive, dist_tol=max(1e-6, 10.0 * tol)
+        )
+        if idx is not None:
             matches.append(
                 CrackMatch(l=l, ratio=ic, zero_indices=idx, max_residual=worst, zeros=tuple(zeros))
             )
-            break
     return _report(matches, mode="nonlinear", n=float(n), experimental=True, notes=tuple(notes))

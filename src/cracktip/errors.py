@@ -15,14 +15,11 @@ class RootFindingError(NumericsError):
 
 
 class QuasilinearDegeneracyError(NumericsError):
-    """The coefficient multiplying the second derivative approached zero;
-    ``index`` locates it in an array evaluation, ``theta`` names the initial
-    angle of its trajectory in a batched scan."""
+    """The coefficient multiplying the second derivative approached zero."""
 
-    def __init__(self, z, coeff, index=0, theta=None):
-        on = "" if theta is None else f" on the trajectory from theta={theta!r}"
-        super().__init__(f"quasilinear degeneracy at z={z!r} (coefficient {coeff!r}){on}")
-        self.z, self.coeff, self.index, self.theta = z, coeff, index, theta
+    def __init__(self, z, coeff):
+        super().__init__(f"quasilinear degeneracy at z={z!r} (coefficient {coeff!r})")
+        self.z, self.coeff = z, coeff
 
 
 class GradientDegeneracyError(NumericsError):

@@ -86,9 +86,6 @@ class Polynomial:
         d = tuple(k * c for k, c in enumerate(self.coeffs))[1:]
         return Polynomial(d if d[-1] != 0.0 else _trim(d))
 
-    def scaled(self, factor: float) -> "Polynomial":
-        return Polynomial(tuple(factor * c for c in self.coeffs))
-
 
 def _trim(coeffs: Sequence[float]) -> Tuple[float, ...]:
     out = list(coeffs)
@@ -149,15 +146,6 @@ def pencil_eigenvalues(l: int) -> Tuple[float, float]:
     if l < 1:
         raise ValueError("index l must be >= 1 (l = 0 is the constant mode)")
     return (-float(l), -float(l) - 1.0)
-
-
-def family_eigenvalue(degree: int, family: Family) -> float:
-    """Eigenvalue paired with a degree-``degree`` eigenfunction."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if family is Family.FIRST:
-        return -float(degree)
-    return -float(degree) - 1.0
 
 
 @lru_cache(maxsize=1024)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .characteristic import affine_parts
 from .errors import DegenerateSeedError, GradientDegeneracyError, NumericsError
-from .pencil import Family, PencilEigenpair, build_eigenfunction, family_eigenvalue
+from .pencil import Family, PencilEigenpair, build_eigenfunction
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,6 @@ def source_h(mu: float, pair: PencilEigenpair, z):
     return -(f2 + mu * ((2.0 * lam + 1.0) * psi + z * dpsi) + f1 * (-ddpsi))
 
 
-def _seed(l: int, family: Family) -> Tuple[float, PencilEigenpair]:
-    """Seed eigenvalue and degree-l eigenfunction for branch (l, family)."""
-    lam = family_eigenvalue(l, family)
-    return lam, build_eigenfunction(l, family)
-
-
 def mu_via_ift(l: int, family: Family) -> float:
     """Branch slope at n = 0 from the characteristic quartic.
 
@@ -99,7 +93,7 @@ def mu_via_ift(l: int, family: Family) -> float:
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    lam, _ = _seed(l, family)
+    lam = build_eigenfunction(l, family).lam
     A, B = affine_parts(l)
     phi_lam = np.polyval(np.polyder(A), lam)
     if abs(phi_lam) < 1e-12 * np.abs(A).sum():
@@ -142,8 +136,8 @@ def mu_via_quadrature(
     """
     import scipy.integrate
 
-    lam, pair = _seed(l, family)
-    p = pair.poly
+    pair = build_eigenfunction(l, family)
+    lam, p = pair.lam, pair.poly
     d1 = p.derivative()
     d2 = d1.derivative()
 
@@ -230,7 +224,7 @@ def branching_data(
     with_correction: bool = False,
 ) -> BranchingData:
     """Bundle the first-order branching results for one seed."""
-    lam, _ = _seed(l, family)
+    lam = build_eigenfunction(l, family).lam
     if method == "implicit-function":
         mu = mu_via_ift(l, family)
     elif method == "quadrature":
@@ -267,8 +261,8 @@ def solve_correction(
 
     if num_points < 9:
         raise ValueError("num_points too small for the boundary stencils")
-    lam, pair = _seed(l, family)
-    p = pair.poly
+    pair = build_eigenfunction(l, family)
+    lam, p = pair.lam, pair.poly
     z = np.linspace(-z_cut, z_cut, num_points)
     dz = z[1] - z[0]
     h = source_h(mu, pair, z)
@@ -276,28 +270,8 @@ def solve_correction(
     b = 2.0 * (lam + 1.0) * z
     c0 = lam * (lam + 1.0)
     N = num_points
-    rows, cols, vals = [], [], []
-
-    def add(r, cl, v):
-        rows.append(r)
-        cols.append(cl)
-        vals.append(v)
-
     inv_dz2 = 1.0 / (dz * dz)
     inv_2dz = 1.0 / (2.0 * dz)
-    for i in range(1, N - 1):
-        add(i, i - 1, a[i] * inv_dz2 - b[i] * inv_2dz)
-        add(i, i, -2.0 * a[i] * inv_dz2 + c0)
-        add(i, i + 1, a[i] * inv_dz2 + b[i] * inv_2dz)
-    # one-sided second-order stencils at the window edges
-    add(0, 0, 2.0 * a[0] * inv_dz2 - 3.0 * b[0] * inv_2dz + c0)
-    add(0, 1, -5.0 * a[0] * inv_dz2 + 4.0 * b[0] * inv_2dz)
-    add(0, 2, 4.0 * a[0] * inv_dz2 - b[0] * inv_2dz)
-    add(0, 3, -a[0] * inv_dz2)
-    add(N - 1, N - 1, 2.0 * a[-1] * inv_dz2 + 3.0 * b[-1] * inv_2dz + c0)
-    add(N - 1, N - 2, -5.0 * a[-1] * inv_dz2 - 4.0 * b[-1] * inv_2dz)
-    add(N - 1, N - 3, 4.0 * a[-1] * inv_dz2 + b[-1] * inv_2dz)
-    add(N - 1, N - 4, -a[-1] * inv_dz2)
 
     psi_grid = p(z)
     null_dir = (1.0 + z * z) ** lam * psi_grid
@@ -309,10 +283,33 @@ def solve_correction(
     wtrap[0] = wtrap[-1] = 0.5 * dz
     constraint = wtrap * (1.0 + z * z) ** lam * psi_grid
     cn = np.linalg.norm(constraint)
-    for i in range(N):
-        add(i, N, null_dir[i])
-    for j in range(N):
-        add(N, j, constraint[j] / cn)
+
+    # COO triplets: central differences on the interior rows, one-sided
+    # second-order stencils at the window edges, then the border column
+    # (null direction) and row (normalization)
+    i = np.arange(1, N - 1)
+    ai, bi = a[1:-1], b[1:-1]
+    edge_cols = np.array([0, 1, 2, 3, N - 1, N - 2, N - 3, N - 4])
+    edge_vals = np.array([
+        2.0 * a[0] * inv_dz2 - 3.0 * b[0] * inv_2dz + c0,
+        -5.0 * a[0] * inv_dz2 + 4.0 * b[0] * inv_2dz,
+        4.0 * a[0] * inv_dz2 - b[0] * inv_2dz,
+        -a[0] * inv_dz2,
+        2.0 * a[-1] * inv_dz2 + 3.0 * b[-1] * inv_2dz + c0,
+        -5.0 * a[-1] * inv_dz2 - 4.0 * b[-1] * inv_2dz,
+        4.0 * a[-1] * inv_dz2 + b[-1] * inv_2dz,
+        -a[-1] * inv_dz2,
+    ])
+    rows = np.concatenate([i, i, i, np.repeat([0, N - 1], 4), np.arange(N), np.full(N, N)])
+    cols = np.concatenate([i - 1, i, i + 1, edge_cols, np.full(N, N), np.arange(N)])
+    vals = np.concatenate([
+        ai * inv_dz2 - bi * inv_2dz,
+        -2.0 * ai * inv_dz2 + c0,
+        ai * inv_dz2 + bi * inv_2dz,
+        edge_vals,
+        null_dir,
+        constraint / cn,
+    ])
 
     A = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(N + 1, N + 1))
     rhs = np.concatenate([h, [0.0]])

@@ -29,7 +29,7 @@ DEFAULT_ATOL = 1e-10
 COEFF_TOL = 1e-12
 
 
-def tip_second_derivative(z, psi, dpsi, lam, n):
+def tip_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: float):
     """Psi'' of the tip equation and the coefficient it was divided by.
 
     Collecting the Psi''-linear terms of both sides gives
@@ -41,28 +41,21 @@ def tip_second_derivative(z, psi, dpsi, lam, n):
     P0 = lam(lam+1) psi + 2(lam+1) z psi'.  At n = 0 this reduces to the
     linear pencil form  Psi'' = -P0 / (1 + z^2).
 
-    Elementwise on floats or broadcasting arrays, so one call serves one
-    trajectory or a batch.  A vanishing den or a coefficient below
-    COEFF_TOL * (1 + z^2) raises for the first such element.
+    On Python floats.  The right-hand side is homogeneous of degree 1 in
+    (psi, psi').  A vanishing den or a coefficient below
+    COEFF_TOL * (1 + z^2) raises.
     """
     g = lam * psi + z * dpsi
     den = dpsi * dpsi + g * g
-    _check_degeneracy(den == 0.0, z, 0.0)
+    if den == 0.0:
+        raise QuasilinearDegeneracyError(z, 0.0)
     f1 = g * g / den
     coeff = z * z * (1.0 + n * f1) + 1.0 + n * (dpsi * dpsi + 2.0 * z * dpsi * g) / den
-    _check_degeneracy(abs(coeff) < COEFF_TOL * (1.0 + z * z), z, coeff)
+    if abs(coeff) < COEFF_TOL * (1.0 + z * z):
+        raise QuasilinearDegeneracyError(z, coeff)
     p0 = lam * (lam + 1.0) * psi + 2.0 * (lam + 1.0) * z * dpsi
     num = -p0 * (1.0 + n * f1) - 2.0 * n * lam * dpsi * dpsi * g / den
     return num / coeff, coeff
-
-
-def _check_degeneracy(bad, z, coeff) -> None:
-    # Python floats keep the single-trajectory path cheap: np.bool_.any()
-    # alone costs more than a whole evaluation
-    if bad is True or (bad is not False and bad.any()):
-        k = int(np.argmax(bad))
-        z_k, coeff_k = (float(np.broadcast_to(v, np.shape(bad)).flat[k]) for v in (z, coeff))
-        raise QuasilinearDegeneracyError(z_k, coeff_k, index=k)
 
 
 def isolate_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: float) -> float:
@@ -109,11 +102,11 @@ class ShootingSolution:
 SOFT_COEFF_TOL = 1e-6
 
 
-def _solve(fun: Callable, z_end: float, y0, rtol: float, atol: float, **options):
-    """RK45 from z = 0 to z_end (either sign)."""
+def _solve(fun: Callable, z_span: Tuple[float, float], y0, rtol: float, atol: float, **options):
+    """RK45 over z_span, in either direction."""
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(fun, (0.0, z_end), y0, method="RK45", rtol=rtol, atol=atol, **options)
+    sol = solve_ivp(fun, z_span, y0, method="RK45", rtol=rtol, atol=atol, **options)
     if not sol.success:
         raise NumericsError(f"integration failed: {sol.message}")
     return sol
@@ -145,28 +138,27 @@ def _half_line(
 ):
     """Integrate from 0 to z_end (either sign), reporting Psi = 0 events."""
     f = _tip_system(lam, n, near_events)
-    return _solve(f, z_end, list(ic), rtol, atol, dense_output=True, events=[lambda z, y: y[0]])
+    events = [lambda z, y: y[0]]
+    return _solve(f, (0.0, z_end), list(ic), rtol, atol, dense_output=True, events=events)
 
 
-def _angle_scan(lam: float, n: float, thetas, z_end: float, rtol: float, atol: float) -> np.ndarray:
-    """Psi(z_end) from the data (cos t, sin t) for every t in thetas.
+def _initial_angle(lam: float, n: float, alpha1: float) -> float:
+    """The angle t in [-pi/2, pi/2) of the initial data (cos t, sin t) at
+    z = 0 whose trajectory vanishes at alpha1.
 
-    One solve of the stacked state (psi_1..psi_K, psi'_1..psi'_K) carries
-    all K trajectories, its steps set by the hardest; only the end is kept.
+    The flow is homogeneous of degree 1 and its solutions are unique, so
+    exactly one direction does, and one backward solve from
+    (Psi, Psi')(alpha1) = (0, s) reads it off.  Solutions grow like
+    |z|**-lam, so the slope s = hypot(1, alpha1)**-(lam + 2), capped below
+    overflow, keeps the state near z = 0 of order one, where a fixed atol
+    would otherwise swamp it.  rtol is a digit tighter than the profile's:
+    the errors of this shot and of the profile shot from its angle do not
+    cancel at alpha1.
     """
-    k = len(thetas)
-
-    def f(z, y):
-        try:
-            d2, _ = tip_second_derivative(z, y[:k], y[k:], lam, n)
-        except QuasilinearDegeneracyError as exc:
-            raise QuasilinearDegeneracyError(
-                exc.z, exc.coeff, exc.index, theta=float(thetas[exc.index])
-            ) from exc
-        return np.concatenate((y[k:], d2))
-
-    y0 = [math.cos(t) for t in thetas] + [math.sin(t) for t in thetas]
-    return _solve(f, z_end, y0, rtol, atol).y[:k, -1]
+    s = math.exp(min(700.0, -(lam + 2.0) * math.log(math.hypot(1.0, alpha1))))
+    sol = _solve(_tip_system(lam, n), (alpha1, 0.0), [0.0, s], 1e-11, 1e-12)
+    psi, dpsi = float(sol.y[0, -1]), float(sol.y[1, -1])
+    return math.atan(dpsi / psi) if psi != 0.0 else -math.pi / 2
 
 
 def shoot(

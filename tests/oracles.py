@@ -193,6 +193,25 @@ def slope_at(coeffs, x):
         return float("inf")
 
 
+def initial_angle_exact(l, alpha):
+    """The angle t in [-pi/2, pi/2) of the data (cos t, sin t) at z = 0 whose
+    solution of the linear pencil at lam = -l vanishes at the float alpha.
+
+    With E and O the solutions with data (1, 0) and (0, 1), combined from
+    Re (z+i)^l and Im (z+i)^l / l, tan t = -E(alpha) / O(alpha), in exact
+    arithmetic and rounded once; t = -pi/2 where O(alpha) = 0."""
+    re, im = pencil_pair_exact(l)
+    det = re[0] * im[1] - re[1] * im[0]
+    x = Fraction(alpha)
+    u, v = _polyval(re[::-1], x), _polyval(im[::-1], x)
+    e = (im[1] * u - re[1] * v) / det
+    o = (re[0] * v - im[0] * u) / det
+    if o == 0:
+        return -math.pi / 2
+    r = -e / o
+    return math.atan(r) if abs(r) < 1e300 else math.pi / 2 if r > 0 else -math.pi / 2
+
+
 def stable_residuals_sq(l, alphas):
     """Squared |sin(l (theta_j - theta_1))| at each slope, in exact
     arithmetic at the float slopes: the combination c Re (z+i)^l +

@@ -369,15 +369,26 @@ def test_figure_ids_validated():
 
 def test_scipy_loads_on_first_use():
     # fold and the linear crack check need no scipy, so neither the import
-    # nor these commands load it
+    # nor these commands load it; the nonlinear check integrates, and no
+    # cracktip module asks for scipy.optimize (scipy.integrate itself loads it)
     code = (
-        "import sys, cracktip, cracktip.cli\n"
+        "import builtins, sys, cracktip, cracktip.cli\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded(), loaded()\n"
         "assert cracktip.cli.run(['fold', '--l', '3']) == 0\n"
         "assert not loaded(), loaded()\n"
         "assert cracktip.cli.run(['crack', '--alphas', '-1,1']) == 0\n"
         "assert not loaded(), loaded()\n"
+        "asked, real_import = [], builtins.__import__\n"
+        "def spy(name, globals=None, locals=None, fromlist=(), level=0):\n"
+        "    if (globals or {}).get('__name__', '').startswith('cracktip'):\n"
+        "        asked.extend(f'{name}.{x}' for x in fromlist or ('',))\n"
+        "    return real_import(name, globals, locals, fromlist, level)\n"
+        "builtins.__import__ = spy\n"
+        "args = ['crack', '--alphas', '-1,1', '--n', '0.05', '--l-max', '2', '--tol', '0.3']\n"
+        "assert cracktip.cli.run(args) == 0\n"
+        "assert 'scipy.integrate' in sys.modules\n"
+        "assert not [a for a in asked if a.startswith('scipy.optimize')], asked\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from cracktip import (
 from cracktip.continuation import _eigenvalue
 from cracktip.pencil import Family
 
-from oracles import exact_fold, exact_fold_derivatives, quartic_residual
+from oracles import (
+    exact_fold,
+    exact_fold_derivatives,
+    exact_real_roots,
+    quartic_parts_exact,
+    quartic_residual,
+)
 
 
 def test_branch_l1_upper_is_flat():
@@ -172,6 +179,27 @@ def test_branches_invert_the_graph_below_the_fold(l, u):
     assert upper > lower
     assert quartic_residual(l, n, upper) <= 1e-12
     assert quartic_residual(l, n, lower) <= 1e-12
+
+
+@pytest.mark.parametrize("l", [1112, 1196])
+def test_branches_split_one_ulp_below_the_fold(l):
+    # at n = n*(1 - 2**-53), A + n B at the fold rounds to the wrong sign, so
+    # the bracket has no float sign change; the branches must still split
+    fp = find_fold(l)
+    n = fp.n_star * (1.0 - 2.0 ** -53)
+    upper = _eigenvalue(fp, BranchFamily.UPPER, n)
+    lower = _eigenvalue(fp, BranchFamily.LOWER, n)
+    assert -l - 1 <= lower < fp.lambda_star < upper <= -l
+    assert upper - lower > 1e-9
+    assert quartic_residual(l, n, upper) <= 1e-12
+    assert quartic_residual(l, n, lower) <= 1e-12
+    # the exact roots at this n, to the sqrt(eps n*) that rounding n* allows
+    A, B = quartic_parts_exact(l)
+    phi = [a + Fraction(n) * b for a, b in zip(A, B)]
+    eps = Fraction(1, 10 ** 6)
+    lo, hi = exact_real_roots(phi, Fraction(fp.lambda_star) - eps, Fraction(fp.lambda_star) + eps)
+    assert abs(upper - float(hi)) <= 1e-8
+    assert abs(lower - float(lo)) <= 1e-8
 
 
 @settings(max_examples=100, deadline=None)

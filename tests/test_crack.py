@@ -20,8 +20,7 @@ from cracktip import (
     roundtrip_generate,
 )
 from cracktip.crack import _upper_eigenvalue
-from cracktip.shooting import _angle_scan
-from oracles import stable_residuals_sq
+from oracles import initial_angle_exact, stable_residuals_sq
 
 
 def test_spec_validation():
@@ -362,8 +361,8 @@ def _scalar_alpha1_value(lam, n, theta, alpha1):
 
 @pytest.mark.parametrize("alphas", [(0.0,), (0.0, math.sqrt(3.0))])
 def test_nonlinear_at_n_zero_matches_linear_with_slope_zero(alphas):
-    # at alpha1 = 0 the scanned value is cos(theta), whose zeros are the
-    # scan ends, so they are found only up to rounding
+    # at alpha1 = 0 the backward shot has zero length: Psi(0) = 0 gives the
+    # angle -pi/2 without integrating
     spec = CrackSpec(alphas=alphas)
     linear = check_linear(spec, l_max=3)
     assert linear.decay_exponent is not None
@@ -385,10 +384,7 @@ def test_batched_scan_matches_per_angle_scan(alphas, n, kwargs):
     alpha1 = alphas[0]
     for l in range(spec.m, kwargs["l_max"] + 1):
         lam = _upper_eigenvalue(l, n)
-        batched = _angle_scan(lam, n, thetas, alpha1, 1e-10, 1e-12)
         scalar = [_scalar_alpha1_value(lam, n, t, alpha1) for t in thetas]
-        assert np.max(np.abs(batched - scalar)) <= 1e-8
-        assert list(np.sign(batched)) == list(np.sign(scalar))
         roots = [
             brentq(lambda t: _scalar_alpha1_value(lam, n, t, alpha1), a, b, xtol=1e-12)
             for a, b, fa, fb in zip(thetas, thetas[1:], scalar, scalar[1:])
@@ -400,3 +396,29 @@ def test_batched_scan_matches_per_angle_scan(alphas, n, kwargs):
                 for t in roots
             )
     assert report.matches
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha1=st.floats(-5.0, 5.0), l_max=st.integers(1, 6))
+def test_nonlinear_ratio_at_n_zero_is_the_exact_linear_angle(alpha1, l_max):
+    # one slope is admissible at every l; at n = 0 its initial angle solves
+    # tan t = -E(alpha1) / O(alpha1) for the even and odd pencil solutions
+    report = check_nonlinear(CrackSpec((alpha1,)), 0.0, l_max=l_max)
+    assert [mm.l for mm in report.matches] == list(range(1, l_max + 1))
+    for mm in report.matches:
+        assert mm.ratio[0] >= 0.0
+        t = math.atan2(mm.ratio[1], mm.ratio[0])
+        assert abs(math.remainder(t - initial_angle_exact(mm.l, alpha1), math.pi)) <= 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    alpha1=st.floats(-5.0, 5.0),
+    n=st.floats(0.0, 0.05, exclude_min=True),
+)
+def test_nonlinear_profile_vanishes_at_the_first_slope(alpha1, n):
+    report = check_nonlinear(CrackSpec((alpha1,)), n, l_max=3)
+    assert report.matches
+    for mm in report.matches:
+        # the profile's own integration error, which grows with |alpha1|
+        assert abs(mm.zeros[mm.zero_indices[0]] - alpha1) <= 1e-9 * (1.0 + abs(alpha1))

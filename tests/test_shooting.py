@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from cracktip import (
     Family,
@@ -16,7 +14,7 @@ from cracktip import (
     shoot,
     two_sided_profile,
 )
-from cracktip.shooting import ARCTAN_EXAMPLE_ADMISSIBLE, _angle_scan, tip_second_derivative
+from cracktip.shooting import ARCTAN_EXAMPLE_ADMISSIBLE
 
 
 def test_reduction_at_n_zero():
@@ -52,44 +50,6 @@ def test_affine_mode_has_zero_curvature():
 def test_degenerate_state_rejected():
     with pytest.raises(QuasilinearDegeneracyError):
         isolate_second_derivative(1.0, 0.0, 0.0, -2.0, 0.1)
-
-
-def _bounded(lo, hi):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
-
-
-@given(
-    st.lists(
-        st.tuples(_bounded(-50, 50), _bounded(-10, 10), _bounded(-10, 10)), min_size=1, max_size=16
-    ),
-    _bounded(-8, 0),
-    _bounded(0, 5),
-)
-def test_kernel_matches_scalar_bitwise(points, lam, n):
-    want, degenerate = [], []
-    for k, (z, psi, dpsi) in enumerate(points):
-        try:
-            want.append(isolate_second_derivative(z, psi, dpsi, lam, n))
-        except QuasilinearDegeneracyError:
-            degenerate.append(k)
-    z, psi, dpsi = (np.array(c) for c in zip(*points))
-    if degenerate:
-        with pytest.raises(QuasilinearDegeneracyError) as info:
-            tip_second_derivative(z, psi, dpsi, lam, n)
-        assert info.value.index in degenerate
-    else:
-        got, _ = tip_second_derivative(z, psi, dpsi, lam, n)
-        assert got.tobytes() == np.array(want).tobytes()
-
-
-def test_degenerate_trajectory_in_batch_names_its_angle():
-    # at Lam = 0 the data (1, 0) give g = psi' = 0 at z = 0; the others do not
-    thetas = np.array([0.3, -0.2, 0.0, 0.4])
-    with pytest.raises(QuasilinearDegeneracyError) as info:
-        _angle_scan(0.0, 0.1, thetas, 1.0, 1e-10, 1e-12)
-    assert info.value.theta == 0.0
-    assert info.value.index == 2
-    assert "theta=0.0" in str(info.value)
 
 
 @pytest.mark.parametrize("family", [Family.FIRST, Family.SECOND])
