@@ -34,7 +34,6 @@ from .crack import (
     roundtrip_generate,
 )
 from .errors import (
-    DegenerateSeedError,
     GradientDegeneracyError,
     NoFoldInBracketError,
     NoRealEigenvalueError,
@@ -61,7 +60,6 @@ from .perturbation import (
     BranchingData,
     CorrectionSolution,
     QuadratureDiagnostics,
-    Weight,
     branching_data,
     mu_via_ift,
     mu_via_quadrature,

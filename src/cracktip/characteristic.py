@@ -111,8 +111,9 @@ def residual_consistency(l: int, n: float, lam: float) -> float:
 
 
 def real_roots(q: CharacteristicQuartic) -> List[float]:
-    """All real roots, ascending.  An empty list is a valid outcome: it is
-    how nonexistence past a fold shows up."""
+    """All real roots, ascending, possibly none.  Past the fold the pair
+    near the seeds is gone, but from l = 15 a far pair can appear (near
+    -34.6 for l = 20 from n ~ 16.5), so the list need not be empty there."""
     desc = np.asarray(q.coeffs, dtype=float)
     deriv = np.polyder(desc)
     out = []
@@ -165,8 +166,11 @@ class LimitQuartic:
 def limit_polynomial(l: int) -> LimitQuartic:
     """Coefficient-wise n -> infinity limit: Phi_l(Lam; n)/n -> F_l(Lam).
 
-    F_l strictly positive on the real line (true for every l >= 2) is what
-    forces the two real eigenvalue branches to disappear at a fold.
+    F_l = B > 0 on the seed interval [-l-1, -l] (checked for l <= 3000)
+    is what forces the two real eigenvalue branches there to meet at a
+    fold.  F_l is positive on the whole real line for 2 <= l <= 14 but not
+    from l = 15 on (checked to 3000): B_15(-26) = -160, and past the fold
+    such an l grows a second pair of real roots where B < 0.
     """
     if l < 1:
         raise ValueError("l must be >= 1")

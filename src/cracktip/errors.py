@@ -30,9 +30,5 @@ class NoFoldInBracketError(NumericsError):
     """The index has no fold (l = 1), or its fold lies outside the bracket."""
 
 
-class DegenerateSeedError(NumericsError):
-    """The seed eigenvalue is not a simple root, so no branch slope exists."""
-
-
 class NoRealEigenvalueError(NumericsError):
     """Requested an eigenvalue past its fold, where no real one exists."""

@@ -12,13 +12,14 @@ Phi1, Phi2 the rational gradient couplings of the quasilinear equation.
 Two independent routes to the slope mu are provided:
 
 * ``mu_via_ift``: the implicit-function slope -Phi_n / Phi_Lam of the
-  characteristic quartic at the seed, exact up to rounding.  This is the
-  authoritative value: it is the slope the continuation branches realize.
+  characteristic quartic at the seed, in exact integer arithmetic.  This
+  is the authoritative value: it is the slope the continuation branches
+  realize.
 * ``mu_via_quadrature``: the Fredholm orthogonality route, solving
-  integral of  w(z) h(mu, psi, lam)(z) psi(z) dz = 0  with weight
-  w = (1 + z^2)^lam on a truncated window.  For first-family seeds the
-  integrand tends to a nonzero constant, so the result carries a
-  divergent-tail flag instead of being trusted.
+  integral of  w(z) h(mu, psi, lam)(z) psi(z) dz = 0  over the real line
+  with weight w = (1 + z^2)^lam, by the midpoint rule in theta = arccot z.
+  For first-family seeds the integrand tends to a nonzero constant, so
+  the integral diverges and the result is flagged instead of returned.
 
 The two routes do not agree: the quadrature slope solves the orthogonality
 condition exactly (it converges, e.g., to 1/2 for the second-family seeds
@@ -29,28 +30,16 @@ that must be consistent with the continuation module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .characteristic import affine_parts
-from .errors import DegenerateSeedError, GradientDegeneracyError, NumericsError
+from .characteristic import _integer_parts
+from .errors import GradientDegeneracyError, NumericsError
 from .pencil import Family, PencilEigenpair, build_eigenfunction
-
-
-@dataclass(frozen=True)
-class Weight:
-    """The eigenvalue-dependent weight (1+z^2)^(lam+1) of the symmetric form."""
-
-    lam: float
-
-    @property
-    def exponent(self) -> float:
-        return self.lam + 1.0
-
-    def __call__(self, z):
-        return (1.0 + z * z) ** self.exponent
 
 
 def phi1(psi, dpsi, lam, z):
@@ -71,11 +60,8 @@ def phi2(psi, dpsi, ddpsi, lam, z):
     return (dpsi * dpsi * ddpsi + 2.0 * dpsi * g * (lam * dpsi + z * ddpsi)) / den
 
 
-def source_h(mu: float, pair: PencilEigenpair, z):
-    """Order-n source term h(mu, psi, lam) at ``z`` (scalar or array).
-
-    Affine in mu with slope -((2 lam + 1) psi + z psi'); uses L psi = -psi''.
-    """
+def _source_terms(pair: PencilEigenpair, z):
+    """psi and the terms Phi2, (2 lam + 1) psi + z psi', Phi1 L psi of h at ``z``."""
     lam = pair.lam
     p = pair.poly
     d1 = p.derivative()
@@ -83,109 +69,82 @@ def source_h(mu: float, pair: PencilEigenpair, z):
     psi, dpsi, ddpsi = p(z), d1(z), d2(z)
     f1 = phi1(psi, dpsi, lam, z)
     f2 = phi2(psi, dpsi, ddpsi, lam, z)
-    return -(f2 + mu * ((2.0 * lam + 1.0) * psi + z * dpsi) + f1 * (-ddpsi))
+    return psi, f2, (2.0 * lam + 1.0) * psi + z * dpsi, f1 * (-ddpsi)
+
+
+def source_h(mu: float, pair: PencilEigenpair, z):
+    """Order-n source term h(mu, psi, lam) at ``z`` (scalar or array).
+
+    Affine in mu with slope -((2 lam + 1) psi + z psi'); uses L psi = -psi''.
+    """
+    _, f2, m, f1_lpsi = _source_terms(pair, z)
+    return -(f2 + mu * m + f1_lpsi)
 
 
 def mu_via_ift(l: int, family: Family) -> float:
     """Branch slope at n = 0 from the characteristic quartic.
 
-    mu = -Phi_n / Phi_Lam at (lam_seed, 0), both partials in closed form.
+    mu = -Phi_n / Phi_Lam = -B(lam) / A'(lam) at the integer seed lam,
+    evaluated exactly and rounded once.  A'(-l) = l^2 and
+    A'(-l-1) = -(l^2 + 1), so both seeds are simple roots for every l.
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    lam = build_eigenfunction(l, family).lam
-    A, B = affine_parts(l)
-    phi_lam = np.polyval(np.polyder(A), lam)
-    if abs(phi_lam) < 1e-12 * np.abs(A).sum():
-        raise DegenerateSeedError(f"degenerate seed: {lam} is not a simple root of index {l}")
-    return float(-np.polyval(B, lam) / phi_lam)
+    A, B = _integer_parts(l)
+    lam = -l if family is Family.FIRST else -l - 1
+    b = sum(c * lam ** (4 - i) for i, c in enumerate(B))
+    da = sum((4 - i) * c * lam ** (3 - i) for i, c in enumerate(A[:-1]))
+    return float(Fraction(-b, da))
 
 
 @dataclass(frozen=True)
 class QuadratureDiagnostics:
-    """Tail behaviour of the orthogonality integrals over widening windows."""
+    """Per midpoint rule: the largest |z| it samples, cot(pi / 2N), and its mu."""
 
     windows: Tuple[float, ...]
     mu_values: Tuple[float, ...]
-    tail_magnitudes: Tuple[float, ...]
     divergent_tail: bool
     converged: bool
 
 
-def mu_via_quadrature(
-    l: int,
-    family: Family,
-    z_cut: float = 200.0,
-    tail_tol: float = 1e-6,
-    max_windows: int = 8,
-) -> Tuple[float, QuadratureDiagnostics]:
-    """Slope from the Fredholm orthogonality condition on [-Z, Z].
+def mu_via_quadrature(l: int, family: Family) -> Tuple[float, QuadratureDiagnostics]:
+    """Slope from the Fredholm orthogonality condition on the real line.
 
     The condition is affine in mu:  I_rest + mu * I_mu = 0  with
 
         I_rest = int w (Phi2 + Phi1 L psi) psi dz,
         I_mu   = int w ((2 lam + 1) psi + z psi') psi dz,   w = (1+z^2)^lam.
 
-    Z starts at ``z_cut`` and doubles until the integrand magnitude at the
-    window edge falls below ``tail_tol`` (a 1/z^2 tail reaches it quickly)
-    or until the edge samples stop decaying, which marks the first-family
-    seeds whose integrand tends to a nonzero constant: those results are
-    flagged divergent rather than trusted.  The truncation error of a
-    convergent window decays like 1/Z, so the returned value is the
-    Richardson extrapolation of the last two windows.
+    With z = cot theta, dz = -dtheta / sin^2 theta.  For a seed of degree
+    d both integrands are O(z^(2 lam + 2 d)).  Second-family seeds have
+    lam = -d - 1, so they decay like z^-2, and times 1/sin^2 theta = 1 + z^2
+    they become smooth pi-periodic trigonometric rational functions of
+    theta: the midpoint rule with N nodes converges geometrically in N.
+    The rule is taken at N = 4 (l + 2) and at 2N, mu is the 2N value, and
+    ``converged`` means the two agree to 1e-10 (1 + |mu|).
+
+    First-family seeds have lam = -d, so the I_mu integrand tends to the
+    constant 1 - d and the integrals diverge: mu is nan and
+    ``divergent_tail`` is set.  A vanishing I_mu sum (l = 1, first family)
+    or a non-finite sum (overflow from l = 44 on) raises NumericsError.
     """
-    import scipy.integrate
-
     pair = build_eigenfunction(l, family)
-    lam, p = pair.lam, pair.poly
-    d1 = p.derivative()
-    d2 = d1.derivative()
-
-    def integrand_rest(z):
-        psi, dpsi, ddpsi = p(z), d1(z), d2(z)
-        w = (1.0 + z * z) ** lam
-        f1 = phi1(psi, dpsi, lam, z)
-        f2 = phi2(psi, dpsi, ddpsi, lam, z)
-        return w * (f2 + f1 * (-ddpsi)) * psi
-
-    def integrand_mu(z):
-        psi, dpsi = p(z), d1(z)
-        w = (1.0 + z * z) ** lam
-        return w * ((2.0 * lam + 1.0) * psi + z * dpsi) * psi
-
-    windows, mus, tails = [], [], []
-    Z = z_cut
-    divergent = False
-    converged = False
-    while len(windows) < max_windows:
-        i_rest, _ = scipy.integrate.quad(integrand_rest, -Z, Z, limit=400)
-        i_mu, _ = scipy.integrate.quad(integrand_mu, -Z, Z, limit=400)
+    windows, mus = [], []
+    for num_nodes in (4 * (l + 2), 8 * (l + 2)):
+        theta = (np.arange(num_nodes) + 0.5) * (np.pi / num_nodes)
+        z = 1.0 / np.tan(theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi, f2, m, f1_lpsi = _source_terms(pair, z)
+            weighted = (1.0 + z * z) ** pair.lam * psi / np.sin(theta) ** 2
+            i_rest, i_mu = float(np.dot(weighted, f2 + f1_lpsi)), float(np.dot(weighted, m))
         if i_mu == 0.0:
             raise NumericsError("orthogonality degenerate: the mu-coefficient integral vanishes")
-        windows.append(Z)
+        if not (math.isfinite(i_rest) and math.isfinite(i_mu)):
+            raise NumericsError(f"orthogonality sums for l={l} are not finite at {num_nodes} nodes")
+        windows.append(float(z[0]))
         mus.append(-i_rest / i_mu)
-        tails.append(abs(integrand_rest(Z)) + abs(integrand_mu(Z)))
-        if len(tails) >= 3 and not all(
-            tails[i + 1] <= 0.6 * tails[i] for i in range(len(tails) - 1)
-        ):
-            divergent = tails[-1] > 1e-12
-            break
-        if len(windows) >= 2 and tails[-1] <= tail_tol:
-            converged = True
-            break
-        Z *= 2.0
-    if divergent or len(mus) < 2:
-        mu = float(mus[-1])
-    else:
-        mu = float(2.0 * mus[-1] - mus[-2])
-    diag = QuadratureDiagnostics(
-        windows=tuple(windows),
-        mu_values=tuple(mus),
-        tail_magnitudes=tuple(tails),
-        divergent_tail=bool(divergent),
-        converged=bool(converged and not divergent),
-    )
-    return mu, diag
+    divergent = family is Family.FIRST
+    mu = math.nan if divergent else mus[1]
+    converged = not divergent and abs(mus[1] - mus[0]) <= 1e-10 * (1.0 + abs(mu))
+    return mu, QuadratureDiagnostics(tuple(windows), tuple(mus), divergent, converged)
 
 
 @dataclass(frozen=True)

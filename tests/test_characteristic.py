@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from cracktip import build_quartic, limit_polynomial, real_roots, residual_consistency
+from cracktip import build_quartic, find_fold, limit_polynomial, real_roots, residual_consistency
 from cracktip.characteristic import CharacteristicQuartic, affine_parts
+
+from oracles import quartic_parts_exact
 
 
 def test_hand_expanded_quartic_l1_n1():
@@ -124,6 +128,35 @@ def test_limit_polynomial_positive_for_l_ge_2():
     for l in (2, 3, 4, 5, 10):
         _, val = limit_polynomial(l).global_min()
         assert val > 0.0
+
+
+@pytest.mark.parametrize("l", list(range(2, 15)))
+def test_limit_polynomial_positive_through_l14(l):
+    assert limit_polynomial(l).global_min()[1] > 0.0
+
+
+def test_limit_polynomial_negative_at_l15():
+    # B_15(-26) is an exact integer, so the float evaluation is exact too
+    assert limit_polynomial(15)(-26.0) == -160.0
+
+
+def test_far_root_pair_past_the_fold():
+    # past the fold the seed pair is gone, but where B < 0 a second real
+    # pair appears far out: an empty root list is not what a fold leaves
+    assert 20.0 > find_fold(20).n_star
+    roots = real_roots(build_quartic(20, 20.0))
+    assert len(roots) == 2 and all(-36.0 < r < -33.0 for r in roots)
+    A, B = quartic_parts_exact(20)
+    coeffs = [a + 20 * b for a, b in zip(A, B)]
+
+    def exact(x):
+        acc = Fraction(0)
+        for c in coeffs:
+            acc = acc * Fraction(x) + c
+        return acc
+
+    for r in roots:
+        assert exact(r - 1e-6) * exact(r + 1e-6) < 0
 
 
 def test_preconditions():

@@ -169,6 +169,14 @@ def test_mu_degenerate_quadrature_is_numerical_failure(capsys):
     assert "orthogonality degenerate" in err
 
 
+def test_mu_quadrature_overflow_is_numerical_failure(capsys):
+    code, out, err = run_capture(
+        ["mu", "--l", "60", "--family", "second", "--method", "quad"], capsys
+    )
+    assert code == EXIT_NUMERICAL
+    assert out == "" and "not finite" in err
+
+
 def test_pencil_past_double_range_is_numerical_failure(capsys):
     # the exact coefficients of degree 1100 exceed the largest double
     code, out, err = run_capture(["pencil", "--degree", "1100", "--family", "first"], capsys)
@@ -368,8 +376,8 @@ def test_figure_ids_validated():
 
 
 def test_scipy_loads_on_first_use():
-    # fold and the linear crack check need no scipy, so neither the import
-    # nor these commands load it; the nonlinear check integrates, and no
+    # fold, the linear crack check and mu need no scipy, so neither the
+    # import nor these commands load it; the nonlinear check integrates, and no
     # cracktip module asks for scipy.optimize (scipy.integrate itself loads it)
     code = (
         "import builtins, sys, cracktip, cracktip.cli\n"
@@ -378,6 +386,8 @@ def test_scipy_loads_on_first_use():
         "assert cracktip.cli.run(['fold', '--l', '3']) == 0\n"
         "assert not loaded(), loaded()\n"
         "assert cracktip.cli.run(['crack', '--alphas', '-1,1']) == 0\n"
+        "assert not loaded(), loaded()\n"
+        "assert cracktip.cli.run(['mu', '--l', '3', '--family', 'second']) == 0\n"
         "assert not loaded(), loaded()\n"
         "asked, real_import = [], builtins.__import__\n"
         "def spy(name, globals=None, locals=None, fromlist=(), level=0):\n"

@@ -1,10 +1,14 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cracktip import (
     BranchFamily,
     Family,
-    Weight,
     build_eigenfunction,
     continue_branch,
     mu_via_ift,
@@ -14,7 +18,7 @@ from cracktip import (
     solve_correction,
     source_h,
 )
-from cracktip.errors import DegenerateSeedError, NumericsError
+from cracktip.errors import NumericsError
 from cracktip.perturbation import branching_data
 
 from oracles import integral_over_reals
@@ -61,13 +65,6 @@ def test_source_affine_in_mu():
     assert np.allclose(h5 - h0, 5.0 * slope, rtol=0, atol=1e-12)
 
 
-def test_weight_positive():
-    w = Weight(lam=-3.0)
-    assert w.exponent == -2.0
-    z = np.linspace(-20, 20, 101)
-    assert np.all(w(z) > 0.0)
-
-
 MU_IFT_CLOSED = [
     # -B(seed)/A'(seed) evaluated by hand from the integer parts
     (1, Family.FIRST, 0.0),
@@ -83,6 +80,16 @@ MU_IFT_CLOSED = [
 @pytest.mark.parametrize("l,family,expected", MU_IFT_CLOSED)
 def test_mu_ift_closed_values(l, family, expected):
     assert mu_via_ift(l, family) == pytest.approx(expected, rel=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 6))
+def test_mu_ift_is_the_rounded_closed_form(l):
+    # -B(seed)/A'(seed) in lowest terms: -l(l-1) on the first family and
+    # l(l^3 - 3l^2 + 4l + 2)/(l^2 + 1) on the second, rounded once
+    assert mu_via_ift(l, Family.FIRST) == float(-l * (l - 1))
+    second = Fraction(l * (l ** 3 - 3 * l ** 2 + 4 * l + 2), l * l + 1)
+    assert mu_via_ift(l, Family.SECOND) == float(second)
 
 
 @pytest.mark.parametrize(
@@ -121,24 +128,36 @@ def _orthogonality_mu_oracle(l, family):
     return -integral_over_reals(rest) / integral_over_reals(muco)
 
 
-@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("l", list(range(1, 13)))
 def test_quadrature_second_family_converges_to_exact_value(l):
     mu, diag = mu_via_quadrature(l, Family.SECOND)
     assert not diag.divergent_tail
     assert diag.converged
-    # edge samples of the integrand must decay like 1/Z^2
-    for a, b in zip(diag.tail_magnitudes, diag.tail_magnitudes[1:]):
-        assert b <= 0.3 * a
+    assert len(diag.windows) == len(diag.mu_values) == 2
     oracle = _orthogonality_mu_oracle(l, Family.SECOND)
     assert oracle == pytest.approx(0.5, abs=1e-10)  # exact value of the condition
-    assert mu == pytest.approx(oracle, rel=2e-4)
+    assert abs(mu - oracle) <= 1e-10
 
 
-@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("l", [28, 35, 40])
+def test_quadrature_second_family_converges_at_high_degree(l):
+    mu, diag = mu_via_quadrature(l, Family.SECOND)
+    assert math.isfinite(mu)
+    assert not diag.divergent_tail
+    assert diag.converged
+
+
+def test_quadrature_overflow_raises():
+    with pytest.raises(NumericsError):
+        mu_via_quadrature(60, Family.SECOND)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
 def test_quadrature_first_family_flags_divergent_tail(l):
     mu, diag = mu_via_quadrature(l, Family.FIRST)
     assert diag.divergent_tail
     assert not diag.converged
+    assert math.isnan(mu)
 
 
 @pytest.mark.parametrize("l", [2, 3])
