@@ -227,8 +227,6 @@ def _cmd_mu(args):
 def _cmd_shoot(args):
     z_max = args.z_max if args.z_max is not None else 100.0
     ttol = args.transversality_tol if args.transversality_tol is not None else 1e-6
-    if ttol <= 0.0:
-        raise ValueError("--transversality-tol must be positive")
     sol = shoot(args.l, args.n, args.lam, z_max=z_max, transversality_tol=ttol)
     fields = {
         "l": sol.l,
@@ -246,8 +244,6 @@ def _cmd_shoot(args):
 def _cmd_crack(args):
     spec = CrackSpec(alphas=tuple(float(s) for s in args.alphas.split(",")))
     tol = args.tol if args.tol is not None else 1e-8
-    if tol <= 0.0:
-        raise ValueError("--tol must be positive")
     consecutive = not args.any_subset
     n = args.n if args.n is not None else 0.0
     if n == 0.0:

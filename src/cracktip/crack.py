@@ -17,7 +17,8 @@ itself, its points and its zeros, lives in ``pencil``.
 ``check_nonlinear`` extends the construction to n > 0 by replacing the
 two-dimensional combination space with the one-parameter family of initial
 ratios Psi'(0) : Psi(0) of the quasilinear equation at the continued
-eigenvalue; this extrapolation is flagged experimental in its output.
+eigenvalue, read off the one trajectory per index through a zero at the
+first slope; this extrapolation is flagged experimental in its output.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 from .continuation import BranchFamily, _eigenvalue, _meeting_point
 from .errors import NoRealEigenvalueError
 from .pencil import _lattice, _lattice_points, combine, nodal_set
-from .shooting import _initial_angle, two_sided_profile
+from .shooting import _trajectory
 
 DEFAULT_TOL = 1e-8
 
@@ -109,6 +110,8 @@ def check_linear(
     (the strict reading) they must be 0, 1, ..., m - 1; pass False for
     the looser any-subset reading.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     halfturns = [math.atan2(1.0, a) / math.pi for a in spec.alphas]  # theta_j / pi
     # theta_1 / pi measured from the nearer end of (0, 1), so that a steep
     # first slope keeps its precision
@@ -182,23 +185,27 @@ def check_nonlinear(
     l_max: Optional[int] = None,
     tol: float = DEFAULT_TOL,
     consecutive: bool = True,
-    z_pad: float = 4.0,
 ) -> AdmissibilityReport:
     """Nonlinear analog of :func:`check_linear` for exponent n > 0.
 
     For every l whose fold has not been passed, the quasilinear equation
     at the continued eigenvalue has a one-parameter family of initial
     ratios (cos t, sin t) at z = 0; the parity profiles are its endpoints.
-    The equation is homogeneous of degree 1, so exactly one t (mod pi)
-    gives a profile vanishing at the first slope, and one backward solve
-    from that slope reads it off.  The remaining slopes are then tested
-    against that profile's zeros exactly as in the linear scan.  At n = 0
-    the family reproduces the two-dimensional combination space, so the
-    check reduces to the linear one.  Results are experimental: the
-    one-parameter family is an extrapolation of the n = 0 structure.
+    The equation is homogeneous of degree 1, so up to scale one member
+    vanishes at the first slope alpha_1: the trajectory through
+    (Psi, Psi')(alpha_1) = (0, s), integrated once to 4 past the last slope
+    and at least to z = 0 (a backward solve reaches z = 0 if alpha_1 > 0).
+    No zero left of alpha_1 can carry a slope, so ``zeros`` starts at
+    alpha_1.  The other slopes are tested against them as in the linear
+    scan.  At n = 0 the family reproduces the two-dimensional combination
+    space, so the check reduces to the linear one.  Results are
+    experimental: the one-parameter family is an extrapolation of the
+    n = 0 structure.
     """
-    if n < 0.0:
+    if not n >= 0.0:
         raise ValueError("n must be >= 0")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     scan = _index_range(spec, l_max)
     notes: List[str] = []
     usable: List[Tuple[int, float]] = []
@@ -212,22 +219,32 @@ def check_nonlinear(
             f"no real eigenvalue at n={n} for any l in [{scan.start}, {scan.stop - 1}]"
         )
 
-    z_reach = max(abs(a) for a in spec.alphas) + z_pad
+    a1 = spec.alphas[0]
+    z_end = max(spec.alphas[-1] + 4.0, 0.0)
     matches: List[CrackMatch] = []
     for l, lam in usable:
-        theta = _initial_angle(lam, n, spec.alphas[0])
-        ic = (math.cos(theta), math.sin(theta))
-        prof = two_sided_profile(n, lam, ic, z_reach)
-        scale = max(1.0, max(abs(prof.psi(a)) + abs(a) * abs(prof.dpsi(a)) for a in spec.alphas))
-        worst = max(abs(prof.psi(a)) / scale for a in spec.alphas)
+        # Solutions grow like |z|**-lam, so the slope s = hypot(1, a1)**-(lam + 2),
+        # capped below overflow, keeps the state near z = 0 of order one, where
+        # the fixed atol would swamp it.  The n = 0 ratio strays up to 2.6e-10
+        # from the exact angle at rtol 1e-10 (|a1| <= 5, l <= 6), 3.1e-11 here.
+        s = math.exp(min(700.0, -(lam + 2.0) * math.log(math.hypot(1.0, a1))))
+        prof = _trajectory(lam, n, a1, (0.0, s), z_end, 1e-11, 1e-12)
+        if a1 <= 0.0:
+            psi0, dpsi0 = prof.sol(0.0)
+        else:
+            psi0, dpsi0 = _trajectory(lam, n, a1, (0.0, s), 0.0, 1e-11, 1e-12).y[:, -1]
+        # unit length with Psi(0) >= 0, and Psi'(0) = -1 where Psi(0) = 0
+        norm = math.copysign(math.hypot(psi0, dpsi0), psi0 if psi0 != 0.0 else -dpsi0)
+        ratio = (float(psi0 / norm) + 0.0, float(dpsi0 / norm))
+        at = [prof.sol(a) / abs(norm) for a in spec.alphas]
+        scale = max(1.0, max(float(abs(p) + abs(a * d)) for a, (p, d) in zip(spec.alphas, at)))
+        worst = max(float(abs(p)) for p, _ in at) / scale
         if worst > tol:
             continue
-        zeros = prof.zeros()
+        zeros = sorted({a1}.union(float(t) for t in prof.t_events[0]))
         idx = _match_alphas_to_zeros(
             spec.alphas, zeros, consecutive, dist_tol=max(1e-6, 10.0 * tol)
         )
         if idx is not None:
-            matches.append(
-                CrackMatch(l=l, ratio=ic, zero_indices=idx, max_residual=worst, zeros=tuple(zeros))
-            )
+            matches.append(CrackMatch(l, ratio, idx, worst, tuple(zeros)))
     return _report(matches, mode="nonlinear", n=float(n), experimental=True, notes=tuple(notes))

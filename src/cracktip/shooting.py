@@ -1,11 +1,12 @@
 """Direct integration of the quasilinear tip eigenfunction ODE.
 
 The equation is affine in the second derivative, so it is integrated as an
-explicit first-order system after solving for Psi''.  Initial data sit at
-z = 0 with the parity dictated by the index (even l: Psi(0)=1, Psi'(0)=0;
-odd l: Psi(0)=0, Psi'(0)=1); the amplitude scales out exactly because the
-equation is 1-homogeneous.  The negative half-line is obtained by parity
-mirroring, which avoids any drift through the symmetry point.
+explicit first-order system after solving for Psi'', by ``_trajectory``
+from a state at any z0.  ``shoot`` starts at z = 0 with the parity of the
+index (even l: Psi(0)=1, Psi'(0)=0; odd l: Psi(0)=0, Psi'(0)=1); the
+amplitude scales out exactly because the equation is 1-homogeneous.  The
+negative half-line is obtained by parity mirroring, which avoids any drift
+through the symmetry point.
 
 Zeros are located by the integrator's event machinery on dense output and
 annotated with transversality data; the growth exponent is a least-squares
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -102,21 +103,26 @@ class ShootingSolution:
 SOFT_COEFF_TOL = 1e-6
 
 
-def _solve(fun: Callable, z_span: Tuple[float, float], y0, rtol: float, atol: float, **options):
-    """RK45 over z_span, in either direction."""
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(fun, z_span, y0, method="RK45", rtol=rtol, atol=atol, **options)
-    if not sol.success:
-        raise NumericsError(f"integration failed: {sol.message}")
-    return sol
-
-
-def _tip_system(lam: float, n: float, near_events: Optional[List[float]] = None) -> Callable:
-    """The tip ODE as a first-order system for one trajectory, on Python
-    floats; each z whose coefficient falls below SOFT_COEFF_TOL * (1 + z^2)
-    is appended to ``near_events`` when that is given."""
+def _trajectory(
+    lam: float,
+    n: float,
+    z0: float,
+    y0: Tuple[float, float],
+    z_end: float,
+    rtol: float,
+    atol: float,
+    near_events: Optional[List[float]] = None,
+):
+    """RK45 solution of the tip ODE through (Psi, Psi')(z0) = y0, integrated
+    to z_end on either side of z0, with dense output and the Psi = 0 events
+    in ``t_events[0]``.  Each z whose coefficient falls below
+    SOFT_COEFF_TOL * (1 + z^2) is appended to ``near_events`` when that is
+    given.  The one place the ODE is integrated.
+    """
     lam, n = float(lam), float(n)
+    if not (0.0 <= n < math.inf and math.isfinite(lam)):
+        raise ValueError(f"n must be finite and >= 0 and lambda finite, got {n}, {lam}")
+    from scipy.integrate import solve_ivp
 
     def f(z, y):
         d2, coeff = tip_second_derivative(float(z), float(y[0]), float(y[1]), lam, n)
@@ -124,41 +130,11 @@ def _tip_system(lam: float, n: float, near_events: Optional[List[float]] = None)
             near_events.append(float(z))
         return (y[1], d2)
 
-    return f
-
-
-def _half_line(
-    lam: float,
-    n: float,
-    ic: Tuple[float, float],
-    z_end: float,
-    rtol: float,
-    atol: float,
-    near_events: Optional[List[float]] = None,
-):
-    """Integrate from 0 to z_end (either sign), reporting Psi = 0 events."""
-    f = _tip_system(lam, n, near_events)
-    events = [lambda z, y: y[0]]
-    return _solve(f, (0.0, z_end), list(ic), rtol, atol, dense_output=True, events=events)
-
-
-def _initial_angle(lam: float, n: float, alpha1: float) -> float:
-    """The angle t in [-pi/2, pi/2) of the initial data (cos t, sin t) at
-    z = 0 whose trajectory vanishes at alpha1.
-
-    The flow is homogeneous of degree 1 and its solutions are unique, so
-    exactly one direction does, and one backward solve from
-    (Psi, Psi')(alpha1) = (0, s) reads it off.  Solutions grow like
-    |z|**-lam, so the slope s = hypot(1, alpha1)**-(lam + 2), capped below
-    overflow, keeps the state near z = 0 of order one, where a fixed atol
-    would otherwise swamp it.  rtol is a digit tighter than the profile's:
-    the errors of this shot and of the profile shot from its angle do not
-    cancel at alpha1.
-    """
-    s = math.exp(min(700.0, -(lam + 2.0) * math.log(math.hypot(1.0, alpha1))))
-    sol = _solve(_tip_system(lam, n), (alpha1, 0.0), [0.0, s], 1e-11, 1e-12)
-    psi, dpsi = float(sol.y[0, -1]), float(sol.y[1, -1])
-    return math.atan(dpsi / psi) if psi != 0.0 else -math.pi / 2
+    sol = solve_ivp(f, (z0, z_end), list(y0), method="RK45", rtol=rtol, atol=atol,
+                    dense_output=True, events=[lambda z, y: y[0]])
+    if not sol.success:
+        raise NumericsError(f"integration failed: {sol.message}")
+    return sol
 
 
 def shoot(
@@ -180,14 +156,14 @@ def shoot(
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    if n < 0.0:
-        raise ValueError("n must be >= 0")
     if not 0.0 < z_max < math.inf:
         raise ValueError("z_max must be positive and finite")
+    if not transversality_tol > 0.0:
+        raise ValueError("transversality_tol must be positive")
     even = l % 2 == 0
     ic = (1.0, 0.0) if even else (0.0, 1.0)
     near: List[float] = []
-    sol = _half_line(lam, n, ic, z_max, rtol, atol, near_events=near)
+    sol = _trajectory(lam, n, 0.0, ic, z_max, rtol, atol, near_events=near)
     degeneracies = tuple(sorted(set(near)))
 
     zs = np.linspace(0.0, z_max, num_samples)
@@ -270,8 +246,8 @@ def two_sided_profile(
     """Integrate both half-lines from z = 0 with the given initial data."""
     if not 0.0 < z_max < math.inf:
         raise ValueError("z_max must be positive and finite")
-    pos = _half_line(lam, n, ic, z_max, rtol, atol)
-    neg = _half_line(lam, n, ic, -z_max, rtol, atol)
+    pos = _trajectory(lam, n, 0.0, ic, z_max, rtol, atol)
+    neg = _trajectory(lam, n, 0.0, ic, -z_max, rtol, atol)
     return Profile(lam=lam, n=n, ic=tuple(ic), z_max=z_max, _pos=pos, _neg=neg)
 
 

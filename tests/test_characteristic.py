@@ -124,7 +124,7 @@ def test_limit_polynomial_matches_large_n_quartic(l):
         assert q(lam) / n == pytest.approx(fl(lam), rel=1e-6)
 
 
-def test_limit_polynomial_positive_for_l_ge_2():
+def test_limit_polynomial_positive_at_small_l():
     for l in (2, 3, 4, 5, 10):
         _, val = limit_polynomial(l).global_min()
         assert val > 0.0

@@ -306,6 +306,14 @@ def test_config_values_checked_like_flags(line, argv, message, tmp_path, capsys)
         (["char-scan", "--figure", "5", "--n-list", "0", "--format", "json"],
          "fixes its own grid"),
         (["char-scan", "--figure", "3", "--lambda-step", "0.1"], "fixes its own grid"),
+        (["shoot", "--l", "2", "--n", "nan", "--lambda", "-2"], "n must be"),
+        (["shoot", "--l", "2", "--n", "inf", "--lambda", "-2"], "n must be"),
+        (["shoot", "--l", "2", "--n", "0", "--lambda", "nan"], "lambda finite"),
+        (["shoot", "--l", "2", "--n", "0", "--lambda", "-2", "--transversality-tol", "nan"],
+         "transversality_tol"),
+        (["crack", "--alphas", "-1,1", "--n", "nan"], "n must be"),
+        (["crack", "--alphas", "-1,1", "--tol", "nan"], "tol must be positive"),
+        (["crack", "--alphas", "-1,1", "--n", "0.01", "--tol", "-1"], "tol must be positive"),
     ],
 )
 def test_invalid_options_are_usage_errors(argv, message, capsys):

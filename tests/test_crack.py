@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -19,6 +19,7 @@ from cracktip import (
     nodal_set,
     roundtrip_generate,
 )
+import cracktip.crack
 from cracktip.crack import _upper_eigenvalue
 from oracles import initial_angle_exact, stable_residuals_sq
 
@@ -347,6 +348,71 @@ def test_nonlinear_single_slope_any_n():
     assert report.decay_exponent == 1
 
 
+def test_tolerance_and_exponent_checked():
+    spec = CrackSpec((-3.0, 0.1, 3.0))
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            check_linear(spec, l_max=3, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            check_nonlinear(spec, 0.01, l_max=3, tol=tol)
+    for n in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="n must be"):
+            check_nonlinear(spec, n, l_max=3)
+    with pytest.raises(NoRealEigenvalueError):
+        check_nonlinear(spec, math.inf, l_max=3)
+
+
+@pytest.mark.parametrize("alpha1, solves", [(-1.0, 1), (0.0, 1), (0.7, 2)])
+def test_nonlinear_solves_per_index(alpha1, solves, monkeypatch):
+    # one trajectory through the first slope; a backward solve only when
+    # z = 0 lies left of it
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return trajectory(*args, **kwargs)
+
+    trajectory = cracktip.crack._trajectory
+    monkeypatch.setattr(cracktip.crack, "_trajectory", counting)
+    report = check_nonlinear(CrackSpec((alpha1, alpha1 + 1.5)), 0.01, l_max=4, tol=0.05)
+    assert len(calls) == solves * (3 - len(report.notes))
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha1=st.floats(-5.0, 5.0), n=st.floats(0.0, 0.05))
+@example(alpha1=-1e6, n=0.01)
+@example(alpha1=1e6, n=0.01)
+def test_nonlinear_single_slope_is_an_exact_zero(alpha1, n):
+    report = check_nonlinear(CrackSpec((alpha1,)), n, l_max=3)
+    assert [mm.l for mm in report.matches] == [1, 2, 3]
+    for mm in report.matches:
+        assert mm.max_residual == 0.0
+        assert mm.zeros[0] == alpha1 and mm.zero_indices == (0,)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    l=st.integers(min_value=2, max_value=5),
+    u=st.floats(min_value=0.05, max_value=0.95),
+    data=st.data(),
+)
+def test_nonlinear_at_n_zero_matches_linear_on_lattices(l, u, data):
+    # m consecutive points of the index-l lattice, one of them moved short
+    # of the next point, or none
+    m = data.draw(st.integers(min_value=2, max_value=l))
+    k0 = data.draw(st.integers(min_value=0, max_value=l - m))
+    ks = [k + u for k in range(k0, k0 + m)]
+    if data.draw(st.booleans()):
+        ks[data.draw(st.integers(min_value=0, max_value=m - 2))] += data.draw(
+            st.floats(min_value=0.1, max_value=0.9)
+        )
+    spec = CrackSpec(tuple(sorted(_cot(k * math.pi / l) for k in ks)))
+    report = check_nonlinear(spec, 0.0, l_max=6)
+    assert [mm.l for mm in report.matches] == [mm.l for mm in check_linear(spec, l_max=6).matches]
+    for mm in report.matches:
+        assert mm.zeros[0] == spec.alphas[0] and mm.zero_indices[0] == 0
+
+
 def _scalar_alpha1_value(lam, n, theta, alpha1):
     """Psi(alpha1) of one trajectory from (cos theta, sin theta), solved alone."""
     sol = solve_ivp(
@@ -361,8 +427,8 @@ def _scalar_alpha1_value(lam, n, theta, alpha1):
 
 @pytest.mark.parametrize("alphas", [(0.0,), (0.0, math.sqrt(3.0))])
 def test_nonlinear_at_n_zero_matches_linear_with_slope_zero(alphas):
-    # at alpha1 = 0 the backward shot has zero length: Psi(0) = 0 gives the
-    # angle -pi/2 without integrating
+    # at alpha1 = 0 the trajectory starts at z = 0 with Psi(0) = 0, which
+    # gives the ratio (0, -1) without a backward solve
     spec = CrackSpec(alphas=alphas)
     linear = check_linear(spec, l_max=3)
     assert linear.decay_exponent is not None
@@ -377,7 +443,7 @@ def test_nonlinear_at_n_zero_matches_linear_with_slope_zero(alphas):
         ((0.4,), 0.3, dict(l_max=1, tol=1e-6)),
     ],
 )
-def test_batched_scan_matches_per_angle_scan(alphas, n, kwargs):
+def test_ratio_is_a_root_of_the_per_angle_scan(alphas, n, kwargs):
     spec = CrackSpec(alphas=alphas)
     report = check_nonlinear(spec, n, **kwargs)
     thetas = np.linspace(-math.pi / 2, math.pi / 2, 61)

@@ -161,8 +161,15 @@ def test_growth_exponent_integer_window_near_zero():
 def test_preconditions():
     with pytest.raises(ValueError):
         shoot(0, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        shoot(2, -0.5, -2.0)
+    for n, lam in ((-0.5, -2.0), (math.nan, -2.0), (math.inf, -2.0), (0.0, math.nan),
+                   (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            shoot(2, n, lam)
+        with pytest.raises(ValueError):
+            two_sided_profile(n, lam, (1.0, 0.0), 5.0)
+    for ttol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="transversality_tol"):
+            shoot(2, 0.0, -2.0, transversality_tol=ttol)
     for z_max in (0.0, -5.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="z_max"):
             shoot(2, 0.0, -2.0, z_max=z_max)
