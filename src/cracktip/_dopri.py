@@ -1,0 +1,216 @@
+"""Dormand-Prince 5(4) integration of a two-component ODE on Python floats.
+
+``integrate`` takes the steps of scipy's RK45 integrator (the same tableau,
+initial-step rule, error norm and step controller), so it reproduces that
+integrator's solutions to rounding without importing scipy.  The tip ODE
+in ``shooting`` is its only caller, which loads this module on first use.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_left
+
+import numpy as np
+
+from .errors import NumericsError
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Sec. II.4): stage nodes and
+# weights, the 5th-order weights, the error weights over the six stages and
+# f at the new point, and Shampine's quartic dense output over the same seven.
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+_EPS = 2.220446049250313e-16
+
+
+def _rms(u: float, v: float) -> float:
+    return math.sqrt(u * u + v * v) / 1.4142135623730951
+
+
+def _dense_coeffs(k0, k1):
+    """Coefficients of x, ..., x^4 in each component's interpolant, from the
+    seven stage derivatives of one step (floats) or of every step (arrays)."""
+    return tuple(tuple(sum(k * p[j] for k, p in zip(ks, _P)) for j in range(4)) for ks in (k0, k1))
+
+
+def _interpolate(z, z0, h, psi, dpsi, q):
+    """(Psi, Psi') at z on the interpolant of the step from (z0, psi, dpsi)
+    by h; on floats or on arrays alike."""
+    x = (z - z0) / h
+    a, b = q
+    return (psi + h * (x * (a[0] + x * (a[1] + x * (a[2] + x * a[3])))),
+            dpsi + h * (x * (b[0] + x * (b[1] + x * (b[2] + x * b[3])))))
+
+
+def _step_zero(z0, z1, psi0, q):
+    """The zero of Psi's interpolant on the step from z0 to z1, whose end
+    states change sign or vanish: Newton's method held inside the sign-change
+    bracket (bisecting where it leaves it), to 4 eps (1 + |z|)."""
+    h, a = z1 - z0, q[0]
+
+    def value(z):
+        return _interpolate(z, z0, h, psi0, 0.0, q)[0]
+
+    lo, hi, f_lo, f_hi = z0, z1, psi0, value(z1)
+    if f_lo == 0.0:
+        return z0
+    if f_hi == 0.0 or (f_hi > 0.0) == (f_lo > 0.0):
+        # the end state vanishes or changes sign; the interpolant's rounding
+        # at z1 can hide that
+        return z1
+    z = z0 - f_lo * h / (f_hi - f_lo)
+    for _ in range(100):
+        v = value(z)
+        if v == 0.0:
+            return z
+        if (v > 0.0) == (f_lo > 0.0):
+            lo = z
+        else:
+            hi = z
+        x = (z - z0) / h
+        slope = a[0] + x * (2.0 * a[1] + x * (3.0 * a[2] + x * 4.0 * a[3]))
+        nxt = z - v / slope if slope != 0.0 else lo
+        if not min(lo, hi) < nxt < max(lo, hi):
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - z) <= 4.0 * _EPS * (1.0 + abs(nxt)):
+            return nxt
+        z = nxt
+    return z
+
+
+class Trajectory:
+    """One solution from ``integrate``, in the state (Psi, Psi').
+
+    ``zeros`` are the Psi = 0 crossings in the order met, ``end`` is
+    (Psi, Psi') at the end of the span, ``nfev`` counts right-hand-side
+    calls and ``steps`` the accepted steps; ``sol`` is the dense output.
+    """
+
+    def __init__(self, zs, states, stages, zeros, nfev):
+        self.zeros, self.end, self.nfev, self.steps = zeros, states[-1], nfev, len(stages)
+        self._zs, self._states, self._stages = zs, states, stages
+        self._sign = 1.0 if zs[-1] > zs[0] else -1.0
+        self._keys = [self._sign * z for z in zs]  # ascending
+        self._table = None
+
+    def sol(self, z):
+        """(Psi, Psi') at z on the interpolant of the step holding it (at a
+        step end the earlier step; past the span the end step, extrapolated):
+        two floats for a scalar, a (2, len(z)) array for an array."""
+        last = len(self._stages) - 1
+        if np.ndim(z) == 0:
+            z = float(z)
+            i = min(max(bisect_left(self._keys, self._sign * z) - 1, 0), last)
+            z0, z1 = self._zs[i], self._zs[i + 1]
+            return _interpolate(z, z0, z1 - z0, *self._states[i], _dense_coeffs(*self._stages[i]))
+        if self._table is None:
+            zs = np.array(self._zs)
+            y = np.array(self._states[:-1]).T
+            q = _dense_coeffs(*np.array(self._stages).transpose(1, 2, 0))
+            self._table = (np.array(self._keys), zs[:-1], np.diff(zs), y[0], y[1], q)
+        keys, z0, h, psi, dpsi, q = self._table
+        zz = np.asarray(z, dtype=float)
+        i = np.clip(np.searchsorted(keys, self._sign * zz) - 1, 0, last)
+        q = tuple(tuple(c[i] for c in comp) for comp in q)
+        return np.array(_interpolate(zz, z0[i], h[i], psi[i], dpsi[i], q))
+
+
+def integrate(f, z0, y0, z_end, rtol, atol) -> Trajectory:
+    """Solution of (Psi, Psi')' = f(z, Psi, Psi') through y0 at z0, carried
+    to z_end on either side of z0 by the Dormand-Prince 5(4) pair.
+
+    The initial step follows Hairer, Norsett & Wanner (Sec. II.4); a step is
+    accepted when the RMS norm of the error estimate over the scale
+    atol + max(|y|, |y_new|) rtol is below 1, and the next step is the last
+    one times 0.9 err^(-1/5), kept in [0.2, 10] (at most 1 after a
+    rejection).  The Psi = 0 crossings are taken where the end values of a
+    step change sign or vanish, and located on its quartic interpolant.  A
+    step below 10 ulps of z or a non-finite state raises NumericsError;
+    errors raised by f pass through.
+    """
+    z, z_end = float(z0), float(z_end)
+    sign = 1.0 if z_end > z else -1.0
+    psi, dpsi = float(y0[0]), float(y0[1])
+    fp, fd = f(z, psi, dpsi)
+    # initial step (Hairer, Norsett & Wanner, Sec. II.4)
+    span = abs(z_end - z)
+    s0, s1 = atol + abs(psi) * rtol, atol + abs(dpsi) * rtol
+    d0, d1 = _rms(psi / s0, dpsi / s1), _rms(fp / s0, fd / s1)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    gp, gd = f(z + h0 * sign, psi + h0 * sign * fp, dpsi + h0 * sign * fd)
+    d2 = _rms((gp - fp) / s0, (gd - fd) / s1) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, span)
+
+    nfev = 2
+    zs, states, stages, zeros = [z], [(psi, dpsi)], [], []
+    while sign * (z - z_end) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(z, sign * math.inf) - z)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NumericsError(f"step size fell below {min_step!r} at z={z!r}")
+            z_new = z + h_abs * sign
+            if sign * (z_new - z_end) > 0.0:
+                z_new = z_end
+            h = z_new - z
+            h_abs = abs(h)
+            k0, k1 = [fp], [fd]
+            for c, a in zip(_C, _A):
+                u = v = 0.0
+                for w, kp, kd in zip(a, k0, k1):
+                    u += w * kp
+                    v += w * kd
+                kp, kd = f(z + c * h, psi + u * h, dpsi + v * h)
+                k0.append(kp)
+                k1.append(kd)
+            u = v = 0.0
+            for w, kp, kd in zip(_B, k0, k1):
+                u += w * kp
+                v += w * kd
+            psi_new, dpsi_new = psi + h * u, dpsi + h * v
+            fp_new, fd_new = f(z_new, psi_new, dpsi_new)
+            nfev += 6
+            if not (math.isfinite(psi_new) and math.isfinite(dpsi_new) and math.isfinite(fd_new)):
+                raise NumericsError(f"non-finite state at z={z_new!r}")
+            k0.append(fp_new)
+            k1.append(fd_new)
+            u = v = 0.0
+            for w, kp, kd in zip(_E, k0, k1):
+                u += w * kp
+                v += w * kd
+            err = _rms(u * h / (atol + max(abs(psi), abs(psi_new)) * rtol),
+                       v * h / (atol + max(abs(dpsi), abs(dpsi_new)) * rtol))
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        stages.append((tuple(k0), tuple(k1)))
+        if psi <= 0.0 <= psi_new or psi >= 0.0 >= psi_new:
+            zeros.append(_step_zero(z, z_new, psi, _dense_coeffs(k0, k1)))
+        z, psi, dpsi, fp, fd = z_new, psi_new, dpsi_new, fp_new, fd_new
+        zs.append(z)
+        states.append((psi, dpsi))
+    return Trajectory(zs, states, stages, zeros, nfev)
+
+

@@ -374,14 +374,23 @@ def _provenance(args: argparse.Namespace) -> Dict[str, object]:
     }
 
 
+def _is_value(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return "," in tok
+    return True
+
+
 def _join_list_values(argv: Sequence[str]) -> list:
-    """Fuse ``--alphas -1,1`` into ``--alphas=-1,1``: argparse takes a token
-    that begins with a minus sign for a flag unless it is a plain number,
-    and no flag contains a comma."""
+    """Fuse ``--alphas -1,1`` into ``--alphas=-1,1`` and ``--lambda -1e6``
+    into ``--lambda=-1e6``: argparse takes a token that begins with a minus
+    sign for a flag unless it is a plain number without an exponent, and no
+    flag contains a comma or reads as a number."""
     out: list = []
     for tok in argv:
         flag = out[-1] if out else ""
-        if flag.startswith("--") and "=" not in flag and tok.startswith("-") and "," in tok:
+        if flag.startswith("--") and "=" not in flag and tok.startswith("-") and _is_value(tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)

@@ -232,16 +232,16 @@ def check_nonlinear(
         if a1 <= 0.0:
             psi0, dpsi0 = prof.sol(0.0)
         else:
-            psi0, dpsi0 = _trajectory(lam, n, a1, (0.0, s), 0.0, 1e-11, 1e-12).y[:, -1]
+            psi0, dpsi0 = _trajectory(lam, n, a1, (0.0, s), 0.0, 1e-11, 1e-12).end
         # unit length with Psi(0) >= 0, and Psi'(0) = -1 where Psi(0) = 0
         norm = math.copysign(math.hypot(psi0, dpsi0), psi0 if psi0 != 0.0 else -dpsi0)
-        ratio = (float(psi0 / norm) + 0.0, float(dpsi0 / norm))
-        at = [prof.sol(a) / abs(norm) for a in spec.alphas]
-        scale = max(1.0, max(float(abs(p) + abs(a * d)) for a, (p, d) in zip(spec.alphas, at)))
-        worst = max(float(abs(p)) for p, _ in at) / scale
+        ratio = (psi0 / norm + 0.0, dpsi0 / norm)
+        at = [(p / abs(norm), d / abs(norm)) for p, d in map(prof.sol, spec.alphas)]
+        scale = max(1.0, max(abs(p) + abs(a * d) for a, (p, d) in zip(spec.alphas, at)))
+        worst = max(abs(p) for p, _ in at) / scale
         if worst > tol:
             continue
-        zeros = sorted({a1}.union(float(t) for t in prof.t_events[0]))
+        zeros = sorted({a1}.union(prof.zeros))
         idx = _match_alphas_to_zeros(
             spec.alphas, zeros, consecutive, dist_tol=max(1e-6, 10.0 * tol)
         )

@@ -2,15 +2,17 @@
 
 The equation is affine in the second derivative, so it is integrated as an
 explicit first-order system after solving for Psi'', by ``_trajectory``
-from a state at any z0.  ``shoot`` starts at z = 0 with the parity of the
+from a state at any z0, with the Dormand-Prince 5(4) stepper of ``_dopri``
+on Python floats.  ``shoot`` starts at z = 0 with the parity of the
 index (even l: Psi(0)=1, Psi'(0)=0; odd l: Psi(0)=0, Psi'(0)=1); the
 amplitude scales out exactly because the equation is 1-homogeneous.  The
 negative half-line is obtained by parity mirroring, which avoids any drift
 through the symmetry point.
 
-Zeros are located by the integrator's event machinery on dense output and
-annotated with transversality data; the growth exponent is a least-squares
-log-log fit over the outer decade of the window.
+Zeros are the sign changes of Psi over a step, located on that step's
+quartic interpolant and annotated with transversality data; the growth
+exponent is a least-squares log-log fit over the outer decade of the
+window.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import NumericsError, QuasilinearDegeneracyError
+from .errors import QuasilinearDegeneracyError
 from .pencil import NodalSet
 
 DEFAULT_Z_MAX = 100.0
@@ -113,28 +115,25 @@ def _trajectory(
     atol: float,
     near_events: Optional[List[float]] = None,
 ):
-    """RK45 solution of the tip ODE through (Psi, Psi')(z0) = y0, integrated
-    to z_end on either side of z0, with dense output and the Psi = 0 events
-    in ``t_events[0]``.  Each z whose coefficient falls below
-    SOFT_COEFF_TOL * (1 + z^2) is appended to ``near_events`` when that is
-    given.  The one place the ODE is integrated.
+    """Solution of the tip ODE through (Psi, Psi')(z0) = y0, integrated to
+    z_end on either side of z0 by ``_dopri.integrate``, with the Psi = 0
+    crossings in ``zeros``, the end state in ``end`` and the dense ``sol``.
+    Each z whose coefficient falls below SOFT_COEFF_TOL * (1 + z^2) is
+    appended to ``near_events`` when that is given.  The one place the ODE
+    is integrated.
     """
     lam, n = float(lam), float(n)
     if not (0.0 <= n < math.inf and math.isfinite(lam)):
         raise ValueError(f"n must be finite and >= 0 and lambda finite, got {n}, {lam}")
-    from scipy.integrate import solve_ivp
+    from ._dopri import integrate  # loaded on first use: import cracktip skips it
 
-    def f(z, y):
-        d2, coeff = tip_second_derivative(float(z), float(y[0]), float(y[1]), lam, n)
+    def f(z, psi, dpsi):
+        d2, coeff = tip_second_derivative(z, psi, dpsi, lam, n)
         if near_events is not None and abs(coeff) < SOFT_COEFF_TOL * (1.0 + z * z):
-            near_events.append(float(z))
-        return (y[1], d2)
+            near_events.append(z)
+        return dpsi, d2
 
-    sol = solve_ivp(f, (z0, z_end), list(y0), method="RK45", rtol=rtol, atol=atol,
-                    dense_output=True, events=[lambda z, y: y[0]])
-    if not sol.success:
-        raise NumericsError(f"integration failed: {sol.message}")
-    return sol
+    return integrate(f, z0, y0, z_end, rtol, atol)
 
 
 def shoot(
@@ -163,11 +162,11 @@ def shoot(
     even = l % 2 == 0
     ic = (1.0, 0.0) if even else (0.0, 1.0)
     near: List[float] = []
-    sol = _trajectory(lam, n, 0.0, ic, z_max, rtol, atol, near_events=near)
+    traj = _trajectory(lam, n, 0.0, ic, z_max, rtol, atol, near_events=near)
     degeneracies = tuple(sorted(set(near)))
 
     zs = np.linspace(0.0, z_max, num_samples)
-    vals = sol.sol(zs)
+    vals = traj.sol(zs)
     psi_half, dpsi_half = vals[0], vals[1]
 
     # parity mirror onto the negative half-line
@@ -176,9 +175,9 @@ def shoot(
     psi_full = np.concatenate([sign_psi * psi_half[:0:-1], psi_half])
     dpsi_full = np.concatenate([sign_dpsi * dpsi_half[:0:-1], dpsi_half])
 
-    pos_zeros = [float(t) for t in sol.t_events[0] if t > 1e-13]
+    pos_zeros = [t for t in traj.zeros if t > 1e-13]
     zeros = sorted({-t for t in pos_zeros} | set(pos_zeros) | ({0.0} if not even else set()))
-    dmags = [abs(float(sol.sol(abs(t))[1])) for t in zeros]
+    dmags = [abs(traj.sol(abs(t))[1]) for t in zeros]
     window = max(1.0, (abs(zeros[-1]) + 1.0) if zeros else 1.0)
     local = np.abs(psi_half[zs <= window])
     scale = float(local.max()) if local.size else float(np.abs(psi_half).max())
@@ -205,7 +204,7 @@ def shoot(
         growth_exponent=growth,
         degeneracy_events=degeneracies,
         scale=abs(amp) * scale,
-        _dense=sol.sol,
+        _dense=traj.sol,
         _amplitude=amp,
     )
 
@@ -222,17 +221,13 @@ class Profile:
     _neg: object
 
     def psi(self, z: float) -> float:
-        s = self._pos if z >= 0.0 else self._neg
-        return float(s.sol(z)[0])
+        return (self._pos if z >= 0.0 else self._neg).sol(z)[0]
 
     def dpsi(self, z: float) -> float:
-        s = self._pos if z >= 0.0 else self._neg
-        return float(s.sol(z)[1])
+        return (self._pos if z >= 0.0 else self._neg).sol(z)[1]
 
     def zeros(self) -> List[float]:
-        out = [float(t) for t in self._pos.t_events[0]]
-        out += [float(t) for t in self._neg.t_events[0]]
-        return sorted(set(out))
+        return sorted(set(self._pos.zeros + self._neg.zeros))
 
 
 def two_sided_profile(

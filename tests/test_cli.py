@@ -162,6 +162,23 @@ def test_shoot_transversality_flag(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "head,flag,value,tail",
+    [
+        (["crack"], "--alphas", "-1e6", []),
+        (["crack"], "--alphas", "-2.5E-1", ["--n", "0.01", "--l-max", "2"]),
+        (["shoot", "--l", "2", "--n", "0"], "--lambda", "-1e6", ["--z-max", "1e-5"]),
+    ],
+)
+def test_negative_exponent_values_parse_as_with_equals(head, flag, value, tail, capsys):
+    # argparse reads -1e6 as a flag; a value that parses as a float is
+    # fused onto the option before it, as a comma-separated list is
+    spaced = run_capture([*head, flag, value, *tail, "--format", "json"], capsys)
+    joined = run_capture([*head, f"{flag}={value}", *tail, "--format", "json"], capsys)
+    assert spaced == joined
+    assert spaced[0] == EXIT_OK
+
+
 def test_mu_degenerate_quadrature_is_numerical_failure(capsys):
     # the degree-one seed annihilates the slope coefficient identically
     code, _, err = run_capture(["mu", "--l", "1", "--family", "first", "--method", "quad"], capsys)
@@ -384,11 +401,10 @@ def test_figure_ids_validated():
 
 
 def test_scipy_loads_on_first_use():
-    # fold, the linear crack check and mu need no scipy, so neither the
-    # import nor these commands load it; the nonlinear check integrates, and no
-    # cracktip module asks for scipy.optimize (scipy.integrate itself loads it)
+    # only solve_correction uses scipy: neither the import nor these
+    # commands, the shot and the nonlinear crack check included, load it
     code = (
-        "import builtins, sys, cracktip, cracktip.cli\n"
+        "import sys, cracktip, cracktip.cli\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded(), loaded()\n"
         "assert cracktip.cli.run(['fold', '--l', '3']) == 0\n"
@@ -397,16 +413,11 @@ def test_scipy_loads_on_first_use():
         "assert not loaded(), loaded()\n"
         "assert cracktip.cli.run(['mu', '--l', '3', '--family', 'second']) == 0\n"
         "assert not loaded(), loaded()\n"
-        "asked, real_import = [], builtins.__import__\n"
-        "def spy(name, globals=None, locals=None, fromlist=(), level=0):\n"
-        "    if (globals or {}).get('__name__', '').startswith('cracktip'):\n"
-        "        asked.extend(f'{name}.{x}' for x in fromlist or ('',))\n"
-        "    return real_import(name, globals, locals, fromlist, level)\n"
-        "builtins.__import__ = spy\n"
         "args = ['crack', '--alphas', '-1,1', '--n', '0.05', '--l-max', '2', '--tol', '0.3']\n"
         "assert cracktip.cli.run(args) == 0\n"
-        "assert 'scipy.integrate' in sys.modules\n"
-        "assert not [a for a in asked if a.startswith('scipy.optimize')], asked\n"
+        "assert not loaded(), loaded()\n"
+        "assert cracktip.cli.run(['shoot', '--l', '3', '--n', '0.01', '--lambda', '-3']) == 0\n"
+        "assert not loaded(), loaded()\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
+import cracktip.shooting
 from cracktip import (
     Family,
+    NumericsError,
     QuasilinearDegeneracyError,
     arctan_example,
     arctan_ode_residual,
@@ -14,7 +19,7 @@ from cracktip import (
     shoot,
     two_sided_profile,
 )
-from cracktip.shooting import ARCTAN_EXAMPLE_ADMISSIBLE
+from cracktip.shooting import ARCTAN_EXAMPLE_ADMISSIBLE, _trajectory
 
 
 def test_reduction_at_n_zero():
@@ -177,3 +182,62 @@ def test_preconditions():
             two_sided_profile(0.0, -2.0, (1.0, 0.0), z_max)
     with pytest.raises(ValueError):
         closed_form_lambda0_derivative(-1.0, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    l=st.integers(min_value=1, max_value=6),
+    shift=st.floats(min_value=0.0, max_value=0.5),
+    n=st.floats(min_value=0.0, max_value=0.05),
+    theta=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    z0=st.floats(min_value=-5.0, max_value=5.0),
+    span=st.floats(min_value=0.5, max_value=30.0),
+    backward=st.booleans(),
+    on_zero=st.booleans(),
+    tols=st.sampled_from([(1e-10, 1e-10), (1e-11, 1e-12)]),
+)
+def test_trajectory_matches_solve_ivp(l, shift, n, theta, z0, span, backward, on_zero, tols):
+    # the in-module Dormand-Prince stepper against scipy's RK45 with the
+    # same kernel and tolerances: same steps, so agreement to rounding; a
+    # start on Psi = 0 is a zero of both
+    lam = -l - shift
+    y0 = (0.0, math.copysign(1.0, math.sin(theta))) if on_zero else (math.cos(theta), math.sin(theta))
+    z_end = z0 - span if backward else z0 + span
+    ref = solve_ivp(
+        lambda z, y: (y[1], isolate_second_derivative(z, y[0], y[1], lam, n)),
+        (z0, z_end), list(y0), method="RK45", rtol=tols[0], atol=tols[1],
+        dense_output=True, events=[lambda z, y: y[0]],
+    )
+    got = _trajectory(lam, n, z0, y0, z_end, *tols)
+    zs = np.linspace(z0, z_end, 101)
+    want, have = ref.sol(zs), got.sol(zs)
+    for c in range(2):
+        assert np.max(np.abs(have[c] - want[c])) <= 1e-9 * np.max(np.abs(want[c]))
+    for k in (0, 37, 100):
+        assert got.sol(zs[k]) == tuple(have[:, k])
+    assert len(got.zeros) == len(ref.t_events[0])
+    assert np.allclose(got.zeros, ref.t_events[0], rtol=0.0, atol=1e-10)
+    end = ref.y[:, -1]
+    assert np.max(np.abs(np.array(got.end) - end)) <= 1e-9 * np.max(np.abs(end))
+    assert abs(got.nfev - ref.nfev) <= 0.05 * ref.nfev
+    assert got.steps == ref.t.size - 1
+
+
+def test_trajectory_failures_raise(monkeypatch):
+    # a degenerate state: den = Psi'^2 + (lam Psi + z Psi')^2 = 0
+    with pytest.raises(QuasilinearDegeneracyError):
+        _trajectory(-2.0, 0.1, 0.0, (0.0, 0.0), 5.0, 1e-10, 1e-10)
+    with pytest.raises(QuasilinearDegeneracyError):
+        _trajectory(0.0, 0.1, 1.0, (1.0, 0.0), -5.0, 1e-10, 1e-10)
+    # a tolerance below rounding drives the step to 10 ulps of z
+    with pytest.raises(NumericsError, match="step size"):
+        _trajectory(-2.0, 0.0, 1.0, (1.0, 0.5), 2.0, 0.0, 1e-150)
+    # Psi' = 1 / (1 - z) blows up at z = 1
+    monkeypatch.setattr(cracktip.shooting, "tip_second_derivative",
+                        lambda z, psi, dpsi, lam, n: (dpsi * dpsi, 1.0))
+    with pytest.raises(NumericsError, match="step size"):
+        _trajectory(-2.0, 0.0, 0.0, (0.0, 1.0), 2.0, 1e-10, 1e-10)
+    monkeypatch.setattr(cracktip.shooting, "tip_second_derivative",
+                        lambda z, psi, dpsi, lam, n: (math.nan if z > 1.0 else 0.0, 1.0))
+    with pytest.raises(NumericsError, match="non-finite"):
+        _trajectory(-2.0, 0.0, 0.0, (0.0, 1.0), 2.0, 1e-10, 1e-10)
