@@ -9,9 +9,8 @@ in ``shooting`` is its only caller, which loads this module on first use.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
-
-import numpy as np
 
 from .errors import NumericsError
 
@@ -115,11 +114,12 @@ class Trajectory:
         step end the earlier step; past the span the end step, extrapolated):
         two floats for a scalar, a (2, len(z)) array for an array."""
         last = len(self._stages) - 1
-        if np.ndim(z) == 0:
+        if isinstance(z, numbers.Real) or getattr(z, "ndim", None) == 0:
             z = float(z)
             i = min(max(bisect_left(self._keys, self._sign * z) - 1, 0), last)
             z0, z1 = self._zs[i], self._zs[i + 1]
             return _interpolate(z, z0, z1 - z0, *self._states[i], _dense_coeffs(*self._stages[i]))
+        import numpy as np
         if self._table is None:
             zs = np.array(self._zs)
             y = np.array(self._states[:-1]).T

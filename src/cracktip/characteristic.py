@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from .errors import RootFindingError
 
@@ -43,10 +41,25 @@ def _integer_parts(l: int) -> Tuple[List[int], List[int]]:
     return A, B
 
 
-def affine_parts(l: int) -> Tuple[np.ndarray, np.ndarray]:
+def affine_parts(l: int):
     """Integer-valued float arrays A, B (descending powers) with Phi = A + n*B."""
+    import numpy as np
     A, B = _integer_parts(l)
     return np.array(A, dtype=float), np.array(B, dtype=float)
+
+
+def _polyval(coeffs: Sequence[float], x: float) -> float:
+    """Horner's rule over descending coefficients, in np.polyval's order."""
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
+def _polyder(coeffs: Sequence[float]) -> List[float]:
+    """Derivative of descending coefficients, formed as np.polyder does."""
+    m = len(coeffs) - 1
+    return [c * (m - i) for i, c in enumerate(coeffs[:-1])]
 
 
 @dataclass(frozen=True)
@@ -65,10 +78,10 @@ class CharacteristicQuartic:
         return (self.a4, self.a3, self.a2, self.a1, self.a0)
 
     def __call__(self, lam: float) -> float:
-        return np.polyval(self.coeffs, lam)
+        return _polyval(self.coeffs, lam)
 
     def d_dlam(self, lam: float) -> float:
-        return np.polyval(np.polyder(np.asarray(self.coeffs)), lam)
+        return _polyval(_polyder(self.coeffs), lam)
 
 
 def build_quartic(l: int, n: float) -> CharacteristicQuartic:
@@ -76,8 +89,7 @@ def build_quartic(l: int, n: float) -> CharacteristicQuartic:
         raise ValueError("l must be >= 1")
     if n < 0.0:
         raise ValueError("n must be >= 0")
-    A, B = affine_parts(l)
-    a4, a3, a2, a1, a0 = (A + n * B).tolist()
+    a4, a3, a2, a1, a0 = (a + float(n) * b for a, b in zip(*_integer_parts(l)))
     return CharacteristicQuartic(l=l, n=float(n), a4=a4, a3=a3, a2=a2, a1=a1, a0=a0)
 
 
@@ -114,6 +126,7 @@ def real_roots(q: CharacteristicQuartic) -> List[float]:
     """All real roots, ascending, possibly none.  Past the fold the pair
     near the seeds is gone, but from l = 15 a far pair can appear (near
     -34.6 for l = 20 from n ~ 16.5), so the list need not be empty there."""
+    import numpy as np
     desc = np.asarray(q.coeffs, dtype=float)
     deriv = np.polyder(desc)
     out = []
@@ -149,10 +162,11 @@ class LimitQuartic:
     coeffs: Tuple[float, float, float, float, float]
 
     def __call__(self, lam: float) -> float:
-        return np.polyval(self.coeffs, lam)
+        return _polyval(self.coeffs, lam)
 
     def global_min(self) -> Tuple[float, float]:
         """(argmin, min) over the real line; finite because a4 > 0."""
+        import numpy as np
         crit = np.roots(np.polyder(np.asarray(self.coeffs)))
         best = (math.nan, math.inf)
         for r in crit:
@@ -176,5 +190,4 @@ def limit_polynomial(l: int) -> LimitQuartic:
         raise ValueError("l must be >= 1")
     if l == 2:
         return LimitQuartic(l=2, coeffs=_PUBLISHED_LIMIT_L2)
-    _, B = affine_parts(l)
-    return LimitQuartic(l=l, coeffs=tuple(B.tolist()))
+    return LimitQuartic(l=l, coeffs=tuple(float(b) for b in _integer_parts(l)[1]))

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import __version__
 from .characteristic import build_quartic, limit_polynomial
@@ -67,9 +66,9 @@ def _json_dump(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):
         f = float(obj)
         if math.isnan(f):
             return '"nan"'

@@ -22,9 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
-from .characteristic import _integer_parts
+from .characteristic import _integer_parts, _polyder, _polyval
 from .errors import NoFoldInBracketError, NoRealEigenvalueError, NumericsError
 
 
@@ -66,7 +64,7 @@ class Branch:
     reached_n_max: bool
 
 
-def _shifted_parts(l: int) -> Tuple[np.ndarray, np.ndarray]:
+def _shifted_parts(l: int) -> Tuple[List[int], List[int]]:
     """A(x), B(x) in x = Lam + l, descending powers, by an exact integer
     Taylor shift.  For l = 1 the common factor x is divided out."""
     parts = []
@@ -74,26 +72,26 @@ def _shifted_parts(l: int) -> Tuple[np.ndarray, np.ndarray]:
         for i in range(len(c) - 1):
             for j in range(1, len(c) - i):
                 c[j] -= l * c[j - 1]
-        parts.append(np.array(c[:-1] if l == 1 else c, dtype=float))
+        parts.append(c[:-1] if l == 1 else c)
     return parts[0], parts[1]
 
 
-def _root(p: np.ndarray, seed: float, other: float) -> float:
+def _root(p: List[float], seed: float, other: float) -> float:
     """The root of p between ``seed`` and ``other``, where p changes sign:
     Newton from ``seed``, bisecting whenever a step leaves the bracket."""
-    if np.polyval(p, seed) < 0.0:
-        p = -p
-    dp = np.polyder(p)
+    if _polyval(p, seed) < 0.0:
+        p = [-c for c in p]
+    dp = _polyder(p)
     pos, neg, x = seed, other, seed
     for _ in range(100):
-        fx = np.polyval(p, x)
+        fx = _polyval(p, x)
         if fx == 0.0:
             return float(x)
         if fx > 0.0:
             pos = x
         else:
             neg = x
-        d = np.polyval(dp, x)
+        d = _polyval(dp, x)
         step = fx / d if d != 0.0 else math.inf
         if abs(step) <= 2.0 ** -52 or abs(pos - neg) <= 2.0 ** -52:
             return float(x)
@@ -116,12 +114,12 @@ def _eigenvalue(meet: FoldPoint, family: BranchFamily, n: float) -> float:
         raise NoRealEigenvalueError(f"past fold (n >= {meet.n_star:.8g}), no real eigenvalue")
     A, B = _shifted_parts(l)
     seed = 0.0 if family is BranchFamily.UPPER else -1.0
-    x_star, p = meet.lambda_star + l, A + n * B
+    x_star, p = meet.lambda_star + l, [a + n * b for a, b in zip(A, B)]
     # below a fold A + n B = B(x*) (n - n*) < 0 at x*; so near the fold that
     # rounding loses that sign, and with it the bracket, take the local
     # expansion Phi'' (x - x*)^2 / 2 = B(x*) (n* - n), upper to the right
-    if meet.kind == "fold" and np.polyval(p, x_star) >= 0.0:
-        dx = math.sqrt(2.0 * np.polyval(B, x_star) * (meet.n_star - n) / meet.second_derivative)
+    if meet.kind == "fold" and _polyval(p, x_star) >= 0.0:
+        dx = math.sqrt(2.0 * _polyval(B, x_star) * (meet.n_star - n) / meet.second_derivative)
         return x_star + (dx if family is BranchFamily.UPPER else -dx) - l
     return _root(p, seed, x_star) - l
 
@@ -167,18 +165,17 @@ def continue_branch(
 def _fold_point(l: int, n: float, x: float, kind: str) -> FoldPoint:
     """The meeting point at exponent n and x = Lam + l, with Phi and its
     Lam-derivatives (d/dLam = d/dx) evaluated from the shifted parts."""
-    A, B = _shifted_parts(l)
-    phi = A + n * B
+    phi = [a + n * b for a, b in zip(*_shifted_parts(l))]
     if l == 1:
-        phi = np.append(phi, 0.0)  # restore the divided-out factor x
-    d1 = np.polyder(phi)
+        phi.append(0.0)  # restore the divided-out factor x
+    d1 = _polyder(phi)
     return FoldPoint(
         l=l,
         n_star=float(n),
         lambda_star=float(x - l),
-        residual_phi=float(abs(np.polyval(phi, x))),
-        residual_dphi=float(abs(np.polyval(d1, x))),
-        second_derivative=float(np.polyval(np.polyder(d1), x)),
+        residual_phi=float(abs(_polyval(phi, x))),
+        residual_dphi=float(abs(_polyval(d1, x))),
+        second_derivative=float(_polyval(_polyder(d1), x)),
         kind=kind,
     )
 
@@ -195,9 +192,13 @@ def find_fold(l: int, bracket: Optional[Tuple[float, float]] = None) -> FoldPoin
     if l == 1:
         raise NoFoldInBracketError("l = 1 has no fold: Lam = -1 is a root for every n")
     A, B = _shifted_parts(l)
-    W = np.polysub(np.polymul(np.polyder(A), B), np.polymul(A, np.polyder(B)))
-    x = _root(W, 0.0, -1.0)
-    n = -np.polyval(A, x) / np.polyval(B, x)
+    dA, dB = [0] + _polyder(A), [0] + _polyder(B)  # aligned with A and B
+    W = [0] * (2 * len(A) - 1)  # in exact integers, rounded once below
+    for i in range(len(A)):
+        for j in range(len(B)):
+            W[i + j] += dA[i] * B[j] - A[i] * dB[j]
+    x = _root([float(w) for w in W[1:]], 0.0, -1.0)
+    n = -_polyval(A, x) / _polyval(B, x)
     if bracket is not None and not bracket[0] < n <= bracket[1]:
         raise NoFoldInBracketError(f"fold n*={n!r} of l={l} is not inside bracket {bracket!r}")
     fold = _fold_point(l, n, x, "fold")

@@ -33,20 +33,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .characteristic import _integer_parts
 from .errors import GradientDegeneracyError, NumericsError
 from .pencil import Family, PencilEigenpair, build_eigenfunction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def phi1(psi, dpsi, lam, z):
     """First rational gradient coupling: g^2 / (psi'^2 + g^2), g = lam psi + z psi'."""
     g = lam * psi + z * dpsi
     den = dpsi * dpsi + g * g
-    if np.any(den == 0.0):
+    if (den == 0.0).any() if hasattr(den, "any") else den == 0.0:
         raise GradientDegeneracyError("gradient degeneracy: psi' and lam psi + z psi' both vanish")
     return g * g / den
 
@@ -55,21 +56,24 @@ def phi2(psi, dpsi, ddpsi, lam, z):
     """Second coupling: (psi'^2 psi'' + 2 psi' g (lam psi' + z psi'')) / (psi'^2 + g^2)."""
     g = lam * psi + z * dpsi
     den = dpsi * dpsi + g * g
-    if np.any(den == 0.0):
+    if (den == 0.0).any() if hasattr(den, "any") else den == 0.0:
         raise GradientDegeneracyError("gradient degeneracy: psi' and lam psi + z psi' both vanish")
     return (dpsi * dpsi * ddpsi + 2.0 * dpsi * g * (lam * dpsi + z * ddpsi)) / den
 
 
-def _source_terms(pair: PencilEigenpair, z):
-    """psi and the terms Phi2, (2 lam + 1) psi + z psi', Phi1 L psi of h at ``z``."""
-    lam = pair.lam
-    p = pair.poly
+def _source_terms(pair: PencilEigenpair):
+    """z -> (psi, Phi2, (2 lam + 1) psi + z psi', Phi1 L psi), the terms of h."""
+    lam, p = pair.lam, pair.poly
     d1 = p.derivative()
     d2 = d1.derivative()
-    psi, dpsi, ddpsi = p(z), d1(z), d2(z)
-    f1 = phi1(psi, dpsi, lam, z)
-    f2 = phi2(psi, dpsi, ddpsi, lam, z)
-    return psi, f2, (2.0 * lam + 1.0) * psi + z * dpsi, f1 * (-ddpsi)
+
+    def terms(z):
+        psi, dpsi, ddpsi = p(z), d1(z), d2(z)
+        f1 = phi1(psi, dpsi, lam, z)
+        f2 = phi2(psi, dpsi, ddpsi, lam, z)
+        return psi, f2, (2.0 * lam + 1.0) * psi + z * dpsi, f1 * (-ddpsi)
+
+    return terms
 
 
 def source_h(mu: float, pair: PencilEigenpair, z):
@@ -77,7 +81,7 @@ def source_h(mu: float, pair: PencilEigenpair, z):
 
     Affine in mu with slope -((2 lam + 1) psi + z psi'); uses L psi = -psi''.
     """
-    _, f2, m, f1_lpsi = _source_terms(pair, z)
+    _, f2, m, f1_lpsi = _source_terms(pair)(z)
     return -(f2 + mu * m + f1_lpsi)
 
 
@@ -127,19 +131,23 @@ def mu_via_quadrature(l: int, family: Family) -> Tuple[float, QuadratureDiagnost
     or a non-finite sum (overflow from l = 44 on) raises NumericsError.
     """
     pair = build_eigenfunction(l, family)
+    terms = _source_terms(pair)
     windows, mus = [], []
     for num_nodes in (4 * (l + 2), 8 * (l + 2)):
-        theta = (np.arange(num_nodes) + 0.5) * (np.pi / num_nodes)
-        z = 1.0 / np.tan(theta)
-        with np.errstate(over="ignore", invalid="ignore"):
-            psi, f2, m, f1_lpsi = _source_terms(pair, z)
-            weighted = (1.0 + z * z) ** pair.lam * psi / np.sin(theta) ** 2
-            i_rest, i_mu = float(np.dot(weighted, f2 + f1_lpsi)), float(np.dot(weighted, m))
+        rest, coef = [], []
+        for k in range(num_nodes):
+            theta = (k + 0.5) * (math.pi / num_nodes)
+            z = 1.0 / math.tan(theta)
+            psi, f2, m, f1_lpsi = terms(z)
+            weighted = (1.0 + z * z) ** pair.lam * psi / math.sin(theta) ** 2
+            rest.append(weighted * (f2 + f1_lpsi))
+            coef.append(weighted * m)
+        if not all(map(math.isfinite, rest + coef)):
+            raise NumericsError(f"orthogonality sums for l={l} are not finite at {num_nodes} nodes")
+        i_rest, i_mu = math.fsum(rest), math.fsum(coef)
         if i_mu == 0.0:
             raise NumericsError("orthogonality degenerate: the mu-coefficient integral vanishes")
-        if not (math.isfinite(i_rest) and math.isfinite(i_mu)):
-            raise NumericsError(f"orthogonality sums for l={l} are not finite at {num_nodes} nodes")
-        windows.append(float(z[0]))
+        windows.append(1.0 / math.tan(0.5 * (math.pi / num_nodes)))
         mus.append(-i_rest / i_mu)
     divergent = family is Family.FIRST
     mu = math.nan if divergent else mus[1]
@@ -216,6 +224,7 @@ def solve_correction(
     well conditioned.  A large resonance amplitude means the supplied mu
     does not satisfy the solvability condition.
     """
+    import numpy as np
     import scipy.sparse.linalg
 
     if num_points < 9:

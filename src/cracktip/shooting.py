@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .errors import QuasilinearDegeneracyError
 from .pencil import NodalSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_Z_MAX = 100.0
 DEFAULT_RTOL = 1e-10
@@ -45,9 +46,21 @@ def tip_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: floa
     linear pencil form  Psi'' = -P0 / (1 + z^2).
 
     On Python floats.  The right-hand side is homogeneous of degree 1 in
-    (psi, psi').  A vanishing den or a coefficient below
+    (psi, psi') and the coefficient of degree 0, so where products such as
+    z psi' g overflow first, a finite state is scaled once by an exact
+    power of two and Psi'' back.  A vanishing den or a coefficient below
     COEFF_TOL * (1 + z^2) raises.
     """
+    d2, coeff = _tip_terms(z, psi, dpsi, lam, n)
+    if not math.isfinite(d2) and math.isfinite(psi) and math.isfinite(dpsi):
+        e = math.frexp(max(abs(psi), abs(dpsi)))[1]
+        d2, coeff = _tip_terms(z, math.ldexp(psi, -e), math.ldexp(dpsi, -e), lam, n)
+        d2 = math.ldexp(d2, e)
+    return d2, coeff
+
+
+def _tip_terms(z: float, psi: float, dpsi: float, lam: float, n: float):
+    """``tip_second_derivative`` at one state, without the scaling."""
     g = lam * psi + z * dpsi
     den = dpsi * dpsi + g * g
     if den == 0.0:
@@ -82,8 +95,12 @@ class ShootingSolution:
     _amplitude: float = 1.0
 
     def evaluate(self, z):
-        """Dense (psi, psi') at arbitrary z, parity-mirrored; no resampling."""
+        """Dense (psi, psi') at any z with |z| <= z_max, parity-mirrored; no
+        resampling.  Past the integrated span it raises ValueError."""
+        import numpy as np
         zz = np.atleast_1d(np.asarray(z, dtype=float))
+        if not np.all(np.abs(zz) <= self.z[-1]):
+            raise ValueError(f"z past the integrated span |z| <= {float(self.z[-1])!r}")
         vals = self._dense(np.abs(zz))
         psi, dpsi = vals[0].copy(), vals[1].copy()
         neg = zz < 0.0
@@ -153,6 +170,7 @@ def shoot(
     rescales the result exactly (1-homogeneity), so the normalized problem
     is solved once.  Fitted growth uses z in [z_max/10, z_max].
     """
+    import numpy as np
     if l < 1:
         raise ValueError("l must be >= 1")
     if not 0.0 < z_max < math.inf:
@@ -220,11 +238,16 @@ class Profile:
     _pos: object
     _neg: object
 
+    def _state(self, z: float) -> Tuple[float, float]:
+        if not abs(z) <= self.z_max:
+            raise ValueError(f"z={z!r} past the integrated span |z| <= {self.z_max!r}")
+        return (self._pos if z >= 0.0 else self._neg).sol(z)
+
     def psi(self, z: float) -> float:
-        return (self._pos if z >= 0.0 else self._neg).sol(z)[0]
+        return self._state(z)[0]
 
     def dpsi(self, z: float) -> float:
-        return (self._pos if z >= 0.0 else self._neg).sol(z)[1]
+        return self._state(z)[1]
 
     def zeros(self) -> List[float]:
         return sorted(set(self._pos.zeros + self._neg.zeros))
@@ -255,6 +278,7 @@ def closed_form_lambda0_derivative(n: float, z):
     is excluded from the admissible family; it serves as an integration
     oracle only.
     """
+    import numpy as np
     if n < 0.0:
         raise ValueError("n must be >= 0")
     return 1.0 / (1.0 + z * z) * np.exp(-(n / (1.0 + n)) / (1.0 + z * z))
@@ -267,11 +291,13 @@ def arctan_example(z):
     blow-up limit is the sign function, which no admissible tip profile can
     trace; it is therefore classified as inadmissible.
     """
+    import numpy as np
     return np.arctan(z)
 
 
 def arctan_ode_residual(z):
     """(1+z^2) psi'' + 2 z psi' for psi = arctan; zero up to rounding."""
+    import numpy as np
     zz = np.asarray(z, dtype=float)
     d1 = 1.0 / (1.0 + zz * zz)
     d2 = -2.0 * zz / (1.0 + zz * zz) ** 2

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cracktip import build_quartic, find_fold, limit_polynomial, real_roots, residual_consistency
-from cracktip.characteristic import CharacteristicQuartic, affine_parts
+from cracktip.characteristic import CharacteristicQuartic, _polyder, _polyval, affine_parts
 
 from oracles import quartic_parts_exact
 
@@ -157,6 +159,16 @@ def test_far_root_pair_past_the_fold():
 
     for r in roots:
         assert exact(r - 1e-6) * exact(r + 1e-6) < 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=9), st.floats(allow_nan=False))
+def test_horner_matches_numpy_bit_for_bit(coeffs, x):
+    # the same operations in the same order, overflow to inf and nan included
+    with np.errstate(all="ignore"):
+        want, dwant = np.polyval(coeffs, x), np.polyder(np.array(coeffs))
+    assert _polyval(coeffs, x).hex() == float(want).hex()
+    assert [c.hex() for c in _polyder(coeffs)] == [float(c).hex() for c in dwant]
 
 
 def test_preconditions():

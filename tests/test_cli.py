@@ -424,3 +424,28 @@ def test_scipy_loads_on_first_use():
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_numpy_loads_on_first_use():
+    # the polynomial and scalar layers run on Python floats: only shoot,
+    # which returns sampled arrays, loads numpy
+    code = (
+        "import sys, cracktip, cracktip.cli\n"
+        "from cracktip.cli import run\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+        "assert not loaded(), loaded()\n"
+        "for argv in (['fold', '--l', '3'], ['pencil', '--degree', '4'],\n"
+        "             ['char-scan', '--figure', '2'], ['char-scan', '--figure', '5'],\n"
+        "             ['branch', '--l', '2'], ['crack', '--alphas', '-1,1'],\n"
+        "             ['crack', '--alphas', '-1,1', '--n', '0.05', '--l-max', '2', '--tol', '0.3'],\n"
+        "             ['mu', '--l', '3', '--family', 'second']):\n"
+        "    assert run(argv) == 0, argv\n"
+        "    assert not loaded(), (argv, loaded())\n"
+        "assert run(['shoot', '--l', '3', '--n', '0.01', '--lambda', '-3']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

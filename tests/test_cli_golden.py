@@ -1,7 +1,7 @@
 """Byte-for-byte regression of CLI output against recorded files.
 
-None of these invocations runs an ODE solver, so their bytes do not depend
-on the scipy version.  After a deliberate change to the output, record the
+None of these invocations uses scipy: the nonlinear crack check runs the
+in-module Dormand-Prince stepper on Python floats.  After a deliberate change to the output, record the
 files again with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -22,11 +22,16 @@ CASES = {
         ["pencil", "--degree", "7", "--family", "second", "--format", "json"], EXIT_OK),
     "char_scan_figure_5.csv": (["char-scan", "--figure", "5"], EXIT_OK),
     "fold_2.json": (["fold", "--l", "2"], EXIT_OK),
+    "fold_200.json": (["fold", "--l", "200"], EXIT_OK),
+    "fold_3000.json": (["fold", "--l", "3000"], EXIT_OK),
+    "branch_10.json": (["branch", "--l", "10", "--format", "json"], EXIT_OK),
     "branch_3_lower.json": (
         ["branch", "--l", "3", "--family", "lower", "--format", "json"], EXIT_OK),
     "crack_admissible.json": (["crack", "--alphas", "-1,1"], EXIT_OK),
     "crack_inadmissible.json": (
         ["crack", "--alphas", "-3,3", "--l-max", "2"], EXIT_INADMISSIBLE),
+    "crack_nonlinear.json": (
+        ["crack", "--alphas", "-1,1", "--n", "0.05", "--l-max", "4", "--tol", "0.3"], EXIT_OK),
 }
 
 

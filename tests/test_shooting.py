@@ -19,7 +19,12 @@ from cracktip import (
     shoot,
     two_sided_profile,
 )
-from cracktip.shooting import ARCTAN_EXAMPLE_ADMISSIBLE, _trajectory
+from cracktip.shooting import (
+    ARCTAN_EXAMPLE_ADMISSIBLE,
+    _tip_terms,
+    _trajectory,
+    tip_second_derivative,
+)
 
 
 def test_reduction_at_n_zero():
@@ -55,6 +60,59 @@ def test_affine_mode_has_zero_curvature():
 def test_degenerate_state_rejected():
     with pytest.raises(QuasilinearDegeneracyError):
         isolate_second_derivative(1.0, 0.0, 0.0, -2.0, 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-50.0, 50.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+    st.floats(-200.0, 0.5), st.floats(0.0, 5.0), st.integers(400, 1020),
+)
+def test_second_derivative_scales_past_overflow(z, psi, dpsi, lam, n, k):
+    # homogeneous of degree 1: a state near the top of the double range
+    # gives the scaled Psi'' where the plain products would overflow, and
+    # an ordinary state takes the plain path unchanged
+    if max(abs(psi), abs(dpsi)) < 1e-3:
+        return
+    try:
+        d2, coeff = tip_second_derivative(z, psi, dpsi, lam, n)
+    except QuasilinearDegeneracyError:
+        return
+    assert (d2, coeff) == _tip_terms(z, psi, dpsi, lam, n)
+    try:
+        big = math.ldexp(d2, k)
+    except OverflowError:
+        return
+    got, got_coeff = tip_second_derivative(z, math.ldexp(psi, k), math.ldexp(dpsi, k), lam, n)
+    assert got == pytest.approx(big, rel=1e-12, abs=1e-12 * math.ldexp(1.0, k))
+    assert got_coeff == pytest.approx(coeff, rel=1e-12)
+
+
+def test_shot_past_the_product_overflow():
+    # |Psi| passes 1e154 near z = 34; the zeros are the n = 0 lattice
+    # cot(pi/2 +- (k + 1/2) pi/100), and Psi(100) ~ 1e200 is still a double
+    got = shoot(2, 0.0, -100.0).zeros.zeros
+    want = sorted(1.0 / math.tan(math.pi / 2 + s * (k + 0.5) * math.pi / 100)
+                  for k in range(50) for s in (1, -1))
+    assert len(got) == 100
+    assert max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(got, want)) <= 1e-8
+    # Psi(100) ~ 1e400 is not a double: a numerical failure, not a recursion
+    with pytest.raises(NumericsError, match="non-finite"):
+        shoot(2, 0.0, -200.0)
+
+
+def test_evaluation_past_the_span_raises():
+    sol = shoot(3, 0.0, -3.0, z_max=10.0)
+    assert sol.evaluate(-10.0) == pytest.approx((-sol.evaluate(10.0)[0], sol.evaluate(10.0)[1]))
+    for z in (50.0, -10.5, np.array([1.0, 50.0]), math.nan):
+        with pytest.raises(ValueError, match="span"):
+            sol.evaluate(z)
+    prof = two_sided_profile(0.0, -3.0, (0.0, 1.0), 5.0)
+    assert math.isfinite(prof.psi(5.0)) and math.isfinite(prof.dpsi(-5.0))
+    for z in (40.0, -5.5, math.nan):
+        with pytest.raises(ValueError, match="span"):
+            prof.psi(z)
+        with pytest.raises(ValueError, match="span"):
+            prof.dpsi(z)
 
 
 @pytest.mark.parametrize("family", [Family.FIRST, Family.SECOND])
