@@ -143,9 +143,16 @@ def integrate(f, z0, y0, z_end, rtol, atol) -> Trajectory:
     rejection).  The Psi = 0 crossings are taken where the end values of a
     step change sign or vanish, and located on its quartic interpolant.  A
     step below 10 ulps of z or a non-finite state raises NumericsError;
-    errors raised by f pass through.
+    errors raised by f pass through.  Needs rtol >= 0, atol > 0, both
+    finite, and finite z0 != z_end; anything else raises ValueError.
     """
     z, z_end = float(z0), float(z_end)
+    if not 0.0 <= rtol < math.inf:
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
+    if not 0.0 < atol < math.inf:
+        raise ValueError(f"atol must be finite and > 0, got {atol!r}")
+    if not (math.isfinite(z) and math.isfinite(z_end)) or z == z_end:
+        raise ValueError(f"z0 and z_end must be finite and distinct, got {z!r}, {z_end!r}")
     sign = 1.0 if z_end > z else -1.0
     psi, dpsi = float(y0[0]), float(y0[1])
     fp, fd = f(z, psi, dpsi)
@@ -159,6 +166,12 @@ def integrate(f, z0, y0, z_end, rtol, atol) -> Trajectory:
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100.0 * h0, h1, span)
 
+    # the trial step is straight-line code: every sum runs left to right, and
+    # the zero weights b1 and e1 stay so that a non-finite stage fails it
+    c1, c2, c3, c4, c5 = _C
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54) = _A
+    b0, b1, b2, b3, b4, b5 = _B
+    e0, e1, e2, e3, e4, e5, e6 = _E
     nfev = 2
     zs, states, stages, zeros = [z], [(psi, dpsi)], [], []
     while sign * (z - z_end) < 0.0:
@@ -173,39 +186,38 @@ def integrate(f, z0, y0, z_end, rtol, atol) -> Trajectory:
                 z_new = z_end
             h = z_new - z
             h_abs = abs(h)
-            k0, k1 = [fp], [fd]
-            for c, a in zip(_C, _A):
-                u = v = 0.0
-                for w, kp, kd in zip(a, k0, k1):
-                    u += w * kp
-                    v += w * kd
-                kp, kd = f(z + c * h, psi + u * h, dpsi + v * h)
-                k0.append(kp)
-                k1.append(kd)
-            u = v = 0.0
-            for w, kp, kd in zip(_B, k0, k1):
-                u += w * kp
-                v += w * kd
-            psi_new, dpsi_new = psi + h * u, dpsi + h * v
+            p1, q1 = f(z + c1 * h, psi + a10 * fp * h, dpsi + a10 * fd * h)
+            p2, q2 = f(z + c2 * h, psi + (a20 * fp + a21 * p1) * h,
+                       dpsi + (a20 * fd + a21 * q1) * h)
+            p3, q3 = f(z + c3 * h,
+                       psi + (a30 * fp + a31 * p1 + a32 * p2) * h,
+                       dpsi + (a30 * fd + a31 * q1 + a32 * q2) * h)
+            p4, q4 = f(z + c4 * h,
+                       psi + (a40 * fp + a41 * p1 + a42 * p2 + a43 * p3) * h,
+                       dpsi + (a40 * fd + a41 * q1 + a42 * q2 + a43 * q3) * h)
+            p5, q5 = f(z + c5 * h,
+                       psi + (a50 * fp + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4) * h,
+                       dpsi + (a50 * fd + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4) * h)
+            psi_new = psi + h * (b0 * fp + b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
+            dpsi_new = dpsi + h * (b0 * fd + b1 * q1 + b2 * q2 + b3 * q3 + b4 * q4 + b5 * q5)
             fp_new, fd_new = f(z_new, psi_new, dpsi_new)
             nfev += 6
             if not (math.isfinite(psi_new) and math.isfinite(dpsi_new) and math.isfinite(fd_new)):
                 raise NumericsError(f"non-finite state at z={z_new!r}")
-            k0.append(fp_new)
-            k1.append(fd_new)
-            u = v = 0.0
-            for w, kp, kd in zip(_E, k0, k1):
-                u += w * kp
-                v += w * kd
-            err = _rms(u * h / (atol + max(abs(psi), abs(psi_new)) * rtol),
-                       v * h / (atol + max(abs(dpsi), abs(dpsi_new)) * rtol))
+            k0 = (fp, p1, p2, p3, p4, p5, fp_new)
+            k1 = (fd, q1, q2, q3, q4, q5, fd_new)
+            u = (e0 * fp + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * fp_new) * h
+            v = (e0 * fd + e1 * q1 + e2 * q2 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * fd_new) * h
+            u /= atol + max(abs(psi), abs(psi_new)) * rtol
+            v /= atol + max(abs(dpsi), abs(dpsi_new)) * rtol
+            err = math.sqrt(u * u + v * v) / 1.4142135623730951
             if err < 1.0:
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
                 h_abs *= min(1.0, factor) if rejected else factor
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
-        stages.append((tuple(k0), tuple(k1)))
+        stages.append((k0, k1))
         if psi <= 0.0 <= psi_new or psi >= 0.0 >= psi_new:
             zeros.append(_step_zero(z, z_new, psi, _dense_coeffs(k0, k1)))
         z, psi, dpsi, fp, fd = z_new, psi_new, dpsi_new, fp_new, fd_new

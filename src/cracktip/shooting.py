@@ -91,6 +91,8 @@ class ShootingSolution:
     growth_exponent: Optional[float]
     degeneracy_events: Tuple[float, ...]
     scale: float
+    nfev: int
+    steps: int
     _dense: object = None
     _amplitude: float = 1.0
 
@@ -168,7 +170,8 @@ def shoot(
 
     Integrates on [0, z_max] and mirrors by the parity of l.  ``amplitude``
     rescales the result exactly (1-homogeneity), so the normalized problem
-    is solved once.  Fitted growth uses z in [z_max/10, z_max].
+    is solved once.  Fitted growth uses z in [z_max/10, z_max].  ``nfev``
+    and ``steps`` count the right-hand-side calls and accepted steps.
     """
     import numpy as np
     if l < 1:
@@ -177,6 +180,8 @@ def shoot(
         raise ValueError("z_max must be positive and finite")
     if not transversality_tol > 0.0:
         raise ValueError("transversality_tol must be positive")
+    if num_samples < 2:
+        raise ValueError(f"num_samples must be >= 2, got {num_samples!r}")
     even = l % 2 == 0
     ic = (1.0, 0.0) if even else (0.0, 1.0)
     near: List[float] = []
@@ -222,6 +227,8 @@ def shoot(
         growth_exponent=growth,
         degeneracy_events=degeneracies,
         scale=abs(amp) * scale,
+        nfev=traj.nfev,
+        steps=traj.steps,
         _dense=traj.sol,
         _amplitude=amp,
     )
@@ -229,7 +236,8 @@ def shoot(
 
 @dataclass(frozen=True)
 class Profile:
-    """Two-sided solution from arbitrary initial data (no parity assumed)."""
+    """Two-sided solution from arbitrary initial data (no parity assumed);
+    ``nfev`` and ``steps`` sum the two half-lines."""
 
     lam: float
     n: float
@@ -237,6 +245,8 @@ class Profile:
     z_max: float
     _pos: object
     _neg: object
+    nfev: int
+    steps: int
 
     def _state(self, z: float) -> Tuple[float, float]:
         if not abs(z) <= self.z_max:
@@ -266,7 +276,8 @@ def two_sided_profile(
         raise ValueError("z_max must be positive and finite")
     pos = _trajectory(lam, n, 0.0, ic, z_max, rtol, atol)
     neg = _trajectory(lam, n, 0.0, ic, -z_max, rtol, atol)
-    return Profile(lam=lam, n=n, ic=tuple(ic), z_max=z_max, _pos=pos, _neg=neg)
+    return Profile(lam=lam, n=n, ic=tuple(ic), z_max=z_max, _pos=pos, _neg=neg,
+                   nfev=pos.nfev + neg.nfev, steps=pos.steps + neg.steps)
 
 
 def closed_form_lambda0_derivative(n: float, z):

@@ -1,8 +1,9 @@
 """Byte-for-byte regression of CLI output against recorded files.
 
-None of these invocations uses scipy: the nonlinear crack check runs the
-in-module Dormand-Prince stepper on Python floats.  After a deliberate change to the output, record the
-files again with
+None of these invocations uses scipy: the nonlinear crack check and
+``shoot`` run the in-module Dormand-Prince stepper on Python floats, and
+``shoot`` alone loads numpy, to sample its solution.  After a deliberate
+change to the output, record the files again with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -32,6 +33,11 @@ CASES = {
         ["crack", "--alphas", "-3,3", "--l-max", "2"], EXIT_INADMISSIBLE),
     "crack_nonlinear.json": (
         ["crack", "--alphas", "-1,1", "--n", "0.05", "--l-max", "4", "--tol", "0.3"], EXIT_OK),
+    "shoot_3_nonlinear.json": (
+        ["shoot", "--l", "3", "--n", "0.05", "--lambda", "-3.1", "--z-max", "30",
+         "--format", "json"], EXIT_OK),
+    "shoot_2_rescaled.json": (
+        ["shoot", "--l", "2", "--n", "0", "--lambda", "-100", "--format", "json"], EXIT_OK),
 }
 
 

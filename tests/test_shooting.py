@@ -299,3 +299,41 @@ def test_trajectory_failures_raise(monkeypatch):
                         lambda z, psi, dpsi, lam, n: (math.nan if z > 1.0 else 0.0, 1.0))
     with pytest.raises(NumericsError, match="non-finite"):
         _trajectory(-2.0, 0.0, 0.0, (0.0, 1.0), 2.0, 1e-10, 1e-10)
+
+
+def test_integrate_rejects_bad_tolerances_and_spans():
+    # once silently wrong: zeros +-0.99320 for the exact +-1, and [-0.616, 1.593]
+    with pytest.raises(ValueError, match="rtol"):
+        shoot(2, 0.0, -2.0, rtol=-1.0)
+    with pytest.raises(ValueError, match="atol"):
+        two_sided_profile(0.0, -2.0, (1.0, 1.0), 5.0, atol=-1.0)
+    bad = [((0.0, 5.0, rtol, 1e-10), "rtol") for rtol in (-1.0, -1e-300, math.nan, math.inf)]
+    bad += [((0.0, 5.0, 1e-10, atol), "atol") for atol in (0.0, -1.0, math.nan, math.inf)]
+    bad += [((z0, z_end, 1e-10, 1e-10), "z0 and z_end")
+            for z0, z_end in ((math.nan, 5.0), (0.0, math.nan), (-math.inf, 0.0),
+                              (0.0, math.inf), (2.5, 2.5))]
+    for (z0, z_end, rtol, atol), name in bad:
+        with pytest.raises(ValueError, match=name):
+            _trajectory(-2.0, 0.05, z0, (1.0, 0.0), z_end, rtol, atol)
+    # rtol = 0 is a pure absolute tolerance; Psi = 1 - z^2
+    zeros = _trajectory(-2.0, 0.0, 0.0, (1.0, 0.0), 1.5, 0.0, 1e-10).zeros
+    assert zeros == [pytest.approx(1.0, abs=1e-9)]
+
+
+def test_shoot_needs_two_samples():
+    for num_samples in (1, 0, -3):
+        with pytest.raises(ValueError, match="num_samples"):
+            shoot(2, 0.0, -2.0, num_samples=num_samples)
+    assert shoot(2, 0.0, -2.0, num_samples=2).evaluate(0.5) == pytest.approx((0.75, -1.0))
+
+
+@pytest.mark.parametrize("l, n, lam", [(1, 0.0, -1.0), (3, 0.05, -3.1), (2, 0.0, -100.0)])
+def test_work_counters(l, n, lam):
+    # one RHS call per stage, six per trial step, and two for the initial step
+    sol = shoot(l, n, lam)
+    assert (sol.nfev - 2) % 6 == 0 and sol.nfev >= 6 * sol.steps + 2 and sol.steps > 0
+    prof = two_sided_profile(n, lam, (1.0, 0.5), 20.0)
+    pos, neg = prof._pos, prof._neg
+    assert (prof.nfev, prof.steps) == (pos.nfev + neg.nfev, pos.steps + neg.steps)
+    for traj in (pos, neg):
+        assert (traj.nfev - 2) % 6 == 0 and traj.nfev >= 6 * traj.steps + 2
