@@ -143,8 +143,8 @@ def integrate(f, z0, y0, z_end, rtol, atol) -> Trajectory:
     rejection).  The Psi = 0 crossings are taken where the end values of a
     step change sign or vanish, and located on its quartic interpolant.  A
     step below 10 ulps of z or a non-finite state raises NumericsError;
-    errors raised by f pass through.  Needs rtol >= 0, atol > 0, both
-    finite, and finite z0 != z_end; anything else raises ValueError.
+    errors raised by f pass through.  Needs finite rtol >= 0, atol > 0, y0
+    and z0 != z_end; anything else raises ValueError.
     """
     z, z_end = float(z0), float(z_end)
     if not 0.0 <= rtol < math.inf:
@@ -155,6 +155,8 @@ def integrate(f, z0, y0, z_end, rtol, atol) -> Trajectory:
         raise ValueError(f"z0 and z_end must be finite and distinct, got {z!r}, {z_end!r}")
     sign = 1.0 if z_end > z else -1.0
     psi, dpsi = float(y0[0]), float(y0[1])
+    if not (math.isfinite(psi) and math.isfinite(dpsi)):
+        raise ValueError(f"y0 must be finite, got {tuple(y0)!r}")
     fp, fd = f(z, psi, dpsi)
     # initial step (Hairer, Norsett & Wanner, Sec. II.4)
     span = abs(z_end - z)

@@ -28,9 +28,6 @@ from typing import List, Sequence, Tuple
 
 from .errors import RootFindingError
 
-#: acceptance threshold for treating a companion-matrix root as real
-REAL_ROOT_IMAG_TOL = 1e-8
-
 
 def _integer_parts(l: int) -> Tuple[List[int], List[int]]:
     """Exact integer lists A, B (descending powers) with Phi = A + n*B."""
@@ -41,15 +38,8 @@ def _integer_parts(l: int) -> Tuple[List[int], List[int]]:
     return A, B
 
 
-def affine_parts(l: int):
-    """Integer-valued float arrays A, B (descending powers) with Phi = A + n*B."""
-    import numpy as np
-    A, B = _integer_parts(l)
-    return np.array(A, dtype=float), np.array(B, dtype=float)
-
-
 def _polyval(coeffs: Sequence[float], x: float) -> float:
-    """Horner's rule over descending coefficients, in np.polyval's order."""
+    """Horner's rule over descending coefficients, starting from 0.0."""
     y = 0.0
     for c in coeffs:
         y = y * x + c
@@ -57,9 +47,53 @@ def _polyval(coeffs: Sequence[float], x: float) -> float:
 
 
 def _polyder(coeffs: Sequence[float]) -> List[float]:
-    """Derivative of descending coefficients, formed as np.polyder does."""
+    """Derivative of descending coefficients: c_i (m - i) for all but the last."""
     m = len(coeffs) - 1
     return [c * (m - i) for i, c in enumerate(coeffs[:-1])]
+
+
+def _root(p: Sequence[float], seed: float, other: float) -> float:
+    """The root of p between ``seed`` and ``other``, where p changes sign:
+    Newton from ``seed``, bisecting whenever a step leaves the bracket,
+    until a step or the bracket is within 2^-52 max(1, |seed|, |other|)."""
+    if _polyval(p, seed) < 0.0:
+        p = [-c for c in p]
+    dp = _polyder(p)
+    tol = 2.0 ** -52 * max(1.0, abs(seed), abs(other))
+    pos, neg, x = seed, other, seed
+    for _ in range(100):
+        fx = _polyval(p, x)
+        if fx == 0.0:
+            return float(x)
+        if fx > 0.0:
+            pos = x
+        else:
+            neg = x
+        d = _polyval(dp, x)
+        step = fx / d if d != 0.0 else math.inf
+        if abs(step) <= tol or abs(pos - neg) <= tol:
+            return float(x)
+        x = x - step if min(pos, neg) < x - step < max(pos, neg) else 0.5 * (pos + neg)
+    raise RootFindingError(f"no convergence to the root of {p!r} between {seed!r} and {other!r}")
+
+
+def _real_roots(p: Sequence[float]) -> List[float]:
+    """Ascending real roots where p (descending, degree >= 1, finite, nonzero
+    lead) vanishes or changes sign.  p is monotone between neighbouring real
+    roots of p', found the same way, and Fujiwara's bound 2 max |a_k/a_0|^(1/k)
+    closes the two outer pieces, so one sign change brackets each root."""
+    if not all(math.isfinite(c) for c in p) or p[0] == 0.0:
+        raise ValueError(f"coefficients must be finite with a nonzero lead, got {p!r}")
+    bound = 2.0 * max(abs(c / p[0]) ** (1.0 / k) for k, c in enumerate(p) if k)
+    ends = [-bound] + (_real_roots(_polyder(p)) if len(p) > 2 else []) + [bound]
+    vals = [_polyval(p, x) for x in ends]
+    roots: List[float] = []
+    for a, b, fa, fb in zip(ends, ends[1:], vals, vals[1:]):
+        if fa == 0.0 and not (roots and roots[-1] >= a):
+            roots.append(a)
+        elif min(fa, fb) < 0.0 < max(fa, fb):
+            roots.append(_root(p, a, b))
+    return roots
 
 
 @dataclass(frozen=True)
@@ -126,25 +160,7 @@ def real_roots(q: CharacteristicQuartic) -> List[float]:
     """All real roots, ascending, possibly none.  Past the fold the pair
     near the seeds is gone, but from l = 15 a far pair can appear (near
     -34.6 for l = 20 from n ~ 16.5), so the list need not be empty there."""
-    import numpy as np
-    desc = np.asarray(q.coeffs, dtype=float)
-    deriv = np.polyder(desc)
-    out = []
-    for r in np.roots(desc):
-        if abs(r.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + abs(r)):
-            x = float(r.real)
-            for _ in range(2):
-                dp = np.polyval(deriv, x)
-                if dp == 0.0:
-                    break
-                x -= np.polyval(desc, x) / dp
-            out.append(x)
-    out.sort()
-    scale = float(np.abs(desc).sum())
-    for x in out:
-        if abs(np.polyval(desc, x)) > 1e-7 * scale * max(1.0, abs(x)) ** 4:
-            raise RootFindingError(f"quartic root {x!r} failed residual check")
-    return out
+    return _real_roots(q.coeffs)
 
 
 # Published coefficients of the large-n curve for l = 2.  They differ from
@@ -166,15 +182,8 @@ class LimitQuartic:
 
     def global_min(self) -> Tuple[float, float]:
         """(argmin, min) over the real line; finite because a4 > 0."""
-        import numpy as np
-        crit = np.roots(np.polyder(np.asarray(self.coeffs)))
-        best = (math.nan, math.inf)
-        for r in crit:
-            if abs(r.imag) <= 1e-10 * (1.0 + abs(r)):
-                val = float(np.polyval(self.coeffs, r.real))
-                if val < best[1]:
-                    best = (float(r.real), val)
-        return best
+        val, x = min((_polyval(self.coeffs, x), x) for x in _real_roots(_polyder(self.coeffs)))
+        return x, val
 
 
 def limit_polynomial(l: int) -> LimitQuartic:

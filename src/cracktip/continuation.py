@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .characteristic import _integer_parts, _polyder, _polyval
+from .characteristic import _integer_parts, _polyder, _polyval, _root
 from .errors import NoFoldInBracketError, NoRealEigenvalueError, NumericsError
 
 
@@ -74,29 +74,6 @@ def _shifted_parts(l: int) -> Tuple[List[int], List[int]]:
                 c[j] -= l * c[j - 1]
         parts.append(c[:-1] if l == 1 else c)
     return parts[0], parts[1]
-
-
-def _root(p: List[float], seed: float, other: float) -> float:
-    """The root of p between ``seed`` and ``other``, where p changes sign:
-    Newton from ``seed``, bisecting whenever a step leaves the bracket."""
-    if _polyval(p, seed) < 0.0:
-        p = [-c for c in p]
-    dp = _polyder(p)
-    pos, neg, x = seed, other, seed
-    for _ in range(100):
-        fx = _polyval(p, x)
-        if fx == 0.0:
-            return float(x)
-        if fx > 0.0:
-            pos = x
-        else:
-            neg = x
-        d = _polyval(dp, x)
-        step = fx / d if d != 0.0 else math.inf
-        if abs(step) <= 2.0 ** -52 or abs(pos - neg) <= 2.0 ** -52:
-            return float(x)
-        x = x - step if min(pos, neg) < x - step < max(pos, neg) else 0.5 * (pos + neg)
-    raise NumericsError(f"no convergence to the root of {p!r} between {seed!r} and {other!r}")
 
 
 def _meeting_point(l: int) -> FoldPoint:

@@ -11,7 +11,7 @@ class NumericsError(RuntimeError):
 
 
 class RootFindingError(NumericsError):
-    """Polynomial root extraction did not converge to residual tolerance."""
+    """A bracketed Newton solve for a polynomial root did not converge."""
 
 
 class QuasilinearDegeneracyError(NumericsError):

@@ -60,11 +60,17 @@ def tip_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: floa
 
 
 def _tip_terms(z: float, psi: float, dpsi: float, lam: float, n: float):
-    """``tip_second_derivative`` at one state, without the scaling."""
+    """``tip_second_derivative`` at one state, without the overflow scaling;
+    a den near the subnormal grid is scaled toward 1 by a power of two."""
     g = lam * psi + z * dpsi
     den = dpsi * dpsi + g * g
-    if den == 0.0:
-        raise QuasilinearDegeneracyError(z, 0.0)
+    if den < 2.0 ** -900:
+        if den == 0.0:
+            raise QuasilinearDegeneracyError(z, 0.0)
+        e = min(-(math.frexp(den)[1] // 2), 1000 - math.frexp(max(abs(psi), abs(dpsi)))[1])
+        if e > 0:
+            d2, coeff = _tip_terms(z, math.ldexp(psi, e), math.ldexp(dpsi, e), lam, n)
+            return math.ldexp(d2, -e), coeff
     f1 = g * g / den
     coeff = z * z * (1.0 + n * f1) + 1.0 + n * (dpsi * dpsi + 2.0 * z * dpsi * g) / den
     if abs(coeff) < COEFF_TOL * (1.0 + z * z):
@@ -168,10 +174,11 @@ def shoot(
 ) -> ShootingSolution:
     """Parity-symmetric solution of the tip ODE for index ``l``.
 
-    Integrates on [0, z_max] and mirrors by the parity of l.  ``amplitude``
-    rescales the result exactly (1-homogeneity), so the normalized problem
-    is solved once.  Fitted growth uses z in [z_max/10, z_max].  ``nfev``
-    and ``steps`` count the right-hand-side calls and accepted steps.
+    Integrates on [0, z_max] and mirrors by the parity of l.  A finite,
+    nonzero ``amplitude`` rescales the result exactly (1-homogeneity), so
+    the normalized problem is solved once.  Fitted growth uses z in
+    [z_max/10, z_max]; ``nfev`` and ``steps`` count right-hand-side calls
+    and accepted steps.
     """
     import numpy as np
     if l < 1:
@@ -182,6 +189,8 @@ def shoot(
         raise ValueError("transversality_tol must be positive")
     if num_samples < 2:
         raise ValueError(f"num_samples must be >= 2, got {num_samples!r}")
+    if not (math.isfinite(amplitude) and amplitude != 0.0):
+        raise ValueError(f"amplitude must be finite and nonzero, got {amplitude!r}")
     even = l % 2 == 0
     ic = (1.0, 0.0) if even else (0.0, 1.0)
     near: List[float] = []

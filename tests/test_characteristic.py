@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cracktip import build_quartic, find_fold, limit_polynomial, real_roots, residual_consistency
-from cracktip.characteristic import CharacteristicQuartic, _polyder, _polyval, affine_parts
+from cracktip import (
+    build_quartic, double_root_l1, find_fold, limit_polynomial, real_roots, residual_consistency,
+)
+from cracktip.characteristic import CharacteristicQuartic, _integer_parts, _polyder, _polyval
 
-from oracles import quartic_parts_exact
+from oracles import exact_real_roots, quartic_parts_exact
 
 
 def test_hand_expanded_quartic_l1_n1():
@@ -29,9 +31,9 @@ def test_coefficient_closed_forms():
 @pytest.mark.parametrize("l", list(range(1, 101)))
 def test_factorization_at_n_zero(l):
     # Phi(.; 0) = (Lam^2 + (2l+1) Lam + l(l+1)) (Lam^2 + 2l Lam + 2l^2)
-    A, _ = affine_parts(l)
-    prod = np.polymul([1.0, 2 * l + 1, l * (l + 1)], [1.0, 2 * l, 2 * l * l])
-    assert np.max(np.abs(A - prod)) <= 1e-12 * np.max(np.abs(A))
+    A, _ = _integer_parts(l)
+    f, g = [1, 2 * l + 1, l * (l + 1)], [1, 2 * l, 2 * l * l]
+    assert A == [sum(f[i] * g[k - i] for i in range(3) if 0 <= k - i < 3) for k in range(5)]
 
 
 @pytest.mark.parametrize("l", list(range(1, 21)))
@@ -50,6 +52,44 @@ def test_real_roots_at_n_zero():
 
 def test_real_roots_past_fold_empty():
     assert real_roots(build_quartic(2, 0.5)) == []
+
+
+def test_real_roots_finds_the_double_root_l1():
+    # Lam = -1 is a double root at n = 1/2, where Phi touches zero without
+    # changing sign on either side
+    roots = real_roots(build_quartic(1, 0.5))
+    assert roots and all(abs(r + 1.0) <= 1e-7 for r in roots)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0.0, 1.0, 2.0, 3.0, 4.0), (1.0, float("nan"), 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0, float("inf")),
+])
+def test_real_roots_rejects_bad_coefficients(coeffs):
+    with pytest.raises(ValueError):
+        real_roots(CharacteristicQuartic(2, 0.0, *coeffs))
+
+
+@st.composite
+def _index_and_exponent(draw):
+    l = draw(st.integers(1, 200))
+    star = double_root_l1().n_star if l == 1 else find_fold(l).n_star
+    lo, hi = draw(st.sampled_from([(0.0, 3.0 * star), (0.98 * star, 1.02 * star), (1.0, 100.0)]))
+    return l, draw(st.floats(lo, hi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_index_and_exponent())
+def test_real_roots_match_exact_oracle(draw):
+    # every real root of the float quartic, against rational Sturm bisection
+    # inside the Cauchy bound 1 + max |a_k / a_4|
+    q = build_quartic(*draw)
+    exact = [Fraction(c) for c in q.coeffs]
+    bound = 1 + max(abs(c / exact[0]) for c in exact[1:])
+    want = exact_real_roots(exact, -bound, bound)
+    got = real_roots(q)
+    assert len(got) == len(want), (got, [float(r) for r in want])
+    for g, w in zip(got, want):
+        assert abs(g - float(w)) <= 1e-10 * (1.0 + abs(float(w)))
 
 
 def test_persistent_root_l1():

@@ -427,12 +427,16 @@ def test_scipy_loads_on_first_use():
 
 
 def test_numpy_loads_on_first_use():
-    # the polynomial and scalar layers run on Python floats: only shoot,
-    # which returns sampled arrays, loads numpy
+    # the polynomial and scalar layers run on Python floats, quartic roots
+    # and folds included: only shoot, which returns sampled arrays, loads numpy
     code = (
         "import sys, cracktip, cracktip.cli\n"
         "from cracktip.cli import run\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+        "assert not loaded(), loaded()\n"
+        "assert cracktip.real_roots(cracktip.build_quartic(3, 0.01))\n"
+        "assert cracktip.limit_polynomial(2).global_min()[1] > 6.8\n"
+        "assert cracktip.find_fold(4).n_star > 0.0\n"
         "assert not loaded(), loaded()\n"
         "for argv in (['fold', '--l', '3'], ['pencil', '--degree', '4'],\n"
         "             ['char-scan', '--figure', '2'], ['char-scan', '--figure', '5'],\n"

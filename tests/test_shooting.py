@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -67,6 +67,8 @@ def test_degenerate_state_rejected():
     st.floats(-50.0, 50.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
     st.floats(-200.0, 0.5), st.floats(0.0, 5.0), st.integers(400, 1020),
 )
+# psi'^2 is subnormal here: unscaled, coeff rounds to 2.48837 for the exact 2.5
+@example(0.0, 1.0, 1.4649721964977102e-161, 0.0, 1.5, 400)
 def test_second_derivative_scales_past_overflow(z, psi, dpsi, lam, n, k):
     # homogeneous of degree 1: a state near the top of the double range
     # gives the scaled Psi'' where the plain products would overflow, and
@@ -158,6 +160,17 @@ def test_amplitude_scales_out_exactly(amplitude):
     base = shoot(2, 0.04, -2.1, z_max=20.0)
     scaled = shoot(2, 0.04, -2.1, z_max=20.0, amplitude=amplitude)
     assert np.max(np.abs(scaled.psi - amplitude * base.psi)) <= 1e-12 * np.max(np.abs(scaled.psi))
+    # the normalized solution times the amplitude, bit for bit, for either sign
+    assert np.array_equal(scaled.psi, amplitude * base.psi)
+    assert np.array_equal(scaled.dpsi, amplitude * base.dpsi)
+    assert scaled.scale == abs(amplitude) * base.scale and scaled.zeros == base.zeros
+
+
+@pytest.mark.parametrize("amplitude", [0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_amplitude_must_be_finite_and_nonzero(amplitude):
+    # once NaN arrays, or an all-zero solution, with zeros flagged transversal
+    with pytest.raises(ValueError, match="amplitude"):
+        shoot(2, 0.0, -2.0, amplitude=amplitude)
 
 
 def test_closed_form_values():
@@ -315,6 +328,10 @@ def test_integrate_rejects_bad_tolerances_and_spans():
     for (z0, z_end, rtol, atol), name in bad:
         with pytest.raises(ValueError, match=name):
             _trajectory(-2.0, 0.05, z0, (1.0, 0.0), z_end, rtol, atol)
+    # once NumericsError("non-finite state at z=nan"), a z never reached
+    for y0 in ((math.nan, 1.0), (math.inf, 1.0), (0.0, -math.inf)):
+        with pytest.raises(ValueError, match="y0"):
+            two_sided_profile(0.0, -2.0, y0, 5.0)
     # rtol = 0 is a pure absolute tolerance; Psi = 1 - z^2
     zeros = _trajectory(-2.0, 0.0, 0.0, (1.0, 0.0), 1.5, 0.0, 1e-10).zeros
     assert zeros == [pytest.approx(1.0, abs=1e-9)]
