@@ -2,8 +2,11 @@
 
 ``integrate`` takes the steps of scipy's RK45 integrator (the same tableau,
 initial-step rule, error norm and step controller), so it reproduces that
-integrator's solutions to rounding without importing scipy.  The tip ODE
-in ``shooting`` is its only caller, which loads this module on first use.
+integrator's solutions to rounding without importing scipy.  The Psi = 0
+crossings are roots of a step's quartic interpolant, found by the bracketed
+solver ``characteristic._root`` that also finds the quartic eigenvalues.
+The tip ODE in ``shooting`` is its only caller, which loads this module on
+first use.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 import numbers
 from bisect import bisect_left
 
+from .characteristic import _polyval, _root
 from .errors import NumericsError
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Sec. II.4): stage nodes and
@@ -36,7 +40,6 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
-_EPS = 2.220446049250313e-16
 
 
 def _rms(u: float, v: float) -> float:
@@ -60,38 +63,19 @@ def _interpolate(z, z0, h, psi, dpsi, q):
 
 def _step_zero(z0, z1, psi0, q):
     """The zero of Psi's interpolant on the step from z0 to z1, whose end
-    states change sign or vanish: Newton's method held inside the sign-change
-    bracket (bisecting where it leaves it), to 4 eps (1 + |z|)."""
+    states change sign or vanish.  In x = (z - z0)/h the interpolant is the
+    quartic h a3 x^4 + h a2 x^3 + h a1 x^2 + h a0 x + psi0, and its root in
+    (0, 1) comes from ``characteristic._root``, the package's one solver."""
     h, a = z1 - z0, q[0]
-
-    def value(z):
-        return _interpolate(z, z0, h, psi0, 0.0, q)[0]
-
-    lo, hi, f_lo, f_hi = z0, z1, psi0, value(z1)
-    if f_lo == 0.0:
+    p = [h * a[3], h * a[2], h * a[1], h * a[0], psi0]
+    if psi0 == 0.0:
         return z0
-    if f_hi == 0.0 or (f_hi > 0.0) == (f_lo > 0.0):
+    end = _polyval(p, 1.0)
+    if end == 0.0 or (end > 0.0) == (psi0 > 0.0):
         # the end state vanishes or changes sign; the interpolant's rounding
         # at z1 can hide that
         return z1
-    z = z0 - f_lo * h / (f_hi - f_lo)
-    for _ in range(100):
-        v = value(z)
-        if v == 0.0:
-            return z
-        if (v > 0.0) == (f_lo > 0.0):
-            lo = z
-        else:
-            hi = z
-        x = (z - z0) / h
-        slope = a[0] + x * (2.0 * a[1] + x * (3.0 * a[2] + x * 4.0 * a[3]))
-        nxt = z - v / slope if slope != 0.0 else lo
-        if not min(lo, hi) < nxt < max(lo, hi):
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - z) <= 4.0 * _EPS * (1.0 + abs(nxt)):
-            return nxt
-        z = nxt
-    return z
+    return z0 + h * _root(p, 0.0, 1.0)
 
 
 class Trajectory:

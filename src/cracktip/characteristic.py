@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import RootFindingError
 
@@ -38,7 +38,7 @@ def _integer_parts(l: int) -> Tuple[List[int], List[int]]:
     return A, B
 
 
-def _polyval(coeffs: Sequence[float], x: float) -> float:
+def _polyval(coeffs: Iterable[float], x: float) -> float:
     """Horner's rule over descending coefficients, starting from 0.0."""
     y = 0.0
     for c in coeffs:
@@ -55,13 +55,15 @@ def _polyder(coeffs: Sequence[float]) -> List[float]:
 def _root(p: Sequence[float], seed: float, other: float) -> float:
     """The root of p between ``seed`` and ``other``, where p changes sign:
     Newton from ``seed``, bisecting whenever a step leaves the bracket,
-    until a step or the bracket is within 2^-52 max(1, |seed|, |other|)."""
+    until a step or the bracket is within 2^-52 max(1, |seed|, |other|).
+    Newton is linear at a multiple root, so every step after the 40th
+    bisects: the 53 halvings that close any bracket fit in the 100 allowed."""
     if _polyval(p, seed) < 0.0:
         p = [-c for c in p]
     dp = _polyder(p)
     tol = 2.0 ** -52 * max(1.0, abs(seed), abs(other))
     pos, neg, x = seed, other, seed
-    for _ in range(100):
+    for i in range(100):
         fx = _polyval(p, x)
         if fx == 0.0:
             return float(x)
@@ -73,7 +75,8 @@ def _root(p: Sequence[float], seed: float, other: float) -> float:
         step = fx / d if d != 0.0 else math.inf
         if abs(step) <= tol or abs(pos - neg) <= tol:
             return float(x)
-        x = x - step if min(pos, neg) < x - step < max(pos, neg) else 0.5 * (pos + neg)
+        newton = i < 40 and min(pos, neg) < x - step < max(pos, neg)
+        x = x - step if newton else 0.5 * (pos + neg)
     raise RootFindingError(f"no convergence to the root of {p!r} between {seed!r} and {other!r}")
 
 
@@ -81,12 +84,19 @@ def _real_roots(p: Sequence[float]) -> List[float]:
     """Ascending real roots where p (descending, degree >= 1, finite, nonzero
     lead) vanishes or changes sign.  p is monotone between neighbouring real
     roots of p', found the same way, and Fujiwara's bound 2 max |a_k/a_0|^(1/k)
-    closes the two outer pieces, so one sign change brackets each root."""
+    closes the two outer pieces, so one sign change brackets each root.  A
+    critical point c with |p(c)| within Horner's error bound 2 len(p) 2^-53
+    sum |a_k| |c|^k counts as p(c) = 0, since its sign is rounding: c is
+    reported once, as a double root, for two close exact roots or none."""
     if not all(math.isfinite(c) for c in p) or p[0] == 0.0:
         raise ValueError(f"coefficients must be finite with a nonzero lead, got {p!r}")
     bound = 2.0 * max(abs(c / p[0]) ** (1.0 / k) for k, c in enumerate(p) if k)
     ends = [-bound] + (_real_roots(_polyder(p)) if len(p) > 2 else []) + [bound]
     vals = [_polyval(p, x) for x in ends]
+    size = [abs(c) for c in p]
+    for i in range(1, len(ends) - 1):
+        if abs(vals[i]) <= 2 * len(p) * 2.0 ** -53 * _polyval(size, abs(ends[i])):
+            vals[i] = 0.0
     roots: List[float] = []
     for a, b, fa, fb in zip(ends, ends[1:], vals, vals[1:]):
         if fa == 0.0 and not (roots and roots[-1] >= a):
@@ -159,7 +169,9 @@ def residual_consistency(l: int, n: float, lam: float) -> float:
 def real_roots(q: CharacteristicQuartic) -> List[float]:
     """All real roots, ascending, possibly none.  Past the fold the pair
     near the seeds is gone, but from l = 15 a far pair can appear (near
-    -34.6 for l = 20 from n ~ 16.5), so the list need not be empty there."""
+    -34.6 for l = 20 from n ~ 16.5), so the list need not be empty there.
+    Where Phi's sign at a critical point is rounding, as near a fold, that
+    point is returned once as a double root, like -1 at l = 1, n = 1/2."""
     return _real_roots(q.coeffs)
 
 

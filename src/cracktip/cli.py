@@ -151,6 +151,11 @@ def emit_figure(figure_id: int) -> FigureDataset:
 # ----------------------------------------------------------------------
 # per-command drivers: each returns (JSON fields, CSV lines or None, exit code)
 
+def _set(args, *names):
+    """The named options that were set; the library's defaults stand for the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _cmd_pencil(args):
     family = Family.parse(args.family or "first")
     pair = build_eigenfunction(args.degree, family)
@@ -196,8 +201,7 @@ def _cmd_fold(args):
 def _cmd_branch(args):
     family = BranchFamily.parse(args.family or "upper")
     n_max = args.n_max if args.n_max is not None else 1.0
-    step = args.initial_step if args.initial_step is not None else 1e-3
-    br = continue_branch(args.l, family, n_max, initial_step=step)
+    br = continue_branch(args.l, family, n_max, **_set(args, "initial_step"))
     fields = {
         "l": br.l,
         "family": family.value,
@@ -224,9 +228,7 @@ def _cmd_mu(args):
 
 
 def _cmd_shoot(args):
-    z_max = args.z_max if args.z_max is not None else 100.0
-    ttol = args.transversality_tol if args.transversality_tol is not None else 1e-6
-    sol = shoot(args.l, args.n, args.lam, z_max=z_max, transversality_tol=ttol)
+    sol = shoot(args.l, args.n, args.lam, **_set(args, "z_max", "transversality_tol"))
     fields = {
         "l": sol.l,
         "n": sol.n,
@@ -242,13 +244,12 @@ def _cmd_shoot(args):
 
 def _cmd_crack(args):
     spec = CrackSpec(alphas=tuple(float(s) for s in args.alphas.split(",")))
-    tol = args.tol if args.tol is not None else 1e-8
-    consecutive = not args.any_subset
+    opts = dict(l_max=args.l_max, consecutive=not args.any_subset, **_set(args, "tol"))
     n = args.n if args.n is not None else 0.0
     if n == 0.0:
-        report = check_linear(spec, l_max=args.l_max, tol=tol, consecutive=consecutive)
+        report = check_linear(spec, **opts)
     else:
-        report = check_nonlinear(spec, n, l_max=args.l_max, tol=tol, consecutive=consecutive)
+        report = check_nonlinear(spec, n, **opts)
     fields = {
         "admissible": report.admissible,
         "decay_exponent": report.decay_exponent,

@@ -30,6 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Tuple
 
+from .characteristic import _polyval
+
 DEFAULT_TRANSVERSALITY_TOL = 1e-8
 
 # pi to 40 decimals, so that each nodal angle is rounded once
@@ -75,10 +77,7 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return _polyval(reversed(self.coeffs), z)
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:

@@ -112,6 +112,16 @@ def exact_real_roots(p, lo, hi, halvings=140):
     return sorted(roots)
 
 
+def rounding_band_critical_points(p, lo, hi, factor=1):
+    """The real critical points c of p in (lo, hi) at which |p(c)| is within
+    ``factor`` times Horner's running error bound 2 len(p) 2^-53 sum |a_k| |c|^k,
+    evaluated exactly; p is a list of rationals."""
+    size = [abs(a) for a in p]
+    unit = factor * 2 * len(p) * Fraction(1, 2 ** 53)
+    return [c for c in exact_real_roots(_polyder(p), lo, hi)
+            if abs(_polyval(p, c)) <= unit * _polyval(size, abs(c))]
+
+
 def exact_fold(l, halvings=140):
     """Fold (n*, Lambda*) of index l by exact elimination.
 

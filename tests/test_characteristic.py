@@ -10,7 +10,7 @@ from cracktip import (
 )
 from cracktip.characteristic import CharacteristicQuartic, _integer_parts, _polyder, _polyval
 
-from oracles import exact_real_roots, quartic_parts_exact
+from oracles import exact_real_roots, quartic_parts_exact, rounding_band_critical_points
 
 
 def test_hand_expanded_quartic_l1_n1():
@@ -69,6 +69,35 @@ def test_real_roots_rejects_bad_coefficients(coeffs):
         real_roots(CharacteristicQuartic(2, 0.0, *coeffs))
 
 
+def _exact_parts(q):
+    """The float quartic's coefficients as rationals, and the Cauchy bound
+    1 + max |a_k / a_4| that holds every real root."""
+    exact = [Fraction(c) for c in q.coeffs]
+    return exact, 1 + max(abs(c / exact[0]) for c in exact[1:])
+
+
+# (l, n) within about 4e-11 relative of the fold, where the float sign of Phi
+# at the critical point between the seed roots is rounding: the first two
+# have two real roots, the last two none
+_NEAR_FOLD = [
+    (66, 5.916432788576758e-05), (137, 1.3516063906445654e-05),
+    (52, 9.609750472698616e-05), (200, 6.312891188615629e-06),
+]
+
+
+@pytest.mark.parametrize("l, n", _NEAR_FOLD)
+def test_real_roots_reports_one_double_root_near_the_fold(l, n):
+    q = build_quartic(l, n)
+    exact, bound = _exact_parts(q)
+    want = [float(r) for r in exact_real_roots(exact, -bound, bound)]
+    crit = [float(c) for c in rounding_band_critical_points(exact, -bound, bound)]
+    (got,) = real_roots(q)
+    if want:
+        assert all(abs(got - w) <= 1e-6 * abs(w) for w in want)
+    else:
+        assert any(abs(got - c) <= 1e-6 * abs(c) for c in crit)
+
+
 @st.composite
 def _index_and_exponent(draw):
     l = draw(st.integers(1, 200))
@@ -81,15 +110,22 @@ def _index_and_exponent(draw):
 @given(_index_and_exponent())
 def test_real_roots_match_exact_oracle(draw):
     # every real root of the float quartic, against rational Sturm bisection
-    # inside the Cauchy bound 1 + max |a_k / a_4|
+    # inside the Cauchy bound; where the counts differ, each critical point
+    # with Phi inside the rounding band stands for the exact roots within
+    # 1e-6 of it (a close pair, or none where they are complex), reported
+    # once as a double root.  The band is twice the one real_roots applies,
+    # since its float Phi at its float critical point carries Horner's error
     q = build_quartic(*draw)
-    exact = [Fraction(c) for c in q.coeffs]
-    bound = 1 + max(abs(c / exact[0]) for c in exact[1:])
-    want = exact_real_roots(exact, -bound, bound)
+    exact, bound = _exact_parts(q)
+    want = [(float(r), 1e-10) for r in exact_real_roots(exact, -bound, bound)]
     got = real_roots(q)
-    assert len(got) == len(want), (got, [float(r) for r in want])
-    for g, w in zip(got, want):
-        assert abs(g - float(w)) <= 1e-10 * (1.0 + abs(float(w)))
+    if len(got) != len(want):
+        for c in map(float, rounding_band_critical_points(exact, -bound, bound, factor=2)):
+            want = [(w, t) for w, t in want if abs(w - c) > 1e-6 * (1.0 + abs(c))]
+            want = sorted(want + [(c, 1e-6)])
+    assert len(got) == len(want), (got, want)
+    for g, (w, tol) in zip(got, want):
+        assert abs(g - w) <= tol * (1.0 + abs(w))
 
 
 def test_persistent_root_l1():

@@ -3,16 +3,27 @@
 None of these invocations uses scipy: the nonlinear crack check and
 ``shoot`` run the in-module Dormand-Prince stepper on Python floats, and
 ``shoot`` alone loads numpy, to sample its solution.  After a deliberate
-change to the output, record the files again with
+change to the output, see what it moves with
+
+    PYTHONPATH=src python tests/test_cli_golden.py --diff
+
+which prints each changed JSON field or CSV line and its largest relative
+change and writes nothing, then record the files again with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import io
+import json
+import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from cracktip.cli import EXIT_INADMISSIBLE, EXIT_OK, run
+
+from golden import report
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
@@ -48,9 +59,28 @@ def test_stdout_matches_recorded_bytes(name, capsysbinary):
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
 
 
+def _fields(name, text):
+    """(label, value) for each top-level JSON field or each CSV line."""
+    if name.endswith(".json"):
+        return [(f"{name}:{key}", value) for key, value in json.loads(text).items()]
+    return [(f"{name}:{i}", line) for i, line in enumerate(text.splitlines(), 1)]
+
+
 if __name__ == "__main__":
-    GOLDEN.mkdir(parents=True, exist_ok=True)
+    diff = sys.argv[1:] == ["--diff"]
+    changes = []
     for name, (argv, code) in CASES.items():
-        got = run(argv + ["--output", str(GOLDEN / name)])
+        if diff:
+            with redirect_stdout(io.StringIO()) as out:
+                got = run(argv)
+            old = dict(_fields(name, (GOLDEN / name).read_text()))
+            new = dict(_fields(name, out.getvalue()))
+            changes += [(label, old.get(label), new.get(label))
+                        for label in dict.fromkeys([*old, *new])]
+        else:
+            GOLDEN.mkdir(parents=True, exist_ok=True)
+            got = run(argv + ["--output", str(GOLDEN / name)])
         if got != code:
             raise SystemExit(f"{name}: exit {got}, expected {code}")
+    if diff:
+        report(changes)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +186,17 @@ def test_branching_data_bundle():
         branching_data(2, Family.FIRST, method="quadrature")  # divergent tail
     with pytest.raises(ValueError):
         branching_data(2, Family.FIRST, method="nonsense")
+
+
+@pytest.mark.parametrize("l, family, method", [
+    (2, Family.FIRST, "implicit-function"), (3, Family.SECOND, "quadrature"),
+])
+def test_branching_data_attaches_the_correction(l, family, method):
+    data = branching_data(l, family, method=method, with_correction=True)
+    want = solve_correction(l, family, data.mu)
+    assert data.correction.mu == data.mu
+    for f in fields(want):
+        assert np.array_equal(getattr(data.correction, f.name), getattr(want, f.name)), f.name
 
 
 def test_quadrature_is_deterministic():

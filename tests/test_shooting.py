@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -25,6 +26,7 @@ from cracktip.shooting import (
     _trajectory,
     tip_second_derivative,
 )
+from cracktip._dopri import _step_zero
 
 
 def test_reduction_at_n_zero():
@@ -335,6 +337,47 @@ def test_integrate_rejects_bad_tolerances_and_spans():
     # rtol = 0 is a pure absolute tolerance; Psi = 1 - z^2
     zeros = _trajectory(-2.0, 0.0, 0.0, (1.0, 0.0), 1.5, 0.0, 1e-10).zeros
     assert zeros == [pytest.approx(1.0, abs=1e-9)]
+
+
+def test_step_zero_guards():
+    # the interpolant psi0 + h (x a0 + ...) with a = (1, 0, 0, 0): the zero
+    # at a start on Psi = 0 is z0, and an end value that vanishes or keeps
+    # psi0's sign (end states whose sign change the interpolant's rounding
+    # hides) gives z1, forward and backward
+    q = ((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
+    for z0, z1 in ((2.0, 3.0), (3.0, 2.0)):
+        h = z1 - z0
+        assert _step_zero(z0, z1, 0.0, q) == z0
+        assert _step_zero(z0, z1, -h, q) == z1
+        assert _step_zero(z0, z1, -2.0 * h, q) == z1
+    assert _step_zero(2.0, 3.0, -0.5, q) == 2.5
+
+
+_COEFF = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z0=st.floats(-100.0, 100.0), h=st.floats(1e-6, 10.0), backward=st.booleans(),
+       psi0=st.floats(-1e3, 1e3).filter(lambda v: v != 0.0),
+       a=st.tuples(_COEFF, _COEFF, _COEFF, _COEFF))
+# x^4 - 1.04e-131: Newton from x = 0 is linear at the near-quadruple root
+@example(z0=0.0, h=1.0, backward=False, psi0=-1.0372686475543724e-131, a=(0.0, 0.0, 0.0, 1.0))
+def test_step_zero_lands_on_the_interpolant_zero(z0, h, backward, psi0, a):
+    # with the end value of opposite sign, the zero lies in the step, and the
+    # quartic p = [h a3, h a2, h a1, h a0, psi0] in x = (z - z0)/h, evaluated
+    # exactly there, is within max |p'| on [0, 1] times the x error: the root
+    # tolerance 2^-52 and the rounding of z = z0 + h x
+    z1 = z0 - h if backward else z0 + h
+    h = z1 - z0
+    p = [h * a[3], h * a[2], h * a[1], h * a[0], psi0]
+    end = (((p[0] + p[1]) + p[2]) + p[3]) + p[4]
+    assume(end != 0.0 and (end > 0.0) != (psi0 > 0.0))
+    z = _step_zero(z0, z1, psi0, (a, (0.0, 0.0, 0.0, 0.0)))
+    assert min(z0, z1) <= z <= max(z0, z1)
+    x = (Fraction(z) - Fraction(z0)) / Fraction(h)
+    value = sum(Fraction(c) * x ** (4 - k) for k, c in enumerate(p))
+    slope = sum((4 - k) * abs(c) for k, c in enumerate(p))
+    assert abs(value) <= slope * 2.0 ** -51 * (1.0 + abs(z) / abs(h))
 
 
 def test_shoot_needs_two_samples():

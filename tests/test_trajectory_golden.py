@@ -5,17 +5,25 @@ output at the middle of the span, and the counts ``nfev`` and ``steps``.
 The cases cover forward and backward runs, a start on Psi = 0, the
 tolerances of the nonlinear crack check and the power-of-two rescale of
 ``tip_second_derivative``.  After a deliberate change to the stepper's
-arithmetic, record the file again with
+arithmetic, see what it moves with
+
+    PYTHONPATH=src python tests/test_trajectory_golden.py --diff
+
+which prints each changed field and its largest relative change and writes
+nothing, then record the file again with
 
     PYTHONPATH=src python tests/test_trajectory_golden.py
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from cracktip.shooting import _trajectory
+
+from golden import report
 
 GOLDEN = Path(__file__).parent / "data" / "trajectory_golden.json"
 
@@ -51,6 +59,11 @@ def test_trajectory_matches_recorded_bits(name):
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     out = {name: _record(args) for name, args in CASES.items()}
-    GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    if sys.argv[1:] == ["--diff"]:
+        old = json.loads(GOLDEN.read_text())
+        report((f"{name}.{key}", old.get(name, {}).get(key), got[key])
+               for name, got in sorted(out.items()) for key in sorted(got))
+    else:
+        GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+        GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
