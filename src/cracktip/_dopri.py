@@ -1,12 +1,12 @@
-"""Dormand-Prince 5(4) integration of a two-component ODE on Python floats.
+"""Dormand-Prince 5(4) integration of Psi'' = F(z, Psi, Psi') on Python floats.
 
-``integrate`` takes the steps of scipy's RK45 integrator (the same tableau,
-initial-step rule, error norm and step controller), so it reproduces that
-integrator's solutions to rounding without importing scipy.  The Psi = 0
-crossings are roots of a step's quartic interpolant, found by the bracketed
-solver ``characteristic._root`` that also finds the quartic eigenvalues.
-The tip ODE in ``shooting`` is its only caller, which loads this module on
-first use.
+``integrate`` steps the state (Psi, Psi') with scipy RK45's tableau,
+initial-step rule, error norm and step controller, so it reproduces that
+integrator's solutions to rounding without importing scipy.  F returns
+Psi'' alone: the Psi' stages are the arguments the stepper forms anyway.
+The Psi = 0 crossings are roots of a step's quartic interpolant, found by
+``characteristic._root``, which also finds the quartic eigenvalues.  The
+tip ODE in ``shooting`` is the only caller, which loads this on first use.
 """
 
 from __future__ import annotations
@@ -116,9 +116,9 @@ class Trajectory:
         return np.array(_interpolate(zz, z0[i], h[i], psi[i], dpsi[i], q))
 
 
-def integrate(f, z0, y0, z_end, rtol, atol) -> Trajectory:
-    """Solution of (Psi, Psi')' = f(z, Psi, Psi') through y0 at z0, carried
-    to z_end on either side of z0 by the Dormand-Prince 5(4) pair.
+def integrate(F, z0, y0, z_end, rtol, atol) -> Trajectory:
+    """Solution of Psi'' = F(z, Psi, Psi') through (Psi, Psi')(z0) = y0,
+    carried to z_end on either side of z0 by the Dormand-Prince 5(4) pair.
 
     The initial step follows Hairer, Norsett & Wanner (Sec. II.4); a step is
     accepted when the RMS norm of the error estimate over the scale
@@ -127,7 +127,7 @@ def integrate(f, z0, y0, z_end, rtol, atol) -> Trajectory:
     rejection).  The Psi = 0 crossings are taken where the end values of a
     step change sign or vanish, and located on its quartic interpolant.  A
     step below 10 ulps of z or a non-finite state raises NumericsError;
-    errors raised by f pass through.  Needs finite rtol >= 0, atol > 0, y0
+    errors raised by F pass through.  Needs finite rtol >= 0, atol > 0, y0
     and z0 != z_end; anything else raises ValueError.
     """
     z, z_end = float(z0), float(z_end)
@@ -141,19 +141,21 @@ def integrate(f, z0, y0, z_end, rtol, atol) -> Trajectory:
     psi, dpsi = float(y0[0]), float(y0[1])
     if not (math.isfinite(psi) and math.isfinite(dpsi)):
         raise ValueError(f"y0 must be finite, got {tuple(y0)!r}")
-    fp, fd = f(z, psi, dpsi)
+    fd = F(z, psi, dpsi)
     # initial step (Hairer, Norsett & Wanner, Sec. II.4)
     span = abs(z_end - z)
     s0, s1 = atol + abs(psi) * rtol, atol + abs(dpsi) * rtol
-    d0, d1 = _rms(psi / s0, dpsi / s1), _rms(fp / s0, fd / s1)
+    d0, d1 = _rms(psi / s0, dpsi / s1), _rms(dpsi / s0, fd / s1)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    gp, gd = f(z + h0 * sign, psi + h0 * sign * fp, dpsi + h0 * sign * fd)
-    d2 = _rms((gp - fp) / s0, (gd - fd) / s1) / h0
+    gp = dpsi + h0 * sign * fd
+    gd = F(z + h0 * sign, psi + h0 * sign * dpsi, gp)
+    d2 = _rms((gp - dpsi) / s0, (gd - fd) / s1) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100.0 * h0, h1, span)
 
     # the trial step is straight-line code: every sum runs left to right, and
-    # the zero weights b1 and e1 stay so that a non-finite stage fails it
+    # the zero weights b1 and e1 stay so that a non-finite stage fails it;
+    # the Psi stages p1..p5 are the Psi' arguments of the F stages q1..q5
     c1, c2, c3, c4, c5 = _C
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54) = _A
     b0, b1, b2, b3, b4, b5 = _B
@@ -172,27 +174,25 @@ def integrate(f, z0, y0, z_end, rtol, atol) -> Trajectory:
                 z_new = z_end
             h = z_new - z
             h_abs = abs(h)
-            p1, q1 = f(z + c1 * h, psi + a10 * fp * h, dpsi + a10 * fd * h)
-            p2, q2 = f(z + c2 * h, psi + (a20 * fp + a21 * p1) * h,
-                       dpsi + (a20 * fd + a21 * q1) * h)
-            p3, q3 = f(z + c3 * h,
-                       psi + (a30 * fp + a31 * p1 + a32 * p2) * h,
-                       dpsi + (a30 * fd + a31 * q1 + a32 * q2) * h)
-            p4, q4 = f(z + c4 * h,
-                       psi + (a40 * fp + a41 * p1 + a42 * p2 + a43 * p3) * h,
-                       dpsi + (a40 * fd + a41 * q1 + a42 * q2 + a43 * q3) * h)
-            p5, q5 = f(z + c5 * h,
-                       psi + (a50 * fp + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4) * h,
-                       dpsi + (a50 * fd + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4) * h)
-            psi_new = psi + h * (b0 * fp + b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
+            p1 = dpsi + a10 * fd * h
+            q1 = F(z + c1 * h, psi + a10 * dpsi * h, p1)
+            p2 = dpsi + (a20 * fd + a21 * q1) * h
+            q2 = F(z + c2 * h, psi + (a20 * dpsi + a21 * p1) * h, p2)
+            p3 = dpsi + (a30 * fd + a31 * q1 + a32 * q2) * h
+            q3 = F(z + c3 * h, psi + (a30 * dpsi + a31 * p1 + a32 * p2) * h, p3)
+            p4 = dpsi + (a40 * fd + a41 * q1 + a42 * q2 + a43 * q3) * h
+            q4 = F(z + c4 * h, psi + (a40 * dpsi + a41 * p1 + a42 * p2 + a43 * p3) * h, p4)
+            p5 = dpsi + (a50 * fd + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4) * h
+            q5 = F(z + c5 * h, psi + (a50 * dpsi + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4) * h, p5)
+            psi_new = psi + h * (b0 * dpsi + b1 * p1 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
             dpsi_new = dpsi + h * (b0 * fd + b1 * q1 + b2 * q2 + b3 * q3 + b4 * q4 + b5 * q5)
-            fp_new, fd_new = f(z_new, psi_new, dpsi_new)
+            fd_new = F(z_new, psi_new, dpsi_new)
             nfev += 6
             if not (math.isfinite(psi_new) and math.isfinite(dpsi_new) and math.isfinite(fd_new)):
                 raise NumericsError(f"non-finite state at z={z_new!r}")
-            k0 = (fp, p1, p2, p3, p4, p5, fp_new)
+            k0 = (dpsi, p1, p2, p3, p4, p5, dpsi_new)
             k1 = (fd, q1, q2, q3, q4, q5, fd_new)
-            u = (e0 * fp + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * fp_new) * h
+            u = (e0 * dpsi + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * dpsi_new) * h
             v = (e0 * fd + e1 * q1 + e2 * q2 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * fd_new) * h
             u /= atol + max(abs(psi), abs(psi_new)) * rtol
             v /= atol + max(abs(dpsi), abs(dpsi_new)) * rtol
@@ -206,9 +206,7 @@ def integrate(f, z0, y0, z_end, rtol, atol) -> Trajectory:
         stages.append((k0, k1))
         if psi <= 0.0 <= psi_new or psi >= 0.0 >= psi_new:
             zeros.append(_step_zero(z, z_new, psi, _dense_coeffs(k0, k1)))
-        z, psi, dpsi, fp, fd = z_new, psi_new, dpsi_new, fp_new, fd_new
+        z, psi, dpsi, fd = z_new, psi_new, dpsi_new, fd_new
         zs.append(z)
         states.append((psi, dpsi))
     return Trajectory(zs, states, stages, zeros, nfev)
-
-

@@ -85,18 +85,21 @@ def _real_roots(p: Sequence[float]) -> List[float]:
     lead) vanishes or changes sign.  p is monotone between neighbouring real
     roots of p', found the same way, and Fujiwara's bound 2 max |a_k/a_0|^(1/k)
     closes the two outer pieces, so one sign change brackets each root.  A
-    critical point c with |p(c)| within Horner's error bound 2 len(p) 2^-53
-    sum |a_k| |c|^k counts as p(c) = 0, since its sign is rounding: c is
-    reported once, as a double root, for two close exact roots or none."""
+    critical point c where |p(c)| is within the running error bound of its
+    Horner pass (Higham, Alg. 5.1) counts as p(c) = 0, since its sign is
+    rounding: c is reported once, as a double root, for two close exact
+    roots or none."""
     if not all(math.isfinite(c) for c in p) or p[0] == 0.0:
         raise ValueError(f"coefficients must be finite with a nonzero lead, got {p!r}")
     bound = 2.0 * max(abs(c / p[0]) ** (1.0 / k) for k, c in enumerate(p) if k)
     ends = [-bound] + (_real_roots(_polyder(p)) if len(p) > 2 else []) + [bound]
-    vals = [_polyval(p, x) for x in ends]
-    size = [abs(c) for c in p]
-    for i in range(1, len(ends) - 1):
-        if abs(vals[i]) <= 2 * len(p) * 2.0 ** -53 * _polyval(size, abs(ends[i])):
-            vals[i] = 0.0
+    vals = []
+    for i, x in enumerate(ends):
+        y, mu = p[0], 0.5 * abs(p[0])  # Horner's rule and the running bound mu
+        for a in p[1:]:
+            y = y * x + a
+            mu = abs(x) * mu + abs(y)
+        vals.append(0.0 if 0 < i < len(ends) - 1 and abs(y) <= 2.0 ** -53 * (2.0 * mu - abs(y)) else y)
     roots: List[float] = []
     for a, b, fa, fb in zip(ends, ends[1:], vals, vals[1:]):
         if fa == 0.0 and not (roots and roots[-1] >= a):

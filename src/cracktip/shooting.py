@@ -1,13 +1,13 @@
 """Direct integration of the quasilinear tip eigenfunction ODE.
 
-The equation is affine in the second derivative, so it is integrated as an
-explicit first-order system after solving for Psi'', by ``_trajectory``
-from a state at any z0, with the Dormand-Prince 5(4) stepper of ``_dopri``
-on Python floats.  ``shoot`` starts at z = 0 with the parity of the
-index (even l: Psi(0)=1, Psi'(0)=0; odd l: Psi(0)=0, Psi'(0)=1); the
-amplitude scales out exactly because the equation is 1-homogeneous.  The
-negative half-line is obtained by parity mirroring, which avoids any drift
-through the symmetry point.
+The equation is affine in the second derivative, so Psi'' is solved for
+once, in ``_tip_kernel``, and ``_trajectory`` steps it from a state at any
+z0 with the Dormand-Prince 5(4) stepper of ``_dopri`` on Python floats.
+``shoot`` starts at z = 0 with the parity of the index (even l: Psi(0)=1,
+Psi'(0)=0; odd l: Psi(0)=0, Psi'(0)=1); the amplitude scales out exactly
+because the equation is 1-homogeneous.  The negative half-line is
+obtained by parity mirroring, which avoids any drift through the
+symmetry point.
 
 Zeros are the sign changes of Psi over a step, located on that step's
 quartic interpolant and annotated with transversality data; the growth
@@ -31,58 +31,66 @@ DEFAULT_Z_MAX = 100.0
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-10
 COEFF_TOL = 1e-12
+SOFT_COEFF_TOL = 1e-6
 
 
 def tip_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: float):
-    """Psi'' of the tip equation and the coefficient it was divided by.
+    """Psi'' of the tip equation at one state and the coefficient it was
+    divided by, from one call of ``_tip_kernel``."""
+    coeffs: List[float] = []
+    return _tip_kernel(lam, n)(z, psi, dpsi, coeffs), coeffs[0]
 
-    Collecting the Psi''-linear terms of both sides gives
+
+def isolate_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: float) -> float:
+    """Solve the tip equation for Psi'' at one phase-space point."""
+    return _tip_kernel(float(lam), float(n))(float(z), float(psi), float(dpsi))
+
+
+def _tip_kernel(lam: float, n: float, near_events: Optional[List[float]] = None):
+    """Psi'' of the tip equation at fixed lam and n, as psi2(z, psi, dpsi)
+    for ``_dopri.integrate``.  Collecting the Psi''-linear terms gives
 
         Psi'' * [z^2 (1 + n Phi1) + 1 + n (psi'^2 + 2 z psi' g) / den]
             = -P0 (1 + n Phi1) - 2 n lam psi'^2 g / den,
 
     with g = lam psi + z psi', den = psi'^2 + g^2, Phi1 = g^2/den and
-    P0 = lam(lam+1) psi + 2(lam+1) z psi'.  At n = 0 this reduces to the
-    linear pencil form  Psi'' = -P0 / (1 + z^2).
-
-    On Python floats.  The right-hand side is homogeneous of degree 1 in
-    (psi, psi') and the coefficient of degree 0, so where products such as
-    z psi' g overflow first, a finite state is scaled once by an exact
-    power of two and Psi'' back.  A vanishing den or a coefficient below
-    COEFF_TOL * (1 + z^2) raises.
+    P0 = lam(lam+1) psi + 2(lam+1) z psi'; at n = 0, Psi'' = -P0 / (1 + z^2).
+    Float arithmetic, with lam (lam+1), 2 (lam+1) and 2 n lam bound once.
+    den = 0 or a coefficient below COEFF_TOL (1 + z^2) raises.  Psi'' is
+    homogeneous of degree 1, so a den below 2^-900 or a non-finite Psi''
+    from a finite state is met by scaling the state by a power of two.
+    Each z whose coefficient is below SOFT_COEFF_TOL (1 + z^2) is appended
+    to ``near_events`` if given; psi2(..., coeffs) appends the coefficient.
     """
-    d2, coeff = _tip_terms(z, psi, dpsi, lam, n)
-    if not math.isfinite(d2) and math.isfinite(psi) and math.isfinite(dpsi):
-        e = math.frexp(max(abs(psi), abs(dpsi)))[1]
-        d2, coeff = _tip_terms(z, math.ldexp(psi, -e), math.ldexp(dpsi, -e), lam, n)
-        d2 = math.ldexp(d2, e)
-    return d2, coeff
+    lam_lam1, lam1_2, n_lam_2 = lam * (lam + 1.0), 2.0 * (lam + 1.0), 2.0 * n * lam
 
+    def psi2(z, psi, dpsi, coeffs=None):
+        g = lam * psi + z * dpsi
+        dd = dpsi * dpsi
+        den = dd + g * g
+        if den < 2.0 ** -900:
+            if den == 0.0:
+                raise QuasilinearDegeneracyError(z, 0.0)
+            e = min(-(math.frexp(den)[1] // 2), 1000 - math.frexp(max(abs(psi), abs(dpsi)))[1])
+            if e > 0:
+                return math.ldexp(psi2(z, math.ldexp(psi, e), math.ldexp(dpsi, e), coeffs), -e)
+        nf1 = 1.0 + n * (g * g / den)
+        coeff = z * z * nf1 + 1.0 + n * (dd + 2.0 * z * dpsi * g) / den
+        near = abs(coeff) < SOFT_COEFF_TOL * (1.0 + z * z)
+        if near and abs(coeff) < COEFF_TOL * (1.0 + z * z):
+            raise QuasilinearDegeneracyError(z, coeff)
+        d2 = (-(lam_lam1 * psi + lam1_2 * z * dpsi) * nf1 - n_lam_2 * dpsi * dpsi * g / den) / coeff
+        if not -math.inf < d2 < math.inf and math.isfinite(psi) and math.isfinite(dpsi):
+            e = math.frexp(max(abs(psi), abs(dpsi)))[1]
+            if e:
+                return math.ldexp(psi2(z, math.ldexp(psi, -e), math.ldexp(dpsi, -e), coeffs), e)
+        if near and near_events is not None:
+            near_events.append(z)
+        if coeffs is not None:
+            coeffs.append(coeff)
+        return d2
 
-def _tip_terms(z: float, psi: float, dpsi: float, lam: float, n: float):
-    """``tip_second_derivative`` at one state, without the overflow scaling;
-    a den near the subnormal grid is scaled toward 1 by a power of two."""
-    g = lam * psi + z * dpsi
-    den = dpsi * dpsi + g * g
-    if den < 2.0 ** -900:
-        if den == 0.0:
-            raise QuasilinearDegeneracyError(z, 0.0)
-        e = min(-(math.frexp(den)[1] // 2), 1000 - math.frexp(max(abs(psi), abs(dpsi)))[1])
-        if e > 0:
-            d2, coeff = _tip_terms(z, math.ldexp(psi, e), math.ldexp(dpsi, e), lam, n)
-            return math.ldexp(d2, -e), coeff
-    f1 = g * g / den
-    coeff = z * z * (1.0 + n * f1) + 1.0 + n * (dpsi * dpsi + 2.0 * z * dpsi * g) / den
-    if abs(coeff) < COEFF_TOL * (1.0 + z * z):
-        raise QuasilinearDegeneracyError(z, coeff)
-    p0 = lam * (lam + 1.0) * psi + 2.0 * (lam + 1.0) * z * dpsi
-    num = -p0 * (1.0 + n * f1) - 2.0 * n * lam * dpsi * dpsi * g / den
-    return num / coeff, coeff
-
-
-def isolate_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: float) -> float:
-    """Solve the tip equation for Psi'' at one phase-space point."""
-    return tip_second_derivative(float(z), float(psi), float(dpsi), float(lam), float(n))[0]
+    return psi2
 
 
 @dataclass(frozen=True)
@@ -127,9 +135,6 @@ class ShootingSolution:
         return out[0]
 
 
-SOFT_COEFF_TOL = 1e-6
-
-
 def _trajectory(
     lam: float,
     n: float,
@@ -151,14 +156,7 @@ def _trajectory(
     if not (0.0 <= n < math.inf and math.isfinite(lam)):
         raise ValueError(f"n must be finite and >= 0 and lambda finite, got {n}, {lam}")
     from ._dopri import integrate  # loaded on first use: import cracktip skips it
-
-    def f(z, psi, dpsi):
-        d2, coeff = tip_second_derivative(z, psi, dpsi, lam, n)
-        if near_events is not None and abs(coeff) < SOFT_COEFF_TOL * (1.0 + z * z):
-            near_events.append(z)
-        return dpsi, d2
-
-    return integrate(f, z0, y0, z_end, rtol, atol)
+    return integrate(_tip_kernel(lam, n, near_events), z0, y0, z_end, rtol, atol)
 
 
 def shoot(

@@ -98,6 +98,18 @@ def test_real_roots_reports_one_double_root_near_the_fold(l, n):
         assert any(abs(got - c) <= 1e-6 * abs(c) for c in crit)
 
 
+def test_real_roots_resolve_a_close_pair_at_large_l():
+    # n*(1 - 8e-8) at l = 1000: two real roots 2.8e-4 apart, and |Phi| = 2.05e-2
+    # at the critical point between them is ten times the running error bound
+    # of its Horner pass, so the pair is resolved, not reported as one root
+    q = build_quartic(1000, 2.505006051460393e-07)
+    exact, bound = _exact_parts(q)
+    want = [float(r) for r in exact_real_roots(exact, -bound, bound)]
+    got = real_roots(q)
+    assert len(got) == len(want) == 2
+    assert all(abs(g - w) <= 1e-8 * abs(w) for g, w in zip(got, want))
+
+
 @st.composite
 def _index_and_exponent(draw):
     l = draw(st.integers(1, 200))

@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-import cracktip.shooting
 from cracktip import (
     Family,
     NumericsError,
@@ -22,11 +21,14 @@ from cracktip import (
 )
 from cracktip.shooting import (
     ARCTAN_EXAMPLE_ADMISSIBLE,
-    _tip_terms,
+    SOFT_COEFF_TOL,
+    _tip_kernel,
     _trajectory,
     tip_second_derivative,
 )
-from cracktip._dopri import _step_zero
+from cracktip._dopri import _step_zero, integrate
+
+import oracles
 
 
 def test_reduction_at_n_zero():
@@ -81,7 +83,7 @@ def test_second_derivative_scales_past_overflow(z, psi, dpsi, lam, n, k):
         d2, coeff = tip_second_derivative(z, psi, dpsi, lam, n)
     except QuasilinearDegeneracyError:
         return
-    assert (d2, coeff) == _tip_terms(z, psi, dpsi, lam, n)
+    assert (d2, coeff) == oracles._tip_terms(z, psi, dpsi, lam, n)
     try:
         big = math.ldexp(d2, k)
     except OverflowError:
@@ -89,6 +91,45 @@ def test_second_derivative_scales_past_overflow(z, psi, dpsi, lam, n, k):
     got, got_coeff = tip_second_derivative(z, math.ldexp(psi, k), math.ldexp(dpsi, k), lam, n)
     assert got == pytest.approx(big, rel=1e-12, abs=1e-12 * math.ldexp(1.0, k))
     assert got_coeff == pytest.approx(coeff, rel=1e-12)
+
+
+def _bits(x):
+    """x as a key equal only for bit-equal floats: -0.0 differs from 0.0
+    and every NaN is alike."""
+    return "nan" if x != x else (x, math.copysign(1.0, x))
+
+
+def _outcome(fn):
+    """The bits of each float fn returns, or one (type, message) it raises."""
+    try:
+        return tuple(map(_bits, fn()))
+    except (QuasilinearDegeneracyError, OverflowError) as exc:
+        return ((type(exc), str(exc)),)
+
+
+# 0.0 or m 10^e for 1 <= |m| <= 10 and -160 <= e < 300
+_STATE = st.builds(lambda m, e: 0.0 if e < -160 else m * 10.0 ** e,
+                   st.floats(1.0, 10.0) | st.floats(-10.0, -1.0), st.integers(-161, 299))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(-1e6, 1e6), _STATE, _STATE, st.floats(-200.0, 0.5), st.floats(0.0, 5.0))
+@example(0.0, 1.0, 1.4649721964977102e-161, 0.0, 1.5)  # den subnormal: the state is scaled up
+@example(1e3, 1e300, 1e300, -100.0, 2.0)  # den overflows: the state is scaled down
+@example(1.0, 0.0, 0.0, -2.0, 0.1)  # den = 0 raises
+@example(0.0, 1e-7, 1.0, -1.0, -1.0)  # n < 0: a coefficient below COEFF_TOL raises
+@example(0.0, 1e-4, 1.0, -1.0, -1.0)  # n < 0: a coefficient below SOFT_COEFF_TOL is recorded
+def test_kernel_matches_the_reference_bit_for_bit(z, psi, dpsi, lam, n):
+    # for n >= 0 the coefficient is (1 + z^2) + n (z g + Psi')^2 / den, so its
+    # guards fire only for the n < 0 examples
+    want = _outcome(lambda: oracles.tip_second_derivative(z, psi, dpsi, lam, n))
+    near, coeffs = [], []
+    got = _outcome(lambda: (_tip_kernel(lam, n, near)(z, psi, dpsi, coeffs), *coeffs))
+    assert got == want
+    assert _outcome(lambda: tip_second_derivative(z, psi, dpsi, lam, n)) == want
+    assert _outcome(lambda: (isolate_second_derivative(z, psi, dpsi, lam, n),)) == want[:1]
+    soft = len(want) == 2 and want[1] != "nan" and abs(want[1][0]) < SOFT_COEFF_TOL * (1.0 + z * z)
+    assert near == ([z] if soft else [])
 
 
 def test_shot_past_the_product_overflow():
@@ -296,7 +337,7 @@ def test_trajectory_matches_solve_ivp(l, shift, n, theta, z0, span, backward, on
     assert got.steps == ref.t.size - 1
 
 
-def test_trajectory_failures_raise(monkeypatch):
+def test_trajectory_failures_raise():
     # a degenerate state: den = Psi'^2 + (lam Psi + z Psi')^2 = 0
     with pytest.raises(QuasilinearDegeneracyError):
         _trajectory(-2.0, 0.1, 0.0, (0.0, 0.0), 5.0, 1e-10, 1e-10)
@@ -305,15 +346,12 @@ def test_trajectory_failures_raise(monkeypatch):
     # a tolerance below rounding drives the step to 10 ulps of z
     with pytest.raises(NumericsError, match="step size"):
         _trajectory(-2.0, 0.0, 1.0, (1.0, 0.5), 2.0, 0.0, 1e-150)
-    # Psi' = 1 / (1 - z) blows up at z = 1
-    monkeypatch.setattr(cracktip.shooting, "tip_second_derivative",
-                        lambda z, psi, dpsi, lam, n: (dpsi * dpsi, 1.0))
+    # Psi'' = Psi'^2 from Psi'(0) = 1: Psi' = 1 / (1 - z) blows up at z = 1
     with pytest.raises(NumericsError, match="step size"):
-        _trajectory(-2.0, 0.0, 0.0, (0.0, 1.0), 2.0, 1e-10, 1e-10)
-    monkeypatch.setattr(cracktip.shooting, "tip_second_derivative",
-                        lambda z, psi, dpsi, lam, n: (math.nan if z > 1.0 else 0.0, 1.0))
+        integrate(lambda z, psi, dpsi: dpsi * dpsi, 0.0, (0.0, 1.0), 2.0, 1e-10, 1e-10)
     with pytest.raises(NumericsError, match="non-finite"):
-        _trajectory(-2.0, 0.0, 0.0, (0.0, 1.0), 2.0, 1e-10, 1e-10)
+        integrate(lambda z, psi, dpsi: math.nan if z > 1.0 else 0.0, 0.0, (0.0, 1.0), 2.0,
+                  1e-10, 1e-10)
 
 
 def test_integrate_rejects_bad_tolerances_and_spans():

@@ -4,7 +4,7 @@ Each case records ``float.hex`` of the zeros, the end state and the dense
 output at the middle of the span, and the counts ``nfev`` and ``steps``.
 The cases cover forward and backward runs, a start on Psi = 0, the
 tolerances of the nonlinear crack check and the power-of-two rescale of
-``tip_second_derivative``.  After a deliberate change to the stepper's
+``shooting._tip_kernel``.  After a deliberate change to the stepper's
 arithmetic, see what it moves with
 
     PYTHONPATH=src python tests/test_trajectory_golden.py --diff
