@@ -57,10 +57,8 @@ from .pencil import (
     sturm_liouville_map,
 )
 from .perturbation import (
-    BranchingData,
     CorrectionSolution,
     QuadratureDiagnostics,
-    branching_data,
     mu_via_ift,
     mu_via_quadrature,
     phi1,

@@ -237,7 +237,6 @@ def _cmd_shoot(args):
         "zero_derivatives": list(sol.zeros.derivative_magnitudes),
         "transversal": list(sol.zeros.transversal),
         "growth_exponent": sol.growth_exponent,
-        "degeneracy_events": list(sol.degeneracy_events),
     }
     return fields, _csv("z,psi,dpsi", zip(sol.z, sol.psi, sol.dpsi)), EXIT_OK
 

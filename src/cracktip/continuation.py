@@ -106,21 +106,19 @@ def continue_branch(
     family: BranchFamily,
     n_max: float,
     initial_step: float = 1e-3,
-    min_step: float = 1e-9,
-    growth: float = 1.4,
 ) -> Branch:
     """Sample one branch on a geometric n grid up to ``n_max`` or its fold.
 
-    Steps start at ``initial_step`` and grow by ``growth`` up to 0.05; a
-    step that would reach the fold is halved, and once it falls below
-    ``min_step`` the branch ends with the fold.
+    Steps start at ``initial_step`` and grow by a factor 1.4 up to 0.05; a
+    step that would reach the fold is halved, and once it falls below 1e-9
+    the branch ends with the fold.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     if not n_max > 0.0:
         raise ValueError("n_max must be positive")
-    if not (initial_step > 0.0 and min_step > 0.0 and growth >= 1.0):
-        raise ValueError("initial_step and min_step must be positive and growth at least 1")
+    if not initial_step > 0.0:
+        raise ValueError("initial_step must be positive")
     meet = _meeting_point(l)
     n_end = meet.n_star if meet.kind == "fold" else math.inf
     if math.isinf(n_max) and math.isinf(n_end):
@@ -131,11 +129,11 @@ def continue_branch(
         dn = min(step, n_max - n)
         while n + dn >= n_end:
             dn *= 0.5
-            if dn < min_step:
+            if dn < 1e-9:
                 return Branch(l, family, tuple(samples), meet, reached_n_max=False)
         n += dn
         samples.append((n, _eigenvalue(meet, family, n)))
-        step = min(dn * growth, 0.05)
+        step = min(dn * 1.4, 0.05)
     return Branch(l, family, tuple(samples), None, reached_n_max=True)
 
 
@@ -157,12 +155,11 @@ def _fold_point(l: int, n: float, x: float, kind: str) -> FoldPoint:
     )
 
 
-def find_fold(l: int, bracket: Optional[Tuple[float, float]] = None) -> FoldPoint:
+def find_fold(l: int) -> FoldPoint:
     """The fold of index l >= 2: the peak x* of n = -A/B on (-1, 0).
 
     x* is the root of W = A'B - AB', which is negative at x = -1 and
-    positive at x = 0.  With ``bracket=(lo, hi)`` the fold must satisfy
-    lo < n* <= hi.
+    positive at x = 0.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
@@ -176,8 +173,6 @@ def find_fold(l: int, bracket: Optional[Tuple[float, float]] = None) -> FoldPoin
             W[i + j] += dA[i] * B[j] - A[i] * dB[j]
     x = _root([float(w) for w in W[1:]], 0.0, -1.0)
     n = -_polyval(A, x) / _polyval(B, x)
-    if bracket is not None and not bracket[0] < n <= bracket[1]:
-        raise NoFoldInBracketError(f"fold n*={n!r} of l={l} is not inside bracket {bracket!r}")
     fold = _fold_point(l, n, x, "fold")
     if fold.second_derivative == 0.0:
         raise NumericsError(f"fold for l={l} is not quadratic (Phi_LamLam = 0)")

@@ -27,7 +27,7 @@ class GradientDegeneracyError(NumericsError):
 
 
 class NoFoldInBracketError(NumericsError):
-    """The index has no fold (l = 1), or its fold lies outside the bracket."""
+    """The index has no fold: l = 1, where Lam = -1 is a root for every n."""
 
 
 class NoRealEigenvalueError(NumericsError):

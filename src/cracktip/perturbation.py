@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from .characteristic import _integer_parts
 from .errors import GradientDegeneracyError, NumericsError
@@ -172,38 +172,6 @@ class CorrectionSolution:
     interior_residual_max: float
     resonance_amplitude: float
     orthogonality_value: float
-
-
-@dataclass(frozen=True)
-class BranchingData:
-    l: int
-    family: Family
-    lam: float
-    mu: float
-    mu_method: str  # "implicit-function" or "quadrature"
-    correction: Optional[CorrectionSolution] = None
-
-
-def branching_data(
-    l: int,
-    family: Family,
-    method: str = "implicit-function",
-    with_correction: bool = False,
-) -> BranchingData:
-    """Bundle the first-order branching results for one seed."""
-    lam = build_eigenfunction(l, family).lam
-    if method == "implicit-function":
-        mu = mu_via_ift(l, family)
-    elif method == "quadrature":
-        mu, diag = mu_via_quadrature(l, family)
-        if diag.divergent_tail:
-            raise NumericsError(
-                f"quadrature slope for l={l}, {family.value} has a divergent tail"
-            )
-    else:
-        raise ValueError("method must be 'implicit-function' or 'quadrature'")
-    corr = solve_correction(l, family, mu) if with_correction else None
-    return BranchingData(l=l, family=family, lam=lam, mu=mu, mu_method=method, correction=corr)
 
 
 def solve_correction(

@@ -31,14 +31,6 @@ DEFAULT_Z_MAX = 100.0
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-10
 COEFF_TOL = 1e-12
-SOFT_COEFF_TOL = 1e-6
-
-
-def tip_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: float):
-    """Psi'' of the tip equation at one state and the coefficient it was
-    divided by, from one call of ``_tip_kernel``."""
-    coeffs: List[float] = []
-    return _tip_kernel(lam, n)(z, psi, dpsi, coeffs), coeffs[0]
 
 
 def isolate_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: float) -> float:
@@ -46,7 +38,7 @@ def isolate_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: 
     return _tip_kernel(float(lam), float(n))(float(z), float(psi), float(dpsi))
 
 
-def _tip_kernel(lam: float, n: float, near_events: Optional[List[float]] = None):
+def _tip_kernel(lam: float, n: float):
     """Psi'' of the tip equation at fixed lam and n, as psi2(z, psi, dpsi)
     for ``_dopri.integrate``.  Collecting the Psi''-linear terms gives
 
@@ -59,12 +51,10 @@ def _tip_kernel(lam: float, n: float, near_events: Optional[List[float]] = None)
     den = 0 or a coefficient below COEFF_TOL (1 + z^2) raises.  Psi'' is
     homogeneous of degree 1, so a den below 2^-900 or a non-finite Psi''
     from a finite state is met by scaling the state by a power of two.
-    Each z whose coefficient is below SOFT_COEFF_TOL (1 + z^2) is appended
-    to ``near_events`` if given; psi2(..., coeffs) appends the coefficient.
     """
     lam_lam1, lam1_2, n_lam_2 = lam * (lam + 1.0), 2.0 * (lam + 1.0), 2.0 * n * lam
 
-    def psi2(z, psi, dpsi, coeffs=None):
+    def psi2(z, psi, dpsi):
         g = lam * psi + z * dpsi
         dd = dpsi * dpsi
         den = dd + g * g
@@ -73,21 +63,16 @@ def _tip_kernel(lam: float, n: float, near_events: Optional[List[float]] = None)
                 raise QuasilinearDegeneracyError(z, 0.0)
             e = min(-(math.frexp(den)[1] // 2), 1000 - math.frexp(max(abs(psi), abs(dpsi)))[1])
             if e > 0:
-                return math.ldexp(psi2(z, math.ldexp(psi, e), math.ldexp(dpsi, e), coeffs), -e)
+                return math.ldexp(psi2(z, math.ldexp(psi, e), math.ldexp(dpsi, e)), -e)
         nf1 = 1.0 + n * (g * g / den)
         coeff = z * z * nf1 + 1.0 + n * (dd + 2.0 * z * dpsi * g) / den
-        near = abs(coeff) < SOFT_COEFF_TOL * (1.0 + z * z)
-        if near and abs(coeff) < COEFF_TOL * (1.0 + z * z):
+        if abs(coeff) < COEFF_TOL * (1.0 + z * z):
             raise QuasilinearDegeneracyError(z, coeff)
         d2 = (-(lam_lam1 * psi + lam1_2 * z * dpsi) * nf1 - n_lam_2 * dpsi * dpsi * g / den) / coeff
         if not -math.inf < d2 < math.inf and math.isfinite(psi) and math.isfinite(dpsi):
             e = math.frexp(max(abs(psi), abs(dpsi)))[1]
             if e:
-                return math.ldexp(psi2(z, math.ldexp(psi, -e), math.ldexp(dpsi, -e), coeffs), e)
-        if near and near_events is not None:
-            near_events.append(z)
-        if coeffs is not None:
-            coeffs.append(coeff)
+                return math.ldexp(psi2(z, math.ldexp(psi, -e), math.ldexp(dpsi, -e)), e)
         return d2
 
     return psi2
@@ -103,12 +88,10 @@ class ShootingSolution:
     dpsi: np.ndarray
     zeros: NodalSet
     growth_exponent: Optional[float]
-    degeneracy_events: Tuple[float, ...]
     scale: float
     nfev: int
     steps: int
     _dense: object = None
-    _amplitude: float = 1.0
 
     def evaluate(self, z):
         """Dense (psi, psi') at any z with |z| <= z_max, parity-mirrored; no
@@ -124,8 +107,6 @@ class ShootingSolution:
             dpsi[neg] = -dpsi[neg]
         else:
             psi[neg] = -psi[neg]
-        psi *= self._amplitude
-        dpsi *= self._amplitude
         if np.isscalar(z) or np.asarray(z).ndim == 0:
             return float(psi[0]), float(dpsi[0])
         return psi, dpsi
@@ -143,20 +124,17 @@ def _trajectory(
     z_end: float,
     rtol: float,
     atol: float,
-    near_events: Optional[List[float]] = None,
 ):
     """Solution of the tip ODE through (Psi, Psi')(z0) = y0, integrated to
     z_end on either side of z0 by ``_dopri.integrate``, with the Psi = 0
     crossings in ``zeros``, the end state in ``end`` and the dense ``sol``.
-    Each z whose coefficient falls below SOFT_COEFF_TOL * (1 + z^2) is
-    appended to ``near_events`` when that is given.  The one place the ODE
-    is integrated.
+    The one place the ODE is integrated.
     """
     lam, n = float(lam), float(n)
     if not (0.0 <= n < math.inf and math.isfinite(lam)):
         raise ValueError(f"n must be finite and >= 0 and lambda finite, got {n}, {lam}")
     from ._dopri import integrate  # loaded on first use: import cracktip skips it
-    return integrate(_tip_kernel(lam, n, near_events), z0, y0, z_end, rtol, atol)
+    return integrate(_tip_kernel(lam, n), z0, y0, z_end, rtol, atol)
 
 
 def shoot(
@@ -166,17 +144,13 @@ def shoot(
     z_max: float = DEFAULT_Z_MAX,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    amplitude: float = 1.0,
     transversality_tol: float = 1e-6,
-    num_samples: int = 2001,
 ) -> ShootingSolution:
     """Parity-symmetric solution of the tip ODE for index ``l``.
 
-    Integrates on [0, z_max] and mirrors by the parity of l.  A finite,
-    nonzero ``amplitude`` rescales the result exactly (1-homogeneity), so
-    the normalized problem is solved once.  Fitted growth uses z in
-    [z_max/10, z_max]; ``nfev`` and ``steps`` count right-hand-side calls
-    and accepted steps.
+    Integrates on [0, z_max], samples 2001 equally spaced points and
+    mirrors by the parity of l.  Fitted growth uses z in [z_max/10, z_max];
+    ``nfev`` and ``steps`` count right-hand-side calls and accepted steps.
     """
     import numpy as np
     if l < 1:
@@ -185,17 +159,11 @@ def shoot(
         raise ValueError("z_max must be positive and finite")
     if not transversality_tol > 0.0:
         raise ValueError("transversality_tol must be positive")
-    if num_samples < 2:
-        raise ValueError(f"num_samples must be >= 2, got {num_samples!r}")
-    if not (math.isfinite(amplitude) and amplitude != 0.0):
-        raise ValueError(f"amplitude must be finite and nonzero, got {amplitude!r}")
     even = l % 2 == 0
     ic = (1.0, 0.0) if even else (0.0, 1.0)
-    near: List[float] = []
-    traj = _trajectory(lam, n, 0.0, ic, z_max, rtol, atol, near_events=near)
-    degeneracies = tuple(sorted(set(near)))
+    traj = _trajectory(lam, n, 0.0, ic, z_max, rtol, atol)
 
-    zs = np.linspace(0.0, z_max, num_samples)
+    zs = np.linspace(0.0, z_max, 2001)
     vals = traj.sol(zs)
     psi_half, dpsi_half = vals[0], vals[1]
 
@@ -222,22 +190,19 @@ def shoot(
         slope, _ = np.polyfit(np.log(fit_z), np.log(fit_v), 1)
         growth = float(slope)
 
-    amp = float(amplitude)
     return ShootingSolution(
         l=l,
         n=float(n),
         lam=float(lam),
         z=z_full,
-        psi=amp * psi_full,
-        dpsi=amp * dpsi_full,
+        psi=psi_full,
+        dpsi=dpsi_full,
         zeros=nodal,
         growth_exponent=growth,
-        degeneracy_events=degeneracies,
-        scale=abs(amp) * scale,
+        scale=scale,
         nfev=traj.nfev,
         steps=traj.steps,
         _dense=traj.sol,
-        _amplitude=amp,
     )
 
 

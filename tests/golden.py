@@ -3,10 +3,13 @@
 ``python tests/test_trajectory_golden.py --diff`` and
 ``python tests/test_cli_golden.py --diff`` compute every case afresh and
 print, for each recorded field or line that would change, its largest
-relative change; they write no file.
+relative change, or ``added`` or ``removed`` for a field only one side
+has; they write no file.
 """
 
 import math
+
+MISSING = object()  # the value of a field on the side that lacks it
 
 
 def _numbers(value):
@@ -46,12 +49,25 @@ def largest_relative_change(old, new):
     return worst
 
 
-def report(changes):
+def changes(old, new):
+    """(label, old value, new value) for each label of either dict, in
+    order, with MISSING on the side that lacks it."""
+    return [(label, old.get(label, MISSING), new.get(label, MISSING))
+            for label in dict.fromkeys([*old, *new])]
+
+
+def report(triples):
     """Print each (label, old, new) triple that differs with its largest
-    relative change, then how many differ."""
+    relative change, or as added or removed, then how many differ."""
     count = 0
-    for label, old, new in changes:
-        if old != new:
+    for label, old, new in triples:
+        if old is MISSING:
+            print(f"{label}: added")
+        elif new is MISSING:
+            print(f"{label}: removed")
+        elif old != new:
             print(f"{label}: largest relative change {largest_relative_change(old, new):.3g}")
-            count += 1
+        else:
+            continue
+        count += 1
     print(f"{count} changed")

@@ -110,7 +110,6 @@ def test_shoot_json_summary(capsys):
     assert code == EXIT_OK
     assert rec["zeros"] == pytest.approx([-1.0, 1.0], abs=1e-9)
     assert all(rec["transversal"])
-    assert rec["degeneracy_events"] == []
 
 
 def test_mu_json_both_methods(capsys):

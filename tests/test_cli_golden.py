@@ -8,7 +8,8 @@ change to the output, see what it moves with
     PYTHONPATH=src python tests/test_cli_golden.py --diff
 
 which prints each changed JSON field or CSV line and its largest relative
-change and writes nothing, then record the files again with
+change, or each added or removed one, and writes nothing, then record the
+files again with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -23,7 +24,7 @@ import pytest
 
 from cracktip.cli import EXIT_INADMISSIBLE, EXIT_OK, run
 
-from golden import report
+from golden import changes, report
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
@@ -68,19 +69,17 @@ def _fields(name, text):
 
 if __name__ == "__main__":
     diff = sys.argv[1:] == ["--diff"]
-    changes = []
+    triples = []
     for name, (argv, code) in CASES.items():
         if diff:
             with redirect_stdout(io.StringIO()) as out:
                 got = run(argv)
-            old = dict(_fields(name, (GOLDEN / name).read_text()))
-            new = dict(_fields(name, out.getvalue()))
-            changes += [(label, old.get(label), new.get(label))
-                        for label in dict.fromkeys([*old, *new])]
+            triples += changes(dict(_fields(name, (GOLDEN / name).read_text())),
+                               dict(_fields(name, out.getvalue())))
         else:
             GOLDEN.mkdir(parents=True, exist_ok=True)
             got = run(argv + ["--output", str(GOLDEN / name)])
         if got != code:
             raise SystemExit(f"{name}: exit {got}, expected {code}")
     if diff:
-        report(changes)
+        report(triples)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +19,6 @@ from cracktip import (
     source_h,
 )
 from cracktip.errors import NumericsError
-from cracktip.perturbation import branching_data
 
 from oracles import integral_over_reals
 
@@ -173,30 +171,6 @@ def test_quadrature_matches_ift_within_tenth_percent(l, family=Family.SECOND):
     assert not diag.divergent_tail
     mu_i = mu_via_ift(l, family)
     assert abs(mu_q - mu_i) <= 1e-3 * abs(mu_i)
-
-
-def test_branching_data_bundle():
-    data = branching_data(2, Family.FIRST)
-    assert data.lam == -2.0
-    assert data.mu == pytest.approx(-2.0)
-    assert data.correction is None
-    data = branching_data(2, Family.SECOND, method="quadrature")
-    assert data.mu == pytest.approx(0.5, abs=1e-3)
-    with pytest.raises(NumericsError):
-        branching_data(2, Family.FIRST, method="quadrature")  # divergent tail
-    with pytest.raises(ValueError):
-        branching_data(2, Family.FIRST, method="nonsense")
-
-
-@pytest.mark.parametrize("l, family, method", [
-    (2, Family.FIRST, "implicit-function"), (3, Family.SECOND, "quadrature"),
-])
-def test_branching_data_attaches_the_correction(l, family, method):
-    data = branching_data(l, family, method=method, with_correction=True)
-    want = solve_correction(l, family, data.mu)
-    assert data.correction.mu == data.mu
-    for f in fields(want):
-        assert np.array_equal(getattr(data.correction, f.name), getattr(want, f.name)), f.name
 
 
 def test_quadrature_is_deterministic():

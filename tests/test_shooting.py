@@ -19,13 +19,7 @@ from cracktip import (
     shoot,
     two_sided_profile,
 )
-from cracktip.shooting import (
-    ARCTAN_EXAMPLE_ADMISSIBLE,
-    SOFT_COEFF_TOL,
-    _tip_kernel,
-    _trajectory,
-    tip_second_derivative,
-)
+from cracktip.shooting import ARCTAN_EXAMPLE_ADMISSIBLE, _tip_kernel, _trajectory
 from cracktip._dopri import _step_zero, integrate
 
 import oracles
@@ -80,17 +74,16 @@ def test_second_derivative_scales_past_overflow(z, psi, dpsi, lam, n, k):
     if max(abs(psi), abs(dpsi)) < 1e-3:
         return
     try:
-        d2, coeff = tip_second_derivative(z, psi, dpsi, lam, n)
+        d2 = isolate_second_derivative(z, psi, dpsi, lam, n)
     except QuasilinearDegeneracyError:
         return
-    assert (d2, coeff) == oracles._tip_terms(z, psi, dpsi, lam, n)
+    assert d2 == oracles._tip_terms(z, psi, dpsi, lam, n)[0]
     try:
         big = math.ldexp(d2, k)
     except OverflowError:
         return
-    got, got_coeff = tip_second_derivative(z, math.ldexp(psi, k), math.ldexp(dpsi, k), lam, n)
+    got = isolate_second_derivative(z, math.ldexp(psi, k), math.ldexp(dpsi, k), lam, n)
     assert got == pytest.approx(big, rel=1e-12, abs=1e-12 * math.ldexp(1.0, k))
-    assert got_coeff == pytest.approx(coeff, rel=1e-12)
 
 
 def _bits(x):
@@ -116,20 +109,59 @@ _STATE = st.builds(lambda m, e: 0.0 if e < -160 else m * 10.0 ** e,
 @given(st.floats(-1e6, 1e6), _STATE, _STATE, st.floats(-200.0, 0.5), st.floats(0.0, 5.0))
 @example(0.0, 1.0, 1.4649721964977102e-161, 0.0, 1.5)  # den subnormal: the state is scaled up
 @example(1e3, 1e300, 1e300, -100.0, 2.0)  # den overflows: the state is scaled down
+# den is finite but 2 z Psi' g overflows: the coefficient is -inf, Psi'' NaN,
+# and the state is scaled down to give 9.999985999984397e146
+@example(1e6, 5.000005e158, 1e153, -2.0, 0.5)
 @example(1.0, 0.0, 0.0, -2.0, 0.1)  # den = 0 raises
 @example(0.0, 1e-7, 1.0, -1.0, -1.0)  # n < 0: a coefficient below COEFF_TOL raises
-@example(0.0, 1e-4, 1.0, -1.0, -1.0)  # n < 0: a coefficient below SOFT_COEFF_TOL is recorded
+@example(0.0, 1e-4, 1.0, -1.0, -1.0)  # n < 0: a coefficient of 1e-8, above COEFF_TOL, divides
 def test_kernel_matches_the_reference_bit_for_bit(z, psi, dpsi, lam, n):
     # for n >= 0 the coefficient is (1 + z^2) + n (z g + Psi')^2 / den, so its
-    # guards fire only for the n < 0 examples
-    want = _outcome(lambda: oracles.tip_second_derivative(z, psi, dpsi, lam, n))
-    near, coeffs = [], []
-    got = _outcome(lambda: (_tip_kernel(lam, n, near)(z, psi, dpsi, coeffs), *coeffs))
-    assert got == want
-    assert _outcome(lambda: tip_second_derivative(z, psi, dpsi, lam, n)) == want
-    assert _outcome(lambda: (isolate_second_derivative(z, psi, dpsi, lam, n),)) == want[:1]
-    soft = len(want) == 2 and want[1] != "nan" and abs(want[1][0]) < SOFT_COEFF_TOL * (1.0 + z * z)
-    assert near == ([z] if soft else [])
+    # guard fires only for the n < 0 example
+    want = _outcome(lambda: oracles.tip_second_derivative(z, psi, dpsi, lam, n))[:1]
+    assert _outcome(lambda: (_tip_kernel(lam, n)(z, psi, dpsi),)) == want
+    assert _outcome(lambda: (isolate_second_derivative(z, psi, dpsi, lam, n),)) == want
+
+
+def _exact_second_derivative(z, psi, dpsi, lam, n):
+    """Psi'' of the tip equation in exact rational arithmetic."""
+    z, psi, dpsi, lam, n = map(Fraction, (z, psi, dpsi, lam, n))
+    g = lam * psi + z * dpsi
+    den = dpsi * dpsi + g * g
+    nf1 = 1 + n * g * g / den
+    coeff = z * z * nf1 + 1 + n * (dpsi * dpsi + 2 * z * dpsi * g) / den
+    return (-(lam * (lam + 1) * psi + 2 * (lam + 1) * z * dpsi) * nf1
+            - 2 * n * lam * dpsi * dpsi * g / den) / coeff
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the float coefficient cancels terms of size n against each other: "
+    "Psi'' is off by 2e-6 relative at n = 1e12 and 0.12 at 1e16, and at 1e17 "
+    "the coefficient is -16 for 10.57 and Psi'' has the wrong sign, unraised",
+)
+def test_kernel_is_right_or_raises_at_large_n():
+    state = (-3.093095221783628, -0.061367014581903426, 0.27071300920760466, -15.071009075929592)
+    z, psi, dpsi, lam = state
+    for n in (1e6, 1e12, 1e16, 1e17):
+        want = _exact_second_derivative(z, psi, dpsi, lam, n)
+        try:
+            got = isolate_second_derivative(z, psi, dpsi, lam, n)
+        except NumericsError:
+            continue
+        assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 6) * abs(want), n
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="n (Psi'^2 + 2 z Psi' g) overflows while den and Psi'' stay finite: the "
+    "coefficient is inf, Psi'' comes back as -0.0 and no rescale is taken",
+)
+def test_kernel_rescales_an_overflowing_coefficient():
+    # homogeneous of degree 1: the state scaled by 2^-510 gives 2^-510 Psi''
+    want = math.ldexp(isolate_second_derivative(2.0, 0.0, 1.0, 0.0, 2.0), 510)
+    got = isolate_second_derivative(2.0, 0.0, math.ldexp(1.0, 510), 0.0, 2.0)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_shot_past_the_product_overflow():
@@ -196,24 +228,6 @@ def test_affine_solution_is_exact():
     rel = np.abs(sol.psi - sol.z) / (1.0 + np.abs(sol.z))
     assert np.max(rel) <= 1e-12
     assert sol.zeros.zeros == pytest.approx((0.0,), abs=1e-14)
-
-
-@pytest.mark.parametrize("amplitude", [-2.0, 0.5, 10.0])
-def test_amplitude_scales_out_exactly(amplitude):
-    base = shoot(2, 0.04, -2.1, z_max=20.0)
-    scaled = shoot(2, 0.04, -2.1, z_max=20.0, amplitude=amplitude)
-    assert np.max(np.abs(scaled.psi - amplitude * base.psi)) <= 1e-12 * np.max(np.abs(scaled.psi))
-    # the normalized solution times the amplitude, bit for bit, for either sign
-    assert np.array_equal(scaled.psi, amplitude * base.psi)
-    assert np.array_equal(scaled.dpsi, amplitude * base.dpsi)
-    assert scaled.scale == abs(amplitude) * base.scale and scaled.zeros == base.zeros
-
-
-@pytest.mark.parametrize("amplitude", [0.0, -0.0, math.nan, math.inf, -math.inf])
-def test_amplitude_must_be_finite_and_nonzero(amplitude):
-    # once NaN arrays, or an all-zero solution, with zeros flagged transversal
-    with pytest.raises(ValueError, match="amplitude"):
-        shoot(2, 0.0, -2.0, amplitude=amplitude)
 
 
 def test_closed_form_values():
@@ -419,10 +433,11 @@ def test_step_zero_lands_on_the_interpolant_zero(z0, h, backward, psi0, a):
 
 
 def test_shoot_needs_two_samples():
-    for num_samples in (1, 0, -3):
-        with pytest.raises(ValueError, match="num_samples"):
-            shoot(2, 0.0, -2.0, num_samples=num_samples)
-    assert shoot(2, 0.0, -2.0, num_samples=2).evaluate(0.5) == pytest.approx((0.75, -1.0))
+    # evaluate is the dense solution, not an interpolation of the samples:
+    # z = 0.525 lies between the samples 0.5 and 0.55, Psi = 1 - z^2
+    sol = shoot(2, 0.0, -2.0)
+    assert 0.525 not in sol.z
+    assert sol.evaluate(0.525) == pytest.approx((1.0 - 0.525 ** 2, -1.05), rel=1e-9)
 
 
 @pytest.mark.parametrize("l, n, lam", [(1, 0.0, -1.0), (3, 0.05, -3.1), (2, 0.0, -100.0)])

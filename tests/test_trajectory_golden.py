@@ -9,8 +9,8 @@ arithmetic, see what it moves with
 
     PYTHONPATH=src python tests/test_trajectory_golden.py --diff
 
-which prints each changed field and its largest relative change and writes
-nothing, then record the file again with
+which prints each changed field and its largest relative change, or each
+added or removed one, and writes nothing, then record the file again with
 
     PYTHONPATH=src python tests/test_trajectory_golden.py
 """
@@ -23,7 +23,7 @@ import pytest
 
 from cracktip.shooting import _trajectory
 
-from golden import report
+from golden import changes, report
 
 GOLDEN = Path(__file__).parent / "data" / "trajectory_golden.json"
 
@@ -61,9 +61,10 @@ def test_trajectory_matches_recorded_bits(name):
 if __name__ == "__main__":
     out = {name: _record(args) for name, args in CASES.items()}
     if sys.argv[1:] == ["--diff"]:
-        old = json.loads(GOLDEN.read_text())
-        report((f"{name}.{key}", old.get(name, {}).get(key), got[key])
-               for name, got in sorted(out.items()) for key in sorted(got))
+        def flat(cases):
+            return {f"{name}.{key}": rec[key] for name, rec in sorted(cases.items())
+                    for key in sorted(rec)}
+        report(changes(flat(json.loads(GOLDEN.read_text())), flat(out)))
     else:
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
