@@ -34,7 +34,6 @@ from .crack import (
     roundtrip_generate,
 )
 from .errors import (
-    GradientDegeneracyError,
     NoFoldInBracketError,
     NoRealEigenvalueError,
     NumericsError,
@@ -61,8 +60,6 @@ from .perturbation import (
     QuadratureDiagnostics,
     mu_via_ift,
     mu_via_quadrature,
-    phi1,
-    phi2,
     solve_correction,
     source_h,
 )

@@ -22,10 +22,6 @@ class QuasilinearDegeneracyError(NumericsError):
         self.z, self.coeff = z, coeff
 
 
-class GradientDegeneracyError(NumericsError):
-    """The gradient-squared denominator vanished at an evaluation point."""
-
-
 class NoFoldInBracketError(NumericsError):
     """The index has no fold: l = 1, where Lam = -1 is a root for every n."""
 

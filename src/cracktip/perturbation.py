@@ -9,6 +9,10 @@ classical eigenpair (psi, lam), the order-n balance reads
 
 with Bstar the pencil operator, L psi = -psi'' on eigenfunctions, and
 Phi1, Phi2 the rational gradient couplings of the quasilinear equation.
+Each seed is read off its angle lattice: with z = cot theta it is
+sin**lam theta times a cosine or sine of lam theta, and so are its
+derivatives, so every term of h is a trigonometric polynomial times a
+power of sin theta, and the couplings' denominator never vanishes.
 Two independent routes to the slope mu are provided:
 
 * ``mu_via_ift``: the implicit-function slope -Phi_n / Phi_Lam of the
@@ -36,44 +40,35 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Tuple
 
 from .characteristic import _integer_parts
-from .errors import GradientDegeneracyError, NumericsError
+from .errors import NumericsError
 from .pencil import Family, PencilEigenpair, build_eigenfunction
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-def phi1(psi, dpsi, lam, z):
-    """First rational gradient coupling: g^2 / (psi'^2 + g^2), g = lam psi + z psi'."""
-    g = lam * psi + z * dpsi
-    den = dpsi * dpsi + g * g
-    if (den == 0.0).any() if hasattr(den, "any") else den == 0.0:
-        raise GradientDegeneracyError("gradient degeneracy: psi' and lam psi + z psi' both vanish")
-    return g * g / den
+def _source_terms(pair: PencilEigenpair, cos, sin):
+    """(psi, Phi2, (2 lam + 1) psi + z psi', Phi1 L psi), the terms of h at
+    z = cos / sin, each in units of sin**lam.
 
-
-def phi2(psi, dpsi, ddpsi, lam, z):
-    """Second coupling: (psi'^2 psi'' + 2 psi' g (lam psi' + z psi'')) / (psi'^2 + g^2)."""
-    g = lam * psi + z * dpsi
-    den = dpsi * dpsi + g * g
-    if (den == 0.0).any() if hasattr(den, "any") else den == 0.0:
-        raise GradientDegeneracyError("gradient degeneracy: psi' and lam psi + z psi' both vanish")
-    return (dpsi * dpsi * ddpsi + 2.0 * dpsi * g * (lam * dpsi + z * ddpsi)) / den
-
-
-def _source_terms(pair: PencilEigenpair):
-    """z -> (psi, Phi2, (2 lam + 1) psi + z psi', Phi1 L psi), the terms of h."""
-    lam, p = pair.lam, pair.poly
-    d1 = p.derivative()
-    d2 = d1.derivative()
-
-    def terms(z):
-        psi, dpsi, ddpsi = p(z), d1(z), d2(z)
-        f1 = phi1(psi, dpsi, lam, z)
-        f2 = phi2(psi, dpsi, ddpsi, lam, z)
-        return psi, f2, (2.0 * lam + 1.0) * psi + z * dpsi, f1 * (-ddpsi)
-
-    return terms
+    With the seed's lattice (e, c, d), lam = -e, w = c - i d / e and
+    u = cos + i sin, psi^(k) = e! / (e - k)! sin**(k - e) Re(w u**(e - k)),
+    and (psi', g) = e sin**(1 - e) (Re, Im)(w u**(e - 1)) with
+    g = lam psi + z psi'.  So the couplings' denominator psi'^2 + g^2 is
+    e^2 |w|^2 sin**(2 - 2e), never 0, and Phi1 = Im(w u**(e - 1))^2 / |w|^2.
+    Complex arithmetic only, so floats and arrays take the same path.
+    """
+    e, c, d = pair.poly.lattice
+    w = complex(c, -d / max(e, 1))  # d = 0 for the constant seed, e = 0
+    u = cos + 1j * sin
+    a = w * u ** (e - 1)
+    # b = e (e - 1) sin^2 w u**(e - 2): Re b is psi'', Im b - e sin Re a is
+    # lam psi' + z psi''
+    b = e * (e - 1) * sin * sin * a * u.conjugate()
+    ra, ia, ww = a.real, a.imag, abs(w) ** 2
+    psi = (a * u).real
+    f2 = ra * (ra * b.real + 2.0 * ia * (b.imag - e * sin * ra)) / ww
+    return psi, f2, (1 - e) * psi + e * sin * ia, -ia * ia / ww * b.real
 
 
 def source_h(mu: float, pair: PencilEigenpair, z):
@@ -81,8 +76,9 @@ def source_h(mu: float, pair: PencilEigenpair, z):
 
     Affine in mu with slope -((2 lam + 1) psi + z psi'); uses L psi = -psi''.
     """
-    _, f2, m, f1_lpsi = _source_terms(pair)(z)
-    return -(f2 + mu * m + f1_lpsi)
+    r = abs(z + 1j)
+    _, f2, m, f1_lpsi = _source_terms(pair, z / r, 1.0 / r)
+    return -(f2 + mu * m + f1_lpsi) * r ** -pair.lam
 
 
 def mu_via_ift(l: int, family: Family) -> float:
@@ -117,33 +113,33 @@ def mu_via_quadrature(l: int, family: Family) -> Tuple[float, QuadratureDiagnost
         I_rest = int w (Phi2 + Phi1 L psi) psi dz,
         I_mu   = int w ((2 lam + 1) psi + z psi') psi dz,   w = (1+z^2)^lam.
 
-    With z = cot theta, dz = -dtheta / sin^2 theta.  For a seed of degree
-    d both integrands are O(z^(2 lam + 2 d)).  Second-family seeds have
-    lam = -d - 1, so they decay like z^-2, and times 1/sin^2 theta = 1 + z^2
-    they become smooth pi-periodic trigonometric rational functions of
-    theta: the midpoint rule with N nodes converges geometrically in N.
-    The rule is taken at N = 4 (l + 2) and at 2N, mu is the 2N value, and
-    ``converged`` means the two agree to 1e-10 (1 + |mu|).
+    With z = cot theta, dz = -dtheta / sin^2 theta and w = sin**(-2 lam)
+    theta.  Each term of h and psi is sin**lam theta times its value from
+    ``_source_terms``, so each integrand is the product of those two values
+    over sin^2 theta: no power of z is formed and the sums stay finite at
+    every l.  For a seed of degree d both integrands are O(z^(2 lam + 2 d)).
+    Second-family seeds have lam = -d - 1, so they decay like z^-2, and in
+    theta they are smooth pi-periodic trigonometric rational functions: the
+    midpoint rule with N nodes converges geometrically in N.  The rule is
+    taken at N = 4 (l + 2) and at 2N, mu is the 2N value, and ``converged``
+    means the two agree to 1e-10 (1 + |mu|).
 
     First-family seeds have lam = -d, so the I_mu integrand tends to the
     constant 1 - d and the integrals diverge: mu is nan and
     ``divergent_tail`` is set.  A vanishing I_mu sum (l = 1, first family)
-    or a non-finite sum (overflow from l = 44 on) raises NumericsError.
+    raises NumericsError.
     """
     pair = build_eigenfunction(l, family)
-    terms = _source_terms(pair)
     windows, mus = [], []
     for num_nodes in (4 * (l + 2), 8 * (l + 2)):
         rest, coef = [], []
         for k in range(num_nodes):
             theta = (k + 0.5) * (math.pi / num_nodes)
-            z = 1.0 / math.tan(theta)
-            psi, f2, m, f1_lpsi = terms(z)
-            weighted = (1.0 + z * z) ** pair.lam * psi / math.sin(theta) ** 2
-            rest.append(weighted * (f2 + f1_lpsi))
-            coef.append(weighted * m)
-        if not all(map(math.isfinite, rest + coef)):
-            raise NumericsError(f"orthogonality sums for l={l} are not finite at {num_nodes} nodes")
+            sin = math.sin(theta)
+            psi, f2, m, f1_lpsi = _source_terms(pair, math.cos(theta), sin)
+            weight = psi / (sin * sin)
+            rest.append(weight * (f2 + f1_lpsi))
+            coef.append(weight * m)
         i_rest, i_mu = math.fsum(rest), math.fsum(coef)
         if i_mu == 0.0:
             raise NumericsError("orthogonality degenerate: the mu-coefficient integral vanishes")
@@ -198,10 +194,13 @@ def solve_correction(
     if num_points < 9:
         raise ValueError("num_points too small for the boundary stencils")
     pair = build_eigenfunction(l, family)
-    lam, p = pair.lam, pair.poly
+    lam = pair.lam
     z = np.linspace(-z_cut, z_cut, num_points)
     dz = z[1] - z[0]
-    h = source_h(mu, pair, z)
+    r = np.hypot(z, 1.0)
+    psi, f2, m, f1_lpsi = _source_terms(pair, z / r, 1.0 / r)
+    h = -(f2 + mu * m + f1_lpsi) * r ** -lam
+    null = psi * r ** lam  # (1 + z^2)^lam psi
     a = 1.0 + z * z
     b = 2.0 * (lam + 1.0) * z
     c0 = lam * (lam + 1.0)
@@ -209,15 +208,12 @@ def solve_correction(
     inv_dz2 = 1.0 / (dz * dz)
     inv_2dz = 1.0 / (2.0 * dz)
 
-    psi_grid = p(z)
-    null_dir = (1.0 + z * z) ** lam * psi_grid
-    nn = np.linalg.norm(null_dir)
+    nn = np.linalg.norm(null)
     if nn == 0.0:
         raise NumericsError("degenerate null direction")
-    null_dir = null_dir / nn
     wtrap = np.full(N, dz)
     wtrap[0] = wtrap[-1] = 0.5 * dz
-    constraint = wtrap * (1.0 + z * z) ** lam * psi_grid
+    constraint = wtrap * null
     cn = np.linalg.norm(constraint)
 
     # COO triplets: central differences on the interior rows, one-sided
@@ -243,7 +239,7 @@ def solve_correction(
         -2.0 * ai * inv_dz2 + c0,
         ai * inv_dz2 + bi * inv_2dz,
         edge_vals,
-        null_dir,
+        null / nn,
         constraint / cn,
     ])
 
@@ -257,14 +253,12 @@ def solve_correction(
         raise NumericsError("correction solve singular: non-finite solution")
     phi = sol[:N]
     s = float(sol[N])
-    op_res = np.empty(N)
-    op_interior = (
+    op_res = (
         a[1:-1] * (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) * inv_dz2
         + b[1:-1] * (phi[2:] - phi[:-2]) * inv_2dz
         + c0 * phi[1:-1]
+        - h[1:-1]
     )
-    op_res[1:-1] = op_interior - h[1:-1]
-    op_res[0] = op_res[-1] = 0.0
     orth = float(np.dot(constraint, phi))
     return CorrectionSolution(
         l=l,
@@ -272,7 +266,7 @@ def solve_correction(
         mu=float(mu),
         z=z,
         phi=phi,
-        interior_residual_max=float(np.abs(op_res[1:-1]).max()),
+        interior_residual_max=float(np.abs(op_res).max()),
         resonance_amplitude=s,
         orthogonality_value=orth,
     )

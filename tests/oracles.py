@@ -178,6 +178,33 @@ def pencil_pair_exact(l):
     return [Fraction(r) for r, _ in p], [Fraction(i, l) for _, i in p]
 
 
+def phi1(psi, dpsi, lam, z):
+    """First gradient coupling g^2 / (psi'^2 + g^2), g = lam psi + z psi',
+    in the z form; plain arithmetic, so floats, arrays and Fractions alike."""
+    g = lam * psi + z * dpsi
+    return g * g / (dpsi * dpsi + g * g)
+
+
+def phi2(psi, dpsi, ddpsi, lam, z):
+    """Second coupling (psi'^2 psi'' + 2 psi' g (lam psi' + z psi'')) / (psi'^2 + g^2)."""
+    g = lam * psi + z * dpsi
+    return (dpsi * dpsi * ddpsi + 2 * dpsi * g * (lam * dpsi + z * ddpsi)) / (dpsi * dpsi + g * g)
+
+
+def source_h_exact(pair, mu, z):
+    """h(mu) of the seed at the float z, exactly from ``pair.poly.exact``,
+    with the sum of the absolute values of its three terms."""
+    c, x, lam = pair.poly.exact[::-1], Fraction(z), Fraction(pair.lam)
+    d1 = _polyder(c)
+    psi, dpsi, ddpsi = _polyval(c, x), _polyval(d1, x), _polyval(_polyder(d1), x)
+    terms = (
+        phi2(psi, dpsi, ddpsi, lam, x),
+        Fraction(mu) * ((2 * lam + 1) * psi + x * dpsi),
+        -phi1(psi, dpsi, lam, x) * ddpsi,
+    )
+    return -sum(terms), sum(map(abs, terms))
+
+
 def combination_exact(l, c, d):
     """Descending exact coefficients of c Re (z+i)^l + d Im (z+i)^l / l at
     the float (or rational) weights c, d."""

@@ -185,12 +185,19 @@ def test_mu_degenerate_quadrature_is_numerical_failure(capsys):
     assert "orthogonality degenerate" in err
 
 
-def test_mu_quadrature_overflow_is_numerical_failure(capsys):
-    code, out, err = run_capture(
+def test_mu_quadrature_runs_past_the_monomial_overflow(capsys):
+    code, out, _ = run_capture(
         ["mu", "--l", "60", "--family", "second", "--method", "quad"], capsys
     )
+    assert code == EXIT_OK
+    assert abs(json.loads(out)["mu_quadrature"] - 0.5) <= 1e-12
+
+
+def test_mu_past_double_range_is_numerical_failure(capsys):
+    # the exact seed coefficients of degree 1100 exceed the largest double
+    code, out, err = run_capture(["mu", "--l", "1100", "--family", "second"], capsys)
     assert code == EXIT_NUMERICAL
-    assert out == "" and "not finite" in err
+    assert out == "" and "numerical failure" in err
 
 
 def test_pencil_past_double_range_is_numerical_failure(capsys):
