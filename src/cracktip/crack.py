@@ -225,8 +225,8 @@ def check_nonlinear(
     for l, lam in usable:
         # Solutions grow like |z|**-lam, so the slope s = hypot(1, a1)**-(lam + 2),
         # capped below overflow, keeps the state near z = 0 of order one, where
-        # the fixed atol would swamp it.  The n = 0 ratio strays up to 2.6e-10
-        # from the exact angle at rtol 1e-10 (|a1| <= 5, l <= 6), 3.1e-11 here.
+        # the fixed atol would swamp it.  The n = 0 ratio strays up to 2.1e-9
+        # from the exact angle at rtol 1e-10 (|a1| <= 5, l <= 6), 3.9e-10 here.
         s = math.exp(min(700.0, -(lam + 2.0) * math.log(math.hypot(1.0, a1))))
         prof = _trajectory(lam, n, a1, (0.0, s), z_end, 1e-11, 1e-12)
         if a1 <= 0.0:

@@ -2,7 +2,7 @@
 
 The equation is affine in the second derivative, so Psi'' is solved for
 once, in ``_tip_kernel``, and ``_trajectory`` steps it from a state at any
-z0 with the Dormand-Prince 5(4) stepper of ``_dopri`` on Python floats.
+z0 with the DOP853 stepper of ``_dopri`` on Python floats.
 ``shoot`` starts at z = 0 with the parity of the index (even l: Psi(0)=1,
 Psi'(0)=0; odd l: Psi(0)=0, Psi'(0)=1); the amplitude scales out exactly
 because the equation is 1-homogeneous.  The negative half-line is
@@ -10,7 +10,7 @@ obtained by parity mirroring, which avoids any drift through the
 symmetry point.
 
 Zeros are the sign changes of Psi over a step, located on that step's
-quartic interpolant and annotated with transversality data; the growth
+7th-order interpolant and annotated with transversality data; the growth
 exponent is a least-squares log-log fit over the outer decade of the
 window.
 """
@@ -49,8 +49,9 @@ def _tip_kernel(lam: float, n: float):
     P0 = lam(lam+1) psi + 2(lam+1) z psi'; at n = 0, Psi'' = -P0 / (1 + z^2).
     Float arithmetic, with lam (lam+1), 2 (lam+1) and 2 n lam bound once.
     den = 0 or a coefficient below COEFF_TOL (1 + z^2) raises.  Psi'' is
-    homogeneous of degree 1, so a den below 2^-900 or a non-finite Psi''
-    from a finite state is met by scaling the state by a power of two.
+    homogeneous of degree 1, so a den below 2^-900, or a non-finite Psi''
+    or coefficient from a finite state, is met by scaling the state by a
+    power of two.
     """
     lam_lam1, lam1_2, n_lam_2 = lam * (lam + 1.0), 2.0 * (lam + 1.0), 2.0 * n * lam
 
@@ -69,7 +70,8 @@ def _tip_kernel(lam: float, n: float):
         if abs(coeff) < COEFF_TOL * (1.0 + z * z):
             raise QuasilinearDegeneracyError(z, coeff)
         d2 = (-(lam_lam1 * psi + lam1_2 * z * dpsi) * nf1 - n_lam_2 * dpsi * dpsi * g / den) / coeff
-        if not -math.inf < d2 < math.inf and math.isfinite(psi) and math.isfinite(dpsi):
+        finite = -math.inf < d2 < math.inf and abs(coeff) < math.inf
+        if not finite and math.isfinite(psi) and math.isfinite(dpsi):
             e = math.frexp(max(abs(psi), abs(dpsi)))[1]
             if e:
                 return math.ldexp(psi2(z, math.ldexp(psi, -e), math.ldexp(dpsi, -e)), e)
@@ -150,7 +152,8 @@ def shoot(
 
     Integrates on [0, z_max], samples 2001 equally spaced points and
     mirrors by the parity of l.  Fitted growth uses z in [z_max/10, z_max];
-    ``nfev`` and ``steps`` count right-hand-side calls and accepted steps.
+    ``nfev`` and ``steps`` count the right-hand-side calls made, the dense
+    output's included, and the accepted steps.
     """
     import numpy as np
     if l < 1:
@@ -209,7 +212,8 @@ def shoot(
 @dataclass(frozen=True)
 class Profile:
     """Two-sided solution from arbitrary initial data (no parity assumed);
-    ``nfev`` and ``steps`` sum the two half-lines."""
+    ``nfev`` and ``steps`` sum the two half-lines as integrated, before any
+    later evaluation builds a step's interpolant."""
 
     lam: float
     n: float

@@ -1,7 +1,7 @@
 """Byte-for-byte regression of CLI output against recorded files.
 
 None of these invocations uses scipy: the nonlinear crack check and
-``shoot`` run the in-module Dormand-Prince stepper on Python floats, and
+``shoot`` run the in-module DOP853 stepper on Python floats, and
 ``shoot`` alone loads numpy, to sample its solution.  After a deliberate
 change to the output, see what it moves with
 
