@@ -170,6 +170,16 @@ class CorrectionSolution:
     orthogonality_value: float
 
 
+def _band_apply(band, x):
+    """``A @ x`` for the kl = ku = 3 matrix A held in LAPACK general band
+    storage, whose row 6 + i - j holds A[i, j]."""
+    y = band[6] * x
+    for k in (1, 2, 3):
+        y[:-k] += band[6 - k, k:] * x[k:]
+        y[k:] += band[6 + k, :-k] * x[:-k]
+    return y
+
+
 def solve_correction(
     l: int,
     family: Family,
@@ -184,12 +194,20 @@ def solve_correction(
     follow the discrete equation), and the normalization
     int w phi psi / (1+z^2) dz = 0.  Because psi spans the kernel of Bstar,
     the system is solved in bordered form: an auxiliary unknown multiplies
-    the left-null direction w psi / (1+z^2), making the matrix square and
-    well conditioned.  A large resonance amplitude means the supplied mu
-    does not satisfy the solvability condition.
+    the left-null direction w psi / (1+z^2), making the matrix square.  A
+    large resonance amplitude means the supplied mu does not satisfy the
+    solvability condition.
+
+    A, the band of stencil rows (three diagonals each side), is factored
+    once by LAPACK's ``dgbtrf``; the bordered system is solved by mixed
+    block elimination (Govaerts, SIAM J. Matrix Anal. Appl. 12, 1991):
+    s = y.h / y.u with A^T y = v puts h - s u in A's range, A phi = h - s u,
+    and what a nearly singular A amplifies, which lies along x_u = A^-1 u,
+    is taken out along it ((phi - c x_u, s + c) keeps A phi + s u).  One
+    step of iterative refinement with the same factors follows.
     """
     import numpy as np
-    import scipy.sparse.linalg
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
 
     if num_points < 9:
         raise ValueError("num_points too small for the boundary stencils")
@@ -201,12 +219,10 @@ def solve_correction(
     psi, f2, m, f1_lpsi = _source_terms(pair, z / r, 1.0 / r)
     h = -(f2 + mu * m + f1_lpsi) * r ** -lam
     null = psi * r ** lam  # (1 + z^2)^lam psi
-    a = 1.0 + z * z
-    b = 2.0 * (lam + 1.0) * z
+    a = (1.0 + z * z) / (dz * dz)
+    b = (lam + 1.0) * z / dz  # 2 (lam + 1) z over 2 dz
     c0 = lam * (lam + 1.0)
     N = num_points
-    inv_dz2 = 1.0 / (dz * dz)
-    inv_2dz = 1.0 / (2.0 * dz)
 
     nn = np.linalg.norm(null)
     if nn == 0.0:
@@ -214,59 +230,43 @@ def solve_correction(
     wtrap = np.full(N, dz)
     wtrap[0] = wtrap[-1] = 0.5 * dz
     constraint = wtrap * null
-    cn = np.linalg.norm(constraint)
+    u = null / nn  # border column
+    v = constraint / np.linalg.norm(constraint)  # border row
 
-    # COO triplets: central differences on the interior rows, one-sided
-    # second-order stencils at the window edges, then the border column
-    # (null direction) and row (normalization)
-    i = np.arange(1, N - 1)
-    ai, bi = a[1:-1], b[1:-1]
-    edge_cols = np.array([0, 1, 2, 3, N - 1, N - 2, N - 3, N - 4])
-    edge_vals = np.array([
-        2.0 * a[0] * inv_dz2 - 3.0 * b[0] * inv_2dz + c0,
-        -5.0 * a[0] * inv_dz2 + 4.0 * b[0] * inv_2dz,
-        4.0 * a[0] * inv_dz2 - b[0] * inv_2dz,
-        -a[0] * inv_dz2,
-        2.0 * a[-1] * inv_dz2 + 3.0 * b[-1] * inv_2dz + c0,
-        -5.0 * a[-1] * inv_dz2 - 4.0 * b[-1] * inv_2dz,
-        4.0 * a[-1] * inv_dz2 + b[-1] * inv_2dz,
-        -a[-1] * inv_dz2,
-    ])
-    rows = np.concatenate([i, i, i, np.repeat([0, N - 1], 4), np.arange(N), np.full(N, N)])
-    cols = np.concatenate([i - 1, i, i + 1, edge_cols, np.full(N, N), np.arange(N)])
-    vals = np.concatenate([
-        ai * inv_dz2 - bi * inv_2dz,
-        -2.0 * ai * inv_dz2 + c0,
-        ai * inv_dz2 + bi * inv_2dz,
-        edge_vals,
-        null / nn,
-        constraint / cn,
-    ])
+    # interior central differences, one-sided edge rows; rows 0-2 hold the fill
+    band = np.zeros((10, N))
+    band[7, :-2] = a[1:-1] - b[1:-1]
+    band[6, 1:-1] = c0 - 2.0 * a[1:-1]
+    band[5, 2:] = a[1:-1] + b[1:-1]
+    k = np.arange(4)
+    for end, sg in ((0, 1), (N - 1, -1)):
+        ae, be = a[end], sg * b[end]
+        band[6 - sg * k, end + sg * k] = [2 * ae - 3 * be + c0, 4 * be - 5 * ae, 4 * ae - be, -ae]
+    lu, piv, info = dgbtrf(band, 3, 3)
+    if info > 0:
+        raise NumericsError(f"correction solve singular: zero pivot in row {info}")
+    y = dgbtrs(lu, 3, 3, v, piv, trans=1)[0]
+    x_u = dgbtrs(lu, 3, 3, u, piv)[0]
 
-    A = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(N + 1, N + 1))
-    rhs = np.concatenate([h, [0.0]])
-    try:
-        sol = scipy.sparse.linalg.spsolve(A, rhs)
-    except RuntimeError as exc:  # pragma: no cover - factorization failure
-        raise NumericsError(f"correction solve singular: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
+    def bordered(f, g):
+        """(x, t) with A x + t u = f and v.x = g."""
+        t = (y @ f - g) / (y @ u)
+        x = dgbtrs(lu, 3, 3, f - t * u, piv)[0]
+        c = (v @ x - g) / (v @ x_u)
+        return x - c * x_u, t + c
+
+    phi, s = bordered(h, 0.0)
+    d_phi, d_s = bordered(h - _band_apply(band, phi) - s * u, -(v @ phi))
+    phi, s = phi + d_phi, float(s + d_s)
+    if not (np.all(np.isfinite(phi)) and math.isfinite(s)):
         raise NumericsError("correction solve singular: non-finite solution")
-    phi = sol[:N]
-    s = float(sol[N])
-    op_res = (
-        a[1:-1] * (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) * inv_dz2
-        + b[1:-1] * (phi[2:] - phi[:-2]) * inv_2dz
-        + c0 * phi[1:-1]
-        - h[1:-1]
-    )
-    orth = float(np.dot(constraint, phi))
     return CorrectionSolution(
         l=l,
         family=family,
         mu=float(mu),
         z=z,
         phi=phi,
-        interior_residual_max=float(np.abs(op_res).max()),
+        interior_residual_max=float(np.abs(_band_apply(band, phi) - h)[1:-1].max()),
         resonance_amplitude=s,
-        orthogonality_value=orth,
+        orthogonality_value=float(np.dot(constraint, phi)),
     )

@@ -205,6 +205,44 @@ def source_h_exact(pair, mu, z):
     return -sum(terms), sum(map(abs, terms))
 
 
+def correction_system(l, family, mu, z_cut, num_points):
+    """The bordered finite-difference system of the first-order correction,
+    (A, rhs, z), assembled without cracktip's solver.
+
+    The seed is Re (z+i)^l (first family, lam = -l) or Im (z+i)^(l+1) / (l+1)
+    (second family, lam = -l-1), from ``pencil_pair_exact``; h(mu) comes
+    from the z-form couplings ``phi1`` and ``phi2``.  A is the
+    (N + 1) x (N + 1) scipy.sparse matrix [B u; v 0]: B holds second-order
+    central differences of (1+z^2) phi'' + 2(lam+1) z phi' + lam(lam+1) phi
+    inside and one-sided 4-point stencils in its first and last rows, u is
+    the unit null direction (1+z^2)^lam psi and v the unit trapezoid
+    normalization row; rhs is [h; 0].
+    """
+    import scipy.sparse
+
+    e = l if family.value == "first" else l + 1
+    re, im = pencil_pair_exact(e)
+    coeffs = [float(c) for c in (re if family.value == "first" else im)][::-1]
+    lam = float(-e)
+    z = np.linspace(-z_cut, z_cut, num_points)
+    psi, dpsi, ddpsi = (np.polyval(np.polyder(coeffs, k), z) for k in range(3))
+    h = -(phi2(psi, dpsi, ddpsi, lam, z) + mu * ((2 * lam + 1) * psi + z * dpsi)
+          - phi1(psi, dpsi, lam, z) * ddpsi)
+    N, dz = num_points, z[1] - z[0]
+    a, b, c = (1.0 + z * z) / dz ** 2, (lam + 1.0) * z / dz, lam * (lam + 1.0)
+    A = scipy.sparse.lil_matrix((N + 1, N + 1))
+    for i in range(1, N - 1):
+        A[i, i - 1:i + 2] = [a[i] - b[i], c - 2.0 * a[i], a[i] + b[i]]
+    A[0, :4] = [2 * a[0] - 3 * b[0] + c, -5 * a[0] + 4 * b[0], 4 * a[0] - b[0], -a[0]]
+    A[N - 1, N - 4:N] = [-a[-1], 4 * a[-1] + b[-1], -5 * a[-1] - 4 * b[-1], 2 * a[-1] + 3 * b[-1] + c]
+    null = (1.0 + z * z) ** lam * psi
+    w = np.full(N, dz)
+    w[0] = w[-1] = 0.5 * dz
+    A[:N, N] = (null / np.linalg.norm(null))[:, None]
+    A[N, :N] = w * null / np.linalg.norm(w * null)
+    return A.tocsc(), np.append(h, 0.0), z
+
+
 def combination_exact(l, c, d):
     """Descending exact coefficients of c Re (z+i)^l + d Im (z+i)^l / l at
     the float (or rational) weights c, d."""

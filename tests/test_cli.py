@@ -432,6 +432,27 @@ def test_scipy_loads_on_first_use():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_correction_solve_loads_no_scipy_sparse():
+    # the correction solve factors its band with LAPACK and loads no
+    # scipy.sparse module of its own; scipy releases before 1.17 load
+    # scipy.sparse with scipy.linalg itself, so the check is against
+    # what a bare LAPACK import loads
+    code = (
+        "import sys\n"
+        "def sparse(): return {m for m in sys.modules if m == 'scipy.sparse' or m.startswith('scipy.sparse.')}\n"
+        "import scipy.linalg.lapack\n"
+        "base = sparse()\n"
+        "from cracktip import Family, solve_correction\n"
+        "solve_correction(2, Family.SECOND, 0.5)\n"
+        "assert sparse() == base, sorted(sparse() - base)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_numpy_loads_on_first_use():
     # the polynomial and scalar layers run on Python floats, quartic roots
     # and folds included: only shoot, which returns sampled arrays, loads numpy

@@ -18,7 +18,7 @@ from cracktip import (
     source_h,
 )
 
-from oracles import integral_over_reals, phi1, phi2, source_h_exact
+from oracles import correction_system, integral_over_reals, phi1, phi2, source_h_exact
 
 
 def test_phi_couplings_vanish_on_linear_mode():
@@ -248,22 +248,50 @@ def test_correction_residual_shrinks_with_window():
     assert res[2] <= 0.75 * res[1]
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    l=st.integers(1, 12),
+    family=st.sampled_from(list(Family)),
+    mu=st.floats(-50.0, 50.0),
+    z_cut=st.floats(5.0, 200.0),
+    num_points=st.integers(101, 8001),
+)
+# SuperLU's worst draw (row residual 1.7e-9 of its terms)
+@example(l=1, family=Family.SECOND, mu=21.480696666933824, z_cut=117.07041539208687, num_points=8001)
+# the band is singular to working precision at these two: plain block
+# elimination, x_h - s x_u, leaves 1.1e-3 at the first, and 1.5e-8 at the
+# second even after a refinement step
+@example(l=2, family=Family.SECOND, mu=26.619652, z_cut=48.825574, num_points=101)
+@example(l=2, family=Family.SECOND, mu=26.711422308959882, z_cut=49.947032354576464, num_points=101)
+# without the refinement step the solve leaves 1.7e-10 here
+@example(l=5, family=Family.FIRST, mu=42.767276084444774, z_cut=90.43263853911375, num_points=5821)
+def test_correction_solves_its_bordered_system(l, family, mu, z_cut, num_points):
+    # each row's residual in the oracle's system against the sum of its
+    # term sizes; the last row is the normalization
+    A, rhs, z = correction_system(l, family, mu, z_cut, num_points)
+    sol = solve_correction(l, family, mu, z_cut, num_points)
+    assert np.array_equal(sol.z, z)
+    x = np.append(sol.phi, sol.resonance_amplitude)
+    res, size = np.abs(A @ x - rhs), abs(A) @ np.abs(x) + np.abs(rhs)
+    assert np.all(res[:-1] <= 1e-11 * size[:-1]), float(np.max(res[:-1] / size[:-1]))
+    assert res[-1] <= 1e-11 * size[-1], res[-1] / size[-1]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="phi is not determined by its bordered finite-difference system: "
-    "ordering the sparse LU's columns naturally moves it by 770 times its "
-    "max norm at l = 1, second family",
+    "SuperLU in its natural column order, on the same system assembled from "
+    "the z-form oracles, lands 0.81 times phi's max norm away from the "
+    "shipped phi at l = 1, second family",
 )
-def test_correction_does_not_depend_on_the_lu_column_order(monkeypatch):
+def test_correction_does_not_depend_on_the_lu_column_order():
     import scipy.sparse.linalg
 
     shipped = solve_correction(1, Family.SECOND, 0.5)
-    spsolve = scipy.sparse.linalg.spsolve
-    monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
-                        lambda A, b: spsolve(A, b, permc_spec="NATURAL"))
-    natural = solve_correction(1, Family.SECOND, 0.5)
+    A, rhs, _ = correction_system(1, Family.SECOND, 0.5, 50.0, 4001)
+    natural = scipy.sparse.linalg.spsolve(A, rhs, permc_spec="NATURAL")[:-1]
     scale = np.max(np.abs(shipped.phi))
-    assert np.max(np.abs(natural.phi - shipped.phi)) <= 1e-6 * scale
+    assert np.max(np.abs(natural - shipped.phi)) <= 1e-6 * scale
 
 
 def test_expansion_second_difference_is_second_order():
