@@ -15,11 +15,12 @@ class RootFindingError(NumericsError):
 
 
 class QuasilinearDegeneracyError(NumericsError):
-    """The coefficient multiplying the second derivative approached zero."""
+    """The gradient (Psi', lam Psi + z Psi') vanishes, so the tip equation
+    does not determine Psi''."""
 
-    def __init__(self, z, coeff):
-        super().__init__(f"quasilinear degeneracy at z={z!r} (coefficient {coeff!r})")
-        self.z, self.coeff = z, coeff
+    def __init__(self, z):
+        super().__init__(f"quasilinear degeneracy at z={z!r}: the gradient vanishes")
+        self.z = z
 
 
 class NoFoldInBracketError(NumericsError):

@@ -1,8 +1,9 @@
 """Direct integration of the quasilinear tip eigenfunction ODE.
 
 The equation is affine in the second derivative, so Psi'' is solved for
-once, in ``_tip_kernel``, and ``_trajectory`` steps it from a state at any
-z0 with the DOP853 stepper of ``_dopri`` on Python floats.
+once, in ``_tip_kernel``, as a quotient whose divisor is a sum of
+nonnegative terms, and ``_trajectory`` steps it from a state at any z0
+with the DOP853 stepper of ``_dopri`` on Python floats.
 ``shoot`` starts at z = 0 with the parity of the index (even l: Psi(0)=1,
 Psi'(0)=0; odd l: Psi(0)=0, Psi'(0)=1); the amplitude scales out exactly
 because the equation is 1-homogeneous.  The negative half-line is
@@ -11,8 +12,7 @@ symmetry point.
 
 Zeros are the sign changes of Psi over a step, located on that step's
 7th-order interpolant and annotated with transversality data; the growth
-exponent is a least-squares log-log fit over the outer decade of the
-window.
+exponent is read off the end state as z Psi'/Psi at z_max.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ if TYPE_CHECKING:
 DEFAULT_Z_MAX = 100.0
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-10
-COEFF_TOL = 1e-12
 
 
 def isolate_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: float) -> float:
@@ -42,40 +41,45 @@ def _tip_kernel(lam: float, n: float):
     """Psi'' of the tip equation at fixed lam and n, as psi2(z, psi, dpsi)
     for ``_dopri.integrate``.  Collecting the Psi''-linear terms gives
 
-        Psi'' * [z^2 (1 + n Phi1) + 1 + n (psi'^2 + 2 z psi' g) / den]
-            = -P0 (1 + n Phi1) - 2 n lam psi'^2 g / den,
+        Psi'' = -[P0 (1 + n phi1) + 2 n lam psi'^2 g/den] / (1 + z^2 + n w^2/den),
 
-    with g = lam psi + z psi', den = psi'^2 + g^2, Phi1 = g^2/den and
-    P0 = lam(lam+1) psi + 2(lam+1) z psi'; at n = 0, Psi'' = -P0 / (1 + z^2).
-    Float arithmetic, with lam (lam+1), 2 (lam+1) and 2 n lam bound once.
-    den = 0 or a coefficient below COEFF_TOL (1 + z^2) raises.  Psi'' is
-    homogeneous of degree 1, so a den below 2^-900, or a non-finite Psi''
-    or coefficient from a finite state, is met by scaling the state by a
-    power of two.
+    with g = lam psi + z psi', den = psi'^2 + g^2, phi1 = g^2/den,
+    w = z g + psi' and P0 = (lam+1)(g + z psi'); at n = 0,
+    Psi'' = -P0 / (1 + z^2).  For n >= 0 the divisor is a sum of
+    nonnegative terms, at least 1 + z^2.  phi1, psi' g/den and w^2/den are
+    of degree 0 in the state and are formed as ratios, from the gradient
+    (psi', g) scaled to unit size by a power of two where den lies outside
+    (2^-900, inf); 2 n lam psi'^2 g/den is formed from the smaller of g and
+    psi', as g (1 - phi1) or psi' (psi' g/den).  Float arithmetic, with
+    lam + 1 and 2 n lam bound once.  A vanishing gradient raises.  Psi'' is
+    homogeneous of degree 1, so where a product of a finite state
+    overflows, the state is scaled to unit size and Psi'' back.  n < 0 or
+    a non-finite lam or n raises ValueError.
     """
-    lam_lam1, lam1_2, n_lam_2 = lam * (lam + 1.0), 2.0 * (lam + 1.0), 2.0 * n * lam
+    if not (0.0 <= n < math.inf and math.isfinite(lam)):
+        raise ValueError(f"n must be finite and >= 0 and lambda finite, got {n}, {lam}")
+    lam1, n_lam_2 = lam + 1.0, 2.0 * n * lam
 
     def psi2(z, psi, dpsi):
-        g = lam * psi + z * dpsi
-        dd = dpsi * dpsi
-        den = dd + g * g
-        if den < 2.0 ** -900:
+        zd = z * dpsi
+        g = lam * psi + zd
+        a, b = dpsi, g
+        den = a * a + b * b
+        if not 2.0 ** -900 < den < math.inf:
+            e = -math.frexp(max(abs(a), abs(b)))[1]
+            a, b = math.ldexp(a, e), math.ldexp(b, e)
+            den = a * a + b * b
             if den == 0.0:
-                raise QuasilinearDegeneracyError(z, 0.0)
-            e = min(-(math.frexp(den)[1] // 2), 1000 - math.frexp(max(abs(psi), abs(dpsi)))[1])
-            if e > 0:
-                return math.ldexp(psi2(z, math.ldexp(psi, e), math.ldexp(dpsi, e)), -e)
-        nf1 = 1.0 + n * (g * g / den)
-        coeff = z * z * nf1 + 1.0 + n * (dd + 2.0 * z * dpsi * g) / den
-        if abs(coeff) < COEFF_TOL * (1.0 + z * z):
-            raise QuasilinearDegeneracyError(z, coeff)
-        d2 = (-(lam_lam1 * psi + lam1_2 * z * dpsi) * nf1 - n_lam_2 * dpsi * dpsi * g / den) / coeff
-        finite = -math.inf < d2 < math.inf and abs(coeff) < math.inf
-        if not finite and math.isfinite(psi) and math.isfinite(dpsi):
-            e = math.frexp(max(abs(psi), abs(dpsi)))[1]
-            if e:
-                return math.ldexp(psi2(z, math.ldexp(psi, -e), math.ldexp(dpsi, -e)), e)
-        return d2
+                raise QuasilinearDegeneracyError(z)
+        phi1 = b * (b / den)
+        w = z * b + a
+        t = g * (1.0 - phi1) if phi1 <= 0.5 else dpsi * (a * (b / den))
+        d2 = -(lam1 * (g + zd) * (1.0 + n * phi1) + n_lam_2 * t) / (
+            1.0 + z * z + n * (w * (w / den)))
+        if -math.inf < d2 < math.inf or not (math.isfinite(psi) and math.isfinite(dpsi)):
+            return d2
+        e = math.frexp(max(abs(psi), abs(dpsi)))[1]
+        return math.ldexp(psi2(z, math.ldexp(psi, -e), math.ldexp(dpsi, -e)), e) if e > 0 else d2
 
     return psi2
 
@@ -132,11 +136,8 @@ def _trajectory(
     crossings in ``zeros``, the end state in ``end`` and the dense ``sol``.
     The one place the ODE is integrated.
     """
-    lam, n = float(lam), float(n)
-    if not (0.0 <= n < math.inf and math.isfinite(lam)):
-        raise ValueError(f"n must be finite and >= 0 and lambda finite, got {n}, {lam}")
     from ._dopri import integrate  # loaded on first use: import cracktip skips it
-    return integrate(_tip_kernel(lam, n), z0, y0, z_end, rtol, atol)
+    return integrate(_tip_kernel(float(lam), float(n)), z0, y0, z_end, rtol, atol)
 
 
 def shoot(
@@ -151,7 +152,8 @@ def shoot(
     """Parity-symmetric solution of the tip ODE for index ``l``.
 
     Integrates on [0, z_max], samples 2001 equally spaced points and
-    mirrors by the parity of l.  Fitted growth uses z in [z_max/10, z_max];
+    mirrors by the parity of l.  The growth exponent is the logarithmic
+    derivative z Psi'/Psi at z_max, None where Psi(z_max) = 0;
     ``nfev`` and ``steps`` count the right-hand-side calls made, the dense
     output's included, and the accepted steps.
     """
@@ -185,13 +187,8 @@ def shoot(
     flags = tuple(m > transversality_tol * scale for m in dmags)
     nodal = NodalSet(tuple(zeros), tuple(dmags), flags, transversality_tol * scale)
 
-    growth = None
-    fit_mask = zs >= z_max / 10.0
-    fit_z = zs[fit_mask]
-    fit_v = np.abs(psi_half[fit_mask])
-    if fit_z.size >= 8 and np.all(fit_v > 0.0):
-        slope, _ = np.polyfit(np.log(fit_z), np.log(fit_v), 1)
-        growth = float(slope)
+    psi_end, dpsi_end = traj.end
+    growth = z_max * (dpsi_end / psi_end) if psi_end else None
 
     return ShootingSolution(
         l=l,

@@ -4,17 +4,13 @@ Everything here deliberately avoids the library's own numerics: fold
 points come from exact rational Sturm-sequence bisection on the
 elimination polynomial, and improper integrals from Gauss-Legendre after
 the tangent substitution.  Expected values frozen in the tests were
-produced by these routines.  The tip equation's Psi'' is kept here as two
-plain functions, the reference the fused kernel must match bit for bit.
+produced by these routines.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
-
-from cracktip.errors import QuasilinearDegeneracyError
-from cracktip.shooting import COEFF_TOL
 
 
 def quartic_parts_exact(l):
@@ -319,53 +315,3 @@ def integral_over_reals(f, order=600):
     w = 0.5 * np.pi * weights
     z = np.tan(theta)
     return float(np.sum(w * f(z) / np.cos(theta) ** 2))
-
-
-# The tip equation's Psi'' as two plain functions, kept verbatim as the
-# reference for the fused kernel in cracktip.shooting, which must match it
-# bit for bit: same values, same guards, same errors.
-def tip_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: float):
-    """Psi'' of the tip equation and the coefficient it was divided by.
-
-    Collecting the Psi''-linear terms of both sides gives
-
-        Psi'' * [z^2 (1 + n Phi1) + 1 + n (psi'^2 + 2 z psi' g) / den]
-            = -P0 (1 + n Phi1) - 2 n lam psi'^2 g / den,
-
-    with g = lam psi + z psi', den = psi'^2 + g^2, Phi1 = g^2/den and
-    P0 = lam(lam+1) psi + 2(lam+1) z psi'.  At n = 0 this reduces to the
-    linear pencil form  Psi'' = -P0 / (1 + z^2).
-
-    On Python floats.  The right-hand side is homogeneous of degree 1 in
-    (psi, psi') and the coefficient of degree 0, so where products such as
-    z psi' g overflow first, a finite state is scaled once by an exact
-    power of two and Psi'' back.  A vanishing den or a coefficient below
-    COEFF_TOL * (1 + z^2) raises.
-    """
-    d2, coeff = _tip_terms(z, psi, dpsi, lam, n)
-    if not math.isfinite(d2) and math.isfinite(psi) and math.isfinite(dpsi):
-        e = math.frexp(max(abs(psi), abs(dpsi)))[1]
-        d2, coeff = _tip_terms(z, math.ldexp(psi, -e), math.ldexp(dpsi, -e), lam, n)
-        d2 = math.ldexp(d2, e)
-    return d2, coeff
-
-
-def _tip_terms(z: float, psi: float, dpsi: float, lam: float, n: float):
-    """``tip_second_derivative`` at one state, without the overflow scaling;
-    a den near the subnormal grid is scaled toward 1 by a power of two."""
-    g = lam * psi + z * dpsi
-    den = dpsi * dpsi + g * g
-    if den < 2.0 ** -900:
-        if den == 0.0:
-            raise QuasilinearDegeneracyError(z, 0.0)
-        e = min(-(math.frexp(den)[1] // 2), 1000 - math.frexp(max(abs(psi), abs(dpsi)))[1])
-        if e > 0:
-            d2, coeff = _tip_terms(z, math.ldexp(psi, e), math.ldexp(dpsi, e), lam, n)
-            return math.ldexp(d2, -e), coeff
-    f1 = g * g / den
-    coeff = z * z * (1.0 + n * f1) + 1.0 + n * (dpsi * dpsi + 2.0 * z * dpsi * g) / den
-    if abs(coeff) < COEFF_TOL * (1.0 + z * z):
-        raise QuasilinearDegeneracyError(z, coeff)
-    p0 = lam * (lam + 1.0) * psi + 2.0 * (lam + 1.0) * z * dpsi
-    num = -p0 * (1.0 + n * f1) - 2.0 * n * lam * dpsi * dpsi * g / den
-    return num / coeff, coeff

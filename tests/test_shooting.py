@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,6 @@ from cracktip import (
 )
 from cracktip.shooting import ARCTAN_EXAMPLE_ADMISSIBLE, _tip_kernel, _trajectory
 from cracktip._dopri import _dense, _interpolate, _powers, _step_zero, integrate
-
-import oracles
 
 
 def test_reduction_at_n_zero():
@@ -60,26 +59,88 @@ def test_degenerate_state_rejected():
         isolate_second_derivative(1.0, 0.0, 0.0, -2.0, 0.1)
 
 
+def test_kernel_rejects_negative_or_non_finite_parameters():
+    # for n < 0 the divisor 1 + z^2 + n w^2/den can vanish: at n = -1 it is
+    # 1e-14 and 1e-8 for these two states
+    for lam, n in ((-1.0, -1.0), (-1.0, -1e-300), (math.nan, 1.0), (math.inf, 1.0),
+                   (-2.0, math.nan), (-2.0, math.inf)):
+        for psi in (1e-7, 1e-4):
+            with pytest.raises(ValueError, match="n must be"):
+                isolate_second_derivative(0.0, psi, 1.0, lam, n)
+        with pytest.raises(ValueError, match="n must be"):
+            _tip_kernel(lam, n)
+
+
+def _exact_second_derivative(z, psi, dpsi, lam, n):
+    """Psi'' of the tip equation in exact rational arithmetic, and a
+    first-order bound on the float kernel's error in units of 2^-52: 16
+    times the numerator's terms in absolute value over the divisor, plus
+    the roundings of g and w = z g + Psi', which can cancel, carried
+    through Psi''.  A term on the subnormal grid is also off by its spacing
+    2^-1074 (2^-52 times 2^-1022, and 4 times that here), which is larger
+    by the scale where a state past 2^900 is scaled to unit size: its
+    products by the coefficients drawn here, at most 2^100 times the state,
+    can overflow.  The term 2 n lam Psi'^2 g/den is formed from the smaller
+    of Psi' and g, so its spacing is that one's."""
+    z, psi, dpsi, lam, n = map(Fraction, (z, psi, dpsi, lam, n))
+    g = lam * psi + z * dpsi
+    den = dpsi * dpsi + g * g
+    w = z * g + dpsi
+    p0 = (lam + 1) * (g + z * dpsi)
+    nf1 = 1 + n * g * g / den
+    last = 2 * n * lam * dpsi * dpsi * g / den
+    coeff = 1 + z * z + n * w * w / den
+    d2 = -(p0 * nf1 + last) / coeff
+    tiny = Fraction(2) ** -1020 * max(1, max(abs(psi), abs(dpsi)) / 2 ** 900)
+    terms = (abs(lam + 1) * (abs(lam * psi) + 2 * abs(z * dpsi) + 4 * tiny) * nf1 + abs(last)
+             + (1 + abs(2 * n * lam) * min(abs(dpsi), abs(g))) * tiny)
+    dg = abs(lam * psi) + abs(z * dpsi) + 2 * tiny
+    dw = abs(z) * dg + abs(z * g) + abs(dpsi)
+    # d/dg of the numerator and of the divisor at fixed w, and d/dw of the divisor
+    dnum_g = n * abs(2 * p0 * g + 2 * lam * (dpsi * dpsi - g * g)) * dpsi * dpsi / den ** 2
+    dcoeff_g, dcoeff_w = 2 * n * w * w * abs(g) / den ** 2, 2 * n * abs(w) / den
+    carried = ((dnum_g + abs(d2) * dcoeff_g) * dg + abs(d2) * dcoeff_w * dw) / coeff
+    return d2, 16 * terms / coeff + 4 * carried
+
+
+def _assert_accurate(z, psi, dpsi, lam, n, fn=isolate_second_derivative):
+    """fn's Psi'' is within the bound of ``_exact_second_derivative`` and
+    the rounding of a subnormal result, or overflows only past the largest
+    double, or it raises for a gradient that underflows to 0."""
+    try:
+        got = fn(z, psi, dpsi, lam, n)
+    except QuasilinearDegeneracyError:
+        assert dpsi == 0.0 and lam * psi == 0.0
+        return
+    except OverflowError:
+        got = math.inf
+    want, bound = _exact_second_derivative(z, psi, dpsi, lam, n)
+    bound = bound * Fraction(2) ** -52 + Fraction(2) ** -1074
+    if math.isfinite(got):
+        assert abs(Fraction(got) - want) <= bound
+    else:
+        assert abs(want) + bound > Fraction(sys.float_info.max)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.floats(-50.0, 50.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
     st.floats(-200.0, 0.5), st.floats(0.0, 5.0), st.integers(400, 1020),
 )
-# psi'^2 is subnormal here: unscaled, coeff rounds to 2.48837 for the exact 2.5
+# psi'^2 is subnormal here: the former coefficient rounded to 2.48837 for the exact 2.5
 @example(0.0, 1.0, 1.4649721964977102e-161, 0.0, 1.5, 400)
-# scaled by 2^512, only n (Psi'^2 + 2 z Psi' g) overflows: once -0.0 for -3.2e153
+# scaled by 2^512, only n (Psi'^2 + 2 z Psi' g) overflowed: once -0.0 for -3.2e153
 @example(0.25, 0.0, 0.96875, 0.0, 1.0, 512)
 def test_second_derivative_scales_past_overflow(z, psi, dpsi, lam, n, k):
     # homogeneous of degree 1: a state near the top of the double range
-    # gives the scaled Psi'' where the plain products would overflow, and
-    # an ordinary state takes the plain path unchanged
+    # gives the scaled Psi'' where the plain products would overflow
     if max(abs(psi), abs(dpsi)) < 1e-3:
         return
     try:
         d2 = isolate_second_derivative(z, psi, dpsi, lam, n)
     except QuasilinearDegeneracyError:
         return
-    assert d2 == oracles._tip_terms(z, psi, dpsi, lam, n)[0]
+    _assert_accurate(z, psi, dpsi, lam, n)
     try:
         big = math.ldexp(d2, k)
     except OverflowError:
@@ -88,85 +149,57 @@ def test_second_derivative_scales_past_overflow(z, psi, dpsi, lam, n, k):
     assert got == pytest.approx(big, rel=1e-12, abs=1e-12 * math.ldexp(1.0, k))
 
 
-def _bits(x):
-    """x as a key equal only for bit-equal floats: -0.0 differs from 0.0
-    and every NaN is alike."""
-    return "nan" if x != x else (x, math.copysign(1.0, x))
-
-
-def _outcome(fn):
-    """The bits of each float fn returns, or one (type, message) it raises."""
-    try:
-        return tuple(map(_bits, fn()))
-    except (QuasilinearDegeneracyError, OverflowError) as exc:
-        return ((type(exc), str(exc)),)
-
-
 # 0.0 or m 10^e for 1 <= |m| <= 10 and -160 <= e < 300
 _STATE = st.builds(lambda m, e: 0.0 if e < -160 else m * 10.0 ** e,
                    st.floats(1.0, 10.0) | st.floats(-10.0, -1.0), st.integers(-161, 299))
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.floats(-1e6, 1e6), _STATE, _STATE, st.floats(-200.0, 0.5), st.floats(0.0, 5.0))
-@example(0.0, 1.0, 1.4649721964977102e-161, 0.0, 1.5)  # den subnormal: the state is scaled up
-@example(1e3, 1e300, 1e300, -100.0, 2.0)  # den overflows: the state is scaled down
-# den is finite but 2 z Psi' g overflows: the coefficient is -inf, Psi'' NaN,
-# and the state is scaled down to give 9.999985999984397e146
+@given(st.floats(-1e6, 1e6), _STATE, _STATE, st.floats(-200.0, 0.5), st.floats(0.0, 1e20))
+# den is subnormal, or overflows: the ratios come from the gradient scaled to unit size
+@example(0.0, 1.0, 1.4649721964977102e-161, 0.0, 1.5)
+@example(1e3, 1e300, 1e300, -100.0, 2.0)
+# den is finite but 2 z Psi' g overflowed the former coefficient to -inf
 @example(1e6, 5.000005e158, 1e153, -2.0, 0.5)
 @example(1.0, 0.0, 0.0, -2.0, 0.1)  # den = 0 raises
-@example(0.0, 1e-7, 1.0, -1.0, -1.0)  # n < 0: a coefficient below COEFF_TOL raises
-@example(0.0, 1e-4, 1.0, -1.0, -1.0)  # n < 0: a coefficient of 1e-8, above COEFF_TOL, divides
-# only n (Psi'^2 + 2 z Psi' g) overflows: the reference's coefficient is inf and
-# its Psi'' -0.0, and the kernel scales the state down instead
+# n (Psi'^2 + 2 z Psi' g) overflowed the former coefficient, and Psi'' was -0.0
 @example(2.0, 0.0, 2.0 ** 510, 0.0, 2.0)
-def test_kernel_matches_the_reference_bit_for_bit(z, psi, dpsi, lam, n):
-    # for n >= 0 the coefficient is (1 + z^2) + n (z g + Psi')^2 / den, so its
-    # guard fires only for the n < 0 example; where the reference's
-    # coefficient overflows, the kernel is held to the exact Psi'' instead
-    ref = _outcome(lambda: oracles.tip_second_derivative(z, psi, dpsi, lam, n))
-    if len(ref) == 2 and ref[1][0] in (math.inf, -math.inf):
-        want = _exact_second_derivative(z, psi, dpsi, lam, n)
-        for got in (_tip_kernel(lam, n)(z, psi, dpsi),
-                    isolate_second_derivative(z, psi, dpsi, lam, n)):
-            assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want)
-        return
-    assert _outcome(lambda: (_tip_kernel(lam, n)(z, psi, dpsi),)) == ref[:1]
-    assert _outcome(lambda: (isolate_second_derivative(z, psi, dpsi, lam, n),)) == ref[:1]
+# den is above 2^-900, but n lam Psi'^2 g formed before the division underflowed:
+# once 2.37e-135 for 1.21e-134
+@example(0.16327880434007813, 4.490346156792418e-154, 5.981398497810973e-136, -63.94840457807098,
+         4.654868070145721)
+# P0 cancels on its own, to 1.8e-12 relative
+@example(1.0, -2.00001, -2.0, -2.00001, 0.0)
+# (lam+1)(g + z Psi') overflows, and Psi'' = 4e296 comes from the state scaled to unit size
+@example(1e6, 1e300, 1e300, -200.0, 0.0)
+# den overflows; scaled to unit size, Psi = 1e-160 would underflow to 0 and Psi'' with it
+@example(0.0, 1e-160, 1e299, -3.0, 2.0)
+def test_kernel_matches_the_exact_formula(z, psi, dpsi, lam, n):
+    # the float kernel against the same Psi'' in exact rational arithmetic,
+    # to the rounding of its terms; a raise or an overflow only where the
+    # gradient or Psi'' leaves the double range
+    _assert_accurate(z, psi, dpsi, lam, n)
+    _assert_accurate(z, psi, dpsi, lam, n,
+                     lambda z, psi, dpsi, lam, n: _tip_kernel(lam, n)(z, psi, dpsi))
 
 
-def _exact_second_derivative(z, psi, dpsi, lam, n):
-    """Psi'' of the tip equation in exact rational arithmetic."""
-    z, psi, dpsi, lam, n = map(Fraction, (z, psi, dpsi, lam, n))
-    g = lam * psi + z * dpsi
-    den = dpsi * dpsi + g * g
-    nf1 = 1 + n * g * g / den
-    coeff = z * z * nf1 + 1 + n * (dpsi * dpsi + 2 * z * dpsi * g) / den
-    return (-(lam * (lam + 1) * psi + 2 * (lam + 1) * z * dpsi) * nf1
-            - 2 * n * lam * dpsi * dpsi * g / den) / coeff
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="the float coefficient cancels terms of size n against each other: "
-    "Psi'' is off by 2e-6 relative at n = 1e12 and 0.12 at 1e16, and at 1e17 "
-    "the coefficient is -16 for 10.57 and Psi'' has the wrong sign, unraised",
-)
 def test_kernel_is_right_or_raises_at_large_n():
+    # the former coefficient summed terms of size n that cancel to about 10,
+    # and had the wrong sign at n = 1e17; the divisor 1 + z^2 + n w^2/den
+    # adds nonnegative terms.  w is 1e-8 of its terms here, so from n of
+    # about 1e18 its rounding moves Psi'', as ``_exact_second_derivative``'s
+    # bound allows
     state = (-3.093095221783628, -0.061367014581903426, 0.27071300920760466, -15.071009075929592)
     z, psi, dpsi, lam = state
     for n in (1e6, 1e12, 1e16, 1e17):
-        want = _exact_second_derivative(z, psi, dpsi, lam, n)
-        try:
-            got = isolate_second_derivative(z, psi, dpsi, lam, n)
-        except NumericsError:
-            continue
-        assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 6) * abs(want), n
+        want = _exact_second_derivative(z, psi, dpsi, lam, n)[0]
+        got = isolate_second_derivative(z, psi, dpsi, lam, n)
+        assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 12) * abs(want), n
 
 
 def test_kernel_rescales_an_overflowing_coefficient():
-    # n (Psi'^2 + 2 z Psi' g) overflows while den and Psi'' stay finite, and
-    # the state is scaled down: homogeneous of degree 1, the state scaled by
+    # the former coefficient's n (Psi'^2 + 2 z Psi' g) overflowed here while
+    # den and Psi'' stay finite; homogeneous of degree 1, the state scaled by
     # 2^-510 gives 2^-510 Psi''
     want = math.ldexp(isolate_second_derivative(2.0, 0.0, 1.0, 0.0, 2.0), 510)
     got = isolate_second_derivative(2.0, 0.0, math.ldexp(1.0, 510), 0.0, 2.0)
@@ -274,6 +307,20 @@ def test_shot_growth_tracks_eigenvalue():
     lam = max(r for r in real_roots(build_quartic(2, n)) if r > -4.0)
     sol = shoot(2, n, lam, z_max=100.0)
     assert sol.growth_exponent == pytest.approx(-lam, abs=0.05)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+def test_growth_exponent_is_the_end_log_derivative(l):
+    # at n = 0 the shot from the parity start is Re (z+i)^l up to scale, so
+    # the exponent is z p'/p at z_max = 100 with p' = l Re (z+i)^(l-1): 6.0030
+    # at l = 6, where a log-log fit over [10, 100] gave 6.037
+    z = Fraction(100)
+    powers = [(Fraction(1), Fraction(0))]
+    for _ in range(l):
+        re, im = powers[-1]
+        powers.append((re * z - im, re + im * z))
+    want = z * l * powers[l - 1][0] / powers[l][0]
+    assert shoot(l, 0.0, -float(l)).growth_exponent == pytest.approx(float(want), rel=1e-8)
 
 
 @pytest.mark.xfail(
