@@ -30,7 +30,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import __version__
 from .characteristic import build_quartic, limit_polynomial
-from .continuation import BranchFamily, continue_branch, double_root_l1, find_fold
+from .continuation import BranchFamily, _meeting_point, continue_branch
 from .crack import CrackSpec, check_linear, check_nonlinear
 from .errors import NumericsError
 from .pencil import Family, build_eigenfunction
@@ -194,8 +194,7 @@ def _cmd_char_scan(args):
 
 
 def _cmd_fold(args):
-    fp = double_root_l1() if args.l == 1 else find_fold(args.l)
-    return asdict(fp), None, EXIT_OK
+    return asdict(_meeting_point(args.l)), None, EXIT_OK
 
 
 def _cmd_branch(args):

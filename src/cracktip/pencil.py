@@ -147,6 +147,13 @@ def pencil_eigenvalues(l: int) -> Tuple[float, float]:
     return (-float(l), -float(l) - 1.0)
 
 
+def _seed_lattice(degree: int, family: Family) -> Tuple[int, float, float]:
+    """The lattice (e, c, d) of ``build_eigenfunction(degree, family)``; lam = -e."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    return (degree, 1.0, 0.0) if family is Family.FIRST else (degree + 1, 0.0, 1.0)
+
+
 @lru_cache(maxsize=1024)
 def build_eigenfunction(degree: int, family: Family) -> PencilEigenpair:
     """Construct the monic degree-``degree`` eigenfunction of ``family``.
@@ -155,14 +162,12 @@ def build_eigenfunction(degree: int, family: Family) -> PencilEigenpair:
     With e the exponent, the coefficient of z**(d - 2m) is (-1)**m C(e, d - 2m),
     over d + 1 for the second family; coefficients of the other parity vanish.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    e, denom = (degree, 1) if family is Family.FIRST else (degree + 1, degree + 1)
+    lattice = _seed_lattice(degree, family)
+    e, denom = lattice[0], (1 if family is Family.FIRST else lattice[0])
     exact = [Fraction(0)] * (degree + 1)
     for m in range(degree // 2 + 1):
         exact[degree - 2 * m] = Fraction((-1) ** m * math.comb(e, degree - 2 * m), denom)
     exact = tuple(exact)
-    lattice = (e, 1.0, 0.0) if family is Family.FIRST else (e, 0.0, 1.0)
     poly = Polynomial(tuple(float(c) for c in exact), exact=exact, lattice=lattice)
     return PencilEigenpair(degree, family, float(-e), poly)
 

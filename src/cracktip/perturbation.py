@@ -21,14 +21,15 @@ Two independent routes to the slope mu are provided:
   realize.
 * ``mu_via_quadrature``: the Fredholm orthogonality route, solving
   integral of  w(z) h(mu, psi, lam)(z) psi(z) dz = 0  over the real line
-  with weight w = (1 + z^2)^lam, by the midpoint rule in theta = arccot z.
+  with weight w = (1 + z^2)^lam, by one midpoint rule in theta = arccot z
+  that is exact for second-family seeds.
   For first-family seeds the integrand tends to a nonzero constant, so
   the integral diverges and the result is flagged instead of returned.
 
 The two routes do not agree: the quadrature slope solves the orthogonality
-condition exactly (it converges, e.g., to 1/2 for the second-family seeds
-at l = 2 and 3), while the quartic slopes there are 12/5 and 21/5.  The
-discrepancy is structural, not numerical; keep ``mu_via_ift`` for anything
+condition exactly (1/2 to rounding for every second-family seed from l = 1
+to 3000), while the quartic slopes at l = 2 and 3 are 12/5 and 21/5: the
+discrepancy is structural, not numerical.  Keep ``mu_via_ift`` for anything
 that must be consistent with the continuation module.
 """
 
@@ -41,13 +42,13 @@ from typing import TYPE_CHECKING, Tuple
 
 from .characteristic import _integer_parts
 from .errors import NumericsError
-from .pencil import Family, PencilEigenpair, build_eigenfunction
+from .pencil import Family, PencilEigenpair, _seed_lattice
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-def _source_terms(pair: PencilEigenpair, cos, sin):
+def _source_terms(seed: Tuple[int, float, float], cos, sin):
     """(psi, Phi2, (2 lam + 1) psi + z psi', Phi1 L psi), the terms of h at
     z = cos / sin, each in units of sin**lam.
 
@@ -58,7 +59,7 @@ def _source_terms(pair: PencilEigenpair, cos, sin):
     e^2 |w|^2 sin**(2 - 2e), never 0, and Phi1 = Im(w u**(e - 1))^2 / |w|^2.
     Complex arithmetic only, so floats and arrays take the same path.
     """
-    e, c, d = pair.poly.lattice
+    e, c, d = seed
     w = complex(c, -d / max(e, 1))  # d = 0 for the constant seed, e = 0
     u = cos + 1j * sin
     a = w * u ** (e - 1)
@@ -77,7 +78,7 @@ def source_h(mu: float, pair: PencilEigenpair, z):
     Affine in mu with slope -((2 lam + 1) psi + z psi'); uses L psi = -psi''.
     """
     r = abs(z + 1j)
-    _, f2, m, f1_lpsi = _source_terms(pair, z / r, 1.0 / r)
+    _, f2, m, f1_lpsi = _source_terms(pair.poly.lattice, z / r, 1.0 / r)
     return -(f2 + mu * m + f1_lpsi) * r ** -pair.lam
 
 
@@ -97,7 +98,7 @@ def mu_via_ift(l: int, family: Family) -> float:
 
 @dataclass(frozen=True)
 class QuadratureDiagnostics:
-    """Per midpoint rule: the largest |z| it samples, cot(pi / 2N), and its mu."""
+    """The midpoint rule's largest |z|, cot(pi / 2N), and its mu, one each."""
 
     windows: Tuple[float, ...]
     mu_values: Tuple[float, ...]
@@ -117,38 +118,36 @@ def mu_via_quadrature(l: int, family: Family) -> Tuple[float, QuadratureDiagnost
     theta.  Each term of h and psi is sin**lam theta times its value from
     ``_source_terms``, so each integrand is the product of those two values
     over sin^2 theta: no power of z is formed and the sums stay finite at
-    every l.  For a seed of degree d both integrands are O(z^(2 lam + 2 d)).
-    Second-family seeds have lam = -d - 1, so they decay like z^-2, and in
-    theta they are smooth pi-periodic trigonometric rational functions: the
-    midpoint rule with N nodes converges geometrically in N.  The rule is
-    taken at N = 4 (l + 2) and at 2N, mu is the 2N value, and ``converged``
-    means the two agree to 1e-10 (1 + |mu|).
+    every l.  For second-family seeds (lam = -e, lattice index e) both
+    integrands are cosine polynomials in theta, of degree 4e - 4 (I_rest)
+    and 2e - 2 (I_mu).  The midpoint rule with N nodes on (0, pi) is
+    Gauss-Chebyshev, exact for cosine polynomials below degree 2N, so the
+    one rule with N = max(1, 2e - 1) nodes gives both integrals exactly,
+    and ``converged`` holds (one node fewer misses mu by 1/(2e) at l = 2,
+    3, 7 and 20).
 
-    First-family seeds have lam = -d, so the I_mu integrand tends to the
-    constant 1 - d and the integrals diverge: mu is nan and
+    First-family seeds have lam = -e, so the I_mu integrand tends to the
+    constant 1 - e and the integrals diverge: mu is nan and
     ``divergent_tail`` is set.  A vanishing I_mu sum (l = 1, first family)
     raises NumericsError.
     """
-    pair = build_eigenfunction(l, family)
-    windows, mus = [], []
-    for num_nodes in (4 * (l + 2), 8 * (l + 2)):
-        rest, coef = [], []
-        for k in range(num_nodes):
-            theta = (k + 0.5) * (math.pi / num_nodes)
-            sin = math.sin(theta)
-            psi, f2, m, f1_lpsi = _source_terms(pair, math.cos(theta), sin)
-            weight = psi / (sin * sin)
-            rest.append(weight * (f2 + f1_lpsi))
-            coef.append(weight * m)
-        i_rest, i_mu = math.fsum(rest), math.fsum(coef)
-        if i_mu == 0.0:
-            raise NumericsError("orthogonality degenerate: the mu-coefficient integral vanishes")
-        windows.append(1.0 / math.tan(0.5 * (math.pi / num_nodes)))
-        mus.append(-i_rest / i_mu)
+    seed = _seed_lattice(l, family)
+    num_nodes = max(1, 2 * seed[0] - 1)
+    rest, coef = [], []
+    for k in range(num_nodes):
+        theta = (k + 0.5) * (math.pi / num_nodes)
+        sin = math.sin(theta)
+        psi, f2, m, f1_lpsi = _source_terms(seed, math.cos(theta), sin)
+        weight = psi / (sin * sin)
+        rest.append(weight * (f2 + f1_lpsi))
+        coef.append(weight * m)
+    i_rest, i_mu = math.fsum(rest), math.fsum(coef)
+    if i_mu == 0.0:
+        raise NumericsError("orthogonality degenerate: the mu-coefficient integral vanishes")
     divergent = family is Family.FIRST
-    mu = math.nan if divergent else mus[1]
-    converged = not divergent and abs(mus[1] - mus[0]) <= 1e-10 * (1.0 + abs(mu))
-    return mu, QuadratureDiagnostics(tuple(windows), tuple(mus), divergent, converged)
+    mu, window = -i_rest / i_mu, 1.0 / math.tan(0.5 * (math.pi / num_nodes))
+    diag = QuadratureDiagnostics((window,), (mu,), divergent, not divergent)
+    return (math.nan if divergent else mu), diag
 
 
 @dataclass(frozen=True)
@@ -211,12 +210,12 @@ def solve_correction(
 
     if num_points < 9:
         raise ValueError("num_points too small for the boundary stencils")
-    pair = build_eigenfunction(l, family)
-    lam = pair.lam
+    seed = _seed_lattice(l, family)
+    lam = -float(seed[0])
     z = np.linspace(-z_cut, z_cut, num_points)
     dz = z[1] - z[0]
     r = np.hypot(z, 1.0)
-    psi, f2, m, f1_lpsi = _source_terms(pair, z / r, 1.0 / r)
+    psi, f2, m, f1_lpsi = _source_terms(seed, z / r, 1.0 / r)
     h = -(f2 + mu * m + f1_lpsi) * r ** -lam
     null = psi * r ** lam  # (1 + z^2)^lam psi
     a = (1.0 + z * z) / (dz * dz)

@@ -51,16 +51,20 @@ def _tip_kernel(lam: float, n: float):
     (psi', g) scaled to unit size by a power of two where den lies outside
     (2^-900, inf); 2 n lam psi'^2 g/den is formed from the smaller of g and
     psi', as g (1 - phi1) or psi' (psi' g/den).  Float arithmetic, with
-    lam + 1 and 2 n lam bound once.  A vanishing gradient raises.  Psi'' is
-    homogeneous of degree 1, so where a product of a finite state
-    overflows, the state is scaled to unit size and Psi'' back.  n < 0 or
-    a non-finite lam or n raises ValueError.
+    lam + 1 and 2 n lam bound once.  A vanishing gradient raises.  Where
+    the quotient or its divisor overflows, both are formed over s^2, with
+    s = 2^-k and |z s| < 1, and Psi'' is 2^-k times that.  Where a product
+    of the state itself overflows, psi2 calls itself on the state scaled
+    to unit size by 2^-f (Psi'' is homogeneous of degree 1), with owed = f
+    and q_max = 0, which skips the plain quotient.  2^(owed - k) is applied
+    once, at the end, and gives +-inf past the double range.  n < 0 or a
+    non-finite lam or n raises ValueError.
     """
     if not (0.0 <= n < math.inf and math.isfinite(lam)):
         raise ValueError(f"n must be finite and >= 0 and lambda finite, got {n}, {lam}")
     lam1, n_lam_2 = lam + 1.0, 2.0 * n * lam
 
-    def psi2(z, psi, dpsi):
+    def psi2(z, psi, dpsi, owed=0, q_max=math.inf):
         zd = z * dpsi
         g = lam * psi + zd
         a, b = dpsi, g
@@ -74,12 +78,20 @@ def _tip_kernel(lam: float, n: float):
         phi1 = b * (b / den)
         w = z * b + a
         t = g * (1.0 - phi1) if phi1 <= 0.5 else dpsi * (a * (b / den))
-        d2 = -(lam1 * (g + zd) * (1.0 + n * phi1) + n_lam_2 * t) / (
-            1.0 + z * z + n * (w * (w / den)))
-        if -math.inf < d2 < math.inf or not (math.isfinite(psi) and math.isfinite(dpsi)):
+        q = 1.0 + z * z + n * (w * (w / den))
+        d2 = -(lam1 * (g + zd) * (1.0 + n * phi1) + n_lam_2 * t) / q
+        if -math.inf < d2 < math.inf and q < q_max:
             return d2
-        e = math.frexp(max(abs(psi), abs(dpsi)))[1]
-        return math.ldexp(psi2(z, math.ldexp(psi, -e), math.ldexp(dpsi, -e)), e) if e > 0 else d2
+        k = max(math.frexp(z)[1], 0)
+        s = math.ldexp(1.0, -k)
+        zs, ws = z * s, z * s * b + a * s
+        m = -(lam1 * (g * s + zd * s) * (1.0 + n * phi1) + n_lam_2 * (t * s)) / (
+            s * s + zs * zs + n * (ws * (ws / den)))
+        if -math.inf < m < math.inf:
+            big = math.frexp(m)[1] + owed - k > 1024  # past the largest double
+            return math.copysign(math.inf, m) if big else math.ldexp(m, owed - k)
+        f = math.frexp(max(abs(psi), abs(dpsi)))[1]
+        return psi2(z, math.ldexp(psi, -f), math.ldexp(dpsi, -f), owed + f, 0.0) if f > 0 else m
 
     return psi2
 

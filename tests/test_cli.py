@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from cracktip.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    _json_dump,
     emit_figure,
     run,
 )
@@ -193,11 +195,15 @@ def test_mu_quadrature_runs_past_the_monomial_overflow(capsys):
     assert abs(json.loads(out)["mu_quadrature"] - 0.5) <= 1e-12
 
 
-def test_mu_past_double_range_is_numerical_failure(capsys):
-    # the exact seed coefficients of degree 1100 exceed the largest double
-    code, out, err = run_capture(["mu", "--l", "1100", "--family", "second"], capsys)
-    assert code == EXIT_NUMERICAL
-    assert out == "" and "numerical failure" in err
+def test_mu_past_the_coefficient_range(capsys):
+    # the seed's coefficients of degree 1100 exceed the largest double, but
+    # both routes read the seed off its lattice and never form them
+    code, out, _ = run_capture(["mu", "--l", "1100", "--family", "second"], capsys)
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert abs(rec["mu_quadrature"] - 0.5) <= 1e-12
+    assert rec["mu_ift"] == float(Fraction(1100 * (1100 ** 3 - 3 * 1100 ** 2 + 4 * 1100 + 2),
+                                            1100 ** 2 + 1))
 
 
 def test_pencil_past_double_range_is_numerical_failure(capsys):
@@ -225,7 +231,7 @@ def test_determinism(tmp_path):
 
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("family=upper\nn-max=0.01\n")
+    cfg.write_text("# branch defaults\n\nfamily=upper\nn-max=0.01\n")
     code, out, _ = run_capture(["--config", str(cfg), "branch", "--l", "2"], capsys)
     assert code == EXIT_OK
     assert float(out.strip().splitlines()[-1].split(",")[0]) == pytest.approx(0.01)
@@ -297,6 +303,7 @@ def test_config_file_matches_flags(command, tmp_path, capsys):
         ("any_subset=maybe", ["crack", "--alphas", "-1,0,1"], "expected true or false"),
         ("degree=3", ["crack", "--alphas", "-1,1"], "unknown configuration key"),
         ("figure=two", ["char-scan"], "invalid literal"),
+        ("n-max 0.01", ["branch", "--l", "2"], "expected key=value"),
     ],
 )
 def test_config_values_checked_like_flags(line, argv, message, tmp_path, capsys):
@@ -345,9 +352,13 @@ def test_invalid_options_are_usage_errors(argv, message, capsys):
     assert out == "" and message in err
 
 
-def test_figure_two_contains_published_minimum():
+def test_figure_two_contains_published_minimum(capsys):
     ds = emit_figure(2)
     assert ds.n_values[0] == math.inf
+    # JSON has no infinities: the writer spells them as strings, as it does nan
+    code, out, _ = run_capture(["char-scan", "--figure", "2", "--format", "json"], capsys)
+    assert code == EXIT_OK and json.loads(out)["n_values"] == ["inf", 0]
+    assert _json_dump([-math.inf, math.nan]) == '[\n  "-inf",\n  "nan"\n]'
     limit_row = np.array(ds.values[0])
     assert 6.84 <= limit_row.min() <= 6.85
     quad_row = np.array(ds.values[1])

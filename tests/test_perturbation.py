@@ -147,7 +147,8 @@ def test_quadrature_second_family_converges_to_exact_value(l):
     mu, diag = mu_via_quadrature(l, Family.SECOND)
     assert not diag.divergent_tail
     assert diag.converged
-    assert len(diag.windows) == len(diag.mu_values) == 2
+    assert len(diag.windows) == len(diag.mu_values) == 1
+    assert diag.mu_values[0] == mu
     oracle = _orthogonality_mu_oracle(l, Family.SECOND)
     assert oracle == pytest.approx(0.5, abs=1e-10)  # exact value of the condition
     assert abs(mu - oracle) <= 1e-10
@@ -167,6 +168,18 @@ def test_quadrature_converges_past_the_monomial_overflow():
         mu, diag = mu_via_quadrature(l, Family.SECOND)
         assert diag.converged
         assert abs(mu - 0.5) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3000))
+@example(1038)  # the last index whose seed coefficients are all doubles
+@example(3000)
+def test_quadrature_second_family_is_exact_at_every_index(l):
+    # one Gauss-Chebyshev rule of 2e - 1 nodes integrates the cosine
+    # polynomials of degree up to 4e - 4 exactly, so mu is 1/2 to rounding
+    mu, diag = mu_via_quadrature(l, Family.SECOND)
+    assert diag.converged and not diag.divergent_tail
+    assert abs(mu - 0.5) <= 1e-12
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])

@@ -105,20 +105,19 @@ def _exact_second_derivative(z, psi, dpsi, lam, n):
 
 def _assert_accurate(z, psi, dpsi, lam, n, fn=isolate_second_derivative):
     """fn's Psi'' is within the bound of ``_exact_second_derivative`` and
-    the rounding of a subnormal result, or overflows only past the largest
+    the rounding of a subnormal result, or is +-inf only past the largest
     double, or it raises for a gradient that underflows to 0."""
     try:
         got = fn(z, psi, dpsi, lam, n)
     except QuasilinearDegeneracyError:
         assert dpsi == 0.0 and lam * psi == 0.0
         return
-    except OverflowError:
-        got = math.inf
     want, bound = _exact_second_derivative(z, psi, dpsi, lam, n)
     bound = bound * Fraction(2) ** -52 + Fraction(2) ** -1074
     if math.isfinite(got):
         assert abs(Fraction(got) - want) <= bound
     else:
+        assert math.isinf(got) and (got > 0) == (want > 0)
         assert abs(want) + bound > Fraction(sys.float_info.max)
 
 
@@ -155,7 +154,7 @@ _STATE = st.builds(lambda m, e: 0.0 if e < -160 else m * 10.0 ** e,
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.floats(-1e6, 1e6), _STATE, _STATE, st.floats(-200.0, 0.5), st.floats(0.0, 1e20))
+@given(st.floats(-1e300, 1e300), _STATE, _STATE, st.floats(-200.0, 0.5), st.floats(0.0, 1e20))
 # den is subnormal, or overflows: the ratios come from the gradient scaled to unit size
 @example(0.0, 1.0, 1.4649721964977102e-161, 0.0, 1.5)
 @example(1e3, 1e300, 1e300, -100.0, 2.0)
@@ -174,6 +173,15 @@ _STATE = st.builds(lambda m, e: 0.0 if e < -160 else m * 10.0 ** e,
 @example(1e6, 1e300, 1e300, -200.0, 0.0)
 # den overflows; scaled to unit size, Psi = 1e-160 would underflow to 0 and Psi'' with it
 @example(0.0, 1e-160, 1e299, -3.0, 2.0)
+# 1 + z^2 and w^2/den overflow: once 0 inf = nan for 1.5e-160
+@example(1e160, 0.0, 0.75, -2.0, 0.0)
+# Psi'' = -4e324 is past the largest double: once a bare OverflowError
+@example(0.0, 1e300, 0.0, -200.0, 1e20)
+# z Psi' overflows as well as z^2: Psi'' = -2e-291 through the state scaled to
+# unit size, where the power of two must be applied once, not to a subnormal
+@example(9.999999999999925e+299, 1e19, 1e9, 0.0, 0.0)
+# only z^2 overflows: the state scaled to unit size would lose Psi' = 1e-50
+@example(1e160, 1e300, 1e-50, 0.0, 0.0)
 def test_kernel_matches_the_exact_formula(z, psi, dpsi, lam, n):
     # the float kernel against the same Psi'' in exact rational arithmetic,
     # to the rounding of its terms; a raise or an overflow only where the
@@ -566,6 +574,7 @@ def test_shoot_needs_two_samples():
     sol = shoot(2, 0.0, -2.0)
     assert 0.525 not in sol.z
     assert sol.evaluate(0.525) == pytest.approx((1.0 - 0.525 ** 2, -1.05), rel=1e-9)
+    assert sol(0.525) == sol.evaluate(0.525)[0]
 
 
 @pytest.mark.parametrize("l, n, lam", [(1, 0.0, -1.0), (3, 0.05, -3.1), (2, 0.0, -100.0)])
