@@ -4,17 +4,18 @@
 initial-step rule, error norm and step controller, so it reproduces that
 integrator's solutions to rounding without importing scipy.  F returns
 Psi'' alone: the Psi' stages are the arguments the stepper forms anyway.
-A step's 7th-order interpolant costs three more calls of F and is built on
-first use, by a Psi = 0 crossing or a sample of ``sol``; the crossing is a
-root of it by ``characteristic._root``.  ``shooting`` loads this on first use.
+``Trajectory.sol`` gives (Psi, Psi') at one float z.  A step's 7th-order
+interpolant costs three more calls of F and is built on first use, by a
+Psi = 0 crossing or by ``sol``; the crossing is a root of it by
+``characteristic._root``.  ``shooting`` loads this on first use.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 from .characteristic import _polyval, _root
 from .errors import NumericsError
@@ -83,12 +84,13 @@ def _dense(F, z, h, y0, y1, fd, r, q):
     """f0..f6 of the Psi and Psi' interpolants of the step from (z, y0) by h
     to y1, where F is fd, from its stages 5..12: r, their Psi' less Psi'(z),
     and q, their F values.  The sums run over increments from stage 0, as a
-    row of coefficients sums to its node and one of D to 0.  A non-finite
-    extra stage (three more calls of F) raises NumericsError."""
+    row of coefficients sums to its node and one of D to 0, left to right on
+    every Python (``sum`` compensates from 3.12).  A non-finite extra stage
+    (three more calls of F) raises NumericsError."""
     (psi, dpsi), r, rq = y0, list(r), [v - fd for v in q]
     for c, a in zip(_C_EXTRA, _A_EXTRA):
-        s = (c * fd + sum(map(mul, a, rq))) * h
-        v = F(z + c * h, psi + (c * dpsi + sum(map(mul, a, r))) * h, dpsi + s)
+        s = (c * fd + reduce(add, map(mul, a, rq), 0.0)) * h
+        v = F(z + c * h, psi + (c * dpsi + reduce(add, map(mul, a, r), 0.0)) * h, dpsi + s)
         if not (math.isfinite(s) and math.isfinite(v)):
             raise NumericsError(f"non-finite dense output on the step from z={z!r}")
         r.append(s)
@@ -97,13 +99,13 @@ def _dense(F, z, h, y0, y1, fd, r, q):
     for u0, u1, f, d in ((psi, y1[0], dpsi, r), (dpsi, y1[1], fd, rq)):
         dy = u1 - u0
         out.append((dy, h * f - dy, 2.0 * dy - h * (2.0 * f + d[7]),
-                    *[h * sum(map(mul, row, d)) for row in _D]))
+                    *[h * reduce(add, map(mul, row, d), 0.0) for row in _D]))
     return tuple(out)
 
 
 def _interpolate(x, y0, f):
     """y0 + x (f0 + (1 - x) (f1 + x (f2 + ... (f5 + x f6)))), in scipy's
-    order of operations; on floats or on arrays alike."""
+    order of operations."""
     f0, f1, f2, f3, f4, f5, f6 = f
     return y0 + x * (f0 + (1.0 - x) * (f1 + x * (f2 + (1.0 - x) * (
         f3 + x * (f4 + (1.0 - x) * (f5 + x * f6))))))
@@ -162,26 +164,12 @@ class Trajectory:
         return self._dense[i]
 
     def sol(self, z):
-        """(Psi, Psi') at z on the interpolant of the step holding it (at a
-        step end the earlier step; past the span the end step, extrapolated):
-        two floats for a scalar, a (2, len(z)) array for an array."""
-        last = len(self._stages) - 1
-        if isinstance(z, numbers.Real) or getattr(z, "ndim", None) == 0:
-            z = float(z)
-            i = min(max(bisect_left(self._keys, self._sign * z) - 1, 0), last)
-            x = (z - self._zs[i]) / (self._zs[i + 1] - self._zs[i])
-            return tuple(map(_interpolate, (x, x), self._states[i], self._interpolant(i)))
-        import numpy as np
-        zz = np.asarray(z, dtype=float)
-        i = np.clip(np.searchsorted(self._keys, self._sign * zz) - 1, 0, last)
-        steps, at = np.unique(i, return_inverse=True)
-        z0, z1, psi, dpsi, *f = np.array(
-            [(self._zs[j], self._zs[j + 1], *self._states[j], *sum(self._interpolant(j), ()))
-             for j in steps.tolist()]).T
-        at = at.reshape(zz.shape)
-        x = (zz - z0[at]) / (z1[at] - z0[at])
-        return np.array((_interpolate(x, psi[at], [c[at] for c in f[:7]]),
-                         _interpolate(x, dpsi[at], [c[at] for c in f[7:]])))
+        """(Psi, Psi') at the float z on the interpolant of the step holding it
+        (at a step end the earlier step; past the span the end step,
+        extrapolated)."""
+        i = min(max(bisect_left(self._keys, self._sign * z) - 1, 0), len(self._stages) - 1)
+        x = (z - self._zs[i]) / (self._zs[i + 1] - self._zs[i])
+        return tuple(map(_interpolate, (x, x), self._states[i], self._interpolant(i)))
 
 
 def integrate(F, z0, y0, z_end, rtol, atol) -> Trajectory:

@@ -237,7 +237,10 @@ def _cmd_shoot(args):
         "transversal": list(sol.zeros.transversal),
         "growth_exponent": sol.growth_exponent,
     }
-    return fields, _csv("z,psi,dpsi", zip(sol.z, sol.psi, sol.dpsi)), EXIT_OK
+
+    def rows():  # the samples, and numpy with them, are formed only for CSV
+        yield from zip(sol.z, sol.psi, sol.dpsi)
+    return fields, _csv("z,psi,dpsi", rows()), EXIT_OK
 
 
 def _cmd_crack(args):

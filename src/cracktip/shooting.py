@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 from .errors import QuasilinearDegeneracyError
 from .pencil import NodalSet
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_Z_MAX = 100.0
 DEFAULT_RTOL = 1e-10
@@ -50,7 +48,8 @@ def _tip_kernel(lam: float, n: float):
     of degree 0 in the state and are formed as ratios, from the gradient
     (psi', g) scaled to unit size by a power of two where den lies outside
     (2^-900, inf); 2 n lam psi'^2 g/den is formed from the smaller of g and
-    psi', as g (1 - phi1) or psi' (psi' g/den).  Float arithmetic, with
+    psi', as g (1 - phi1) or psi' (psi' g/den), and where that is subnormal
+    as (2 n lam psi') (psi' g/den).  Float arithmetic, with
     lam + 1 and 2 n lam bound once.  A vanishing gradient raises.  Where
     the quotient or its divisor overflows, both are formed over s^2, with
     s = 2^-k and |z s| < 1, and Psi'' is 2^-k times that.  Where a product
@@ -77,15 +76,17 @@ def _tip_kernel(lam: float, n: float):
                 raise QuasilinearDegeneracyError(z)
         phi1 = b * (b / den)
         w = z * b + a
-        t = g * (1.0 - phi1) if phi1 <= 0.5 else dpsi * (a * (b / den))
+        t, c = g * (1.0 - phi1) if phi1 <= 0.5 else dpsi * (a * (b / den)), n_lam_2
+        if -2.0 ** -1022 < t < 2.0 ** -1022 and c and dpsi:  # 2 n lam onto psi' first
+            t, c = n_lam_2 * dpsi * (a * (b / den)), 1.0
         q = 1.0 + z * z + n * (w * (w / den))
-        d2 = -(lam1 * (g + zd) * (1.0 + n * phi1) + n_lam_2 * t) / q
+        d2 = -(lam1 * (g + zd) * (1.0 + n * phi1) + c * t) / q
         if -math.inf < d2 < math.inf and q < q_max:
             return d2
         k = max(math.frexp(z)[1], 0)
         s = math.ldexp(1.0, -k)
         zs, ws = z * s, z * s * b + a * s
-        m = -(lam1 * (g * s + zd * s) * (1.0 + n * phi1) + n_lam_2 * (t * s)) / (
+        m = -(lam1 * (g * s + zd * s) * (1.0 + n * phi1) + c * (t * s)) / (
             s * s + zs * zs + n * (ws * (ws / den)))
         if -math.inf < m < math.inf:
             big = math.frexp(m)[1] + owed - k > 1024  # past the largest double
@@ -98,40 +99,61 @@ def _tip_kernel(lam: float, n: float):
 
 @dataclass(frozen=True)
 class ShootingSolution:
+    """A shot: its zeros, growth exponent and ``scale``, with ``nfev`` and
+    ``steps`` counting the calls ``shoot`` made and its accepted steps.
+    ``evaluate`` reads (Psi, Psi') off the trajectory anywhere on the span;
+    ``z``, ``psi`` and ``dpsi`` are its samples at 2001 equally spaced points
+    of [0, z_max] and their mirror images, formed on first read."""
+
     l: int
     n: float
     lam: float
-    z: np.ndarray
-    psi: np.ndarray
-    dpsi: np.ndarray
     zeros: NodalSet
     growth_exponent: Optional[float]
     scale: float
     nfev: int
     steps: int
-    _dense: object = None
+    _traj: object
+
+    def _state(self, z: float) -> Tuple[float, float]:
+        """(Psi, Psi') at the float z, |z| <= z_max, parity-mirrored."""
+        z_max = self._traj._zs[-1]
+        if not abs(z) <= z_max:
+            raise ValueError(f"z={z!r} past the integrated span |z| <= {z_max!r}")
+        psi, dpsi = self._traj.sol(abs(z))
+        if z >= 0.0:
+            return psi, dpsi
+        return (psi, -dpsi) if self.l % 2 == 0 else (-psi, dpsi)
 
     def evaluate(self, z):
-        """Dense (psi, psi') at any z with |z| <= z_max, parity-mirrored; no
-        resampling.  Past the integrated span it raises ValueError."""
+        """(psi, psi') at a float z, or two arrays of z's shape; past the
+        integrated span it raises ValueError."""
+        if isinstance(z, (int, float)) or getattr(z, "ndim", None) == 0:
+            return self._state(float(z))
         import numpy as np
-        zz = np.atleast_1d(np.asarray(z, dtype=float))
-        if not np.all(np.abs(zz) <= self.z[-1]):
-            raise ValueError(f"z past the integrated span |z| <= {float(self.z[-1])!r}")
-        vals = self._dense(np.abs(zz))
-        psi, dpsi = vals[0].copy(), vals[1].copy()
-        neg = zz < 0.0
-        if self.l % 2 == 0:
-            dpsi[neg] = -dpsi[neg]
-        else:
-            psi[neg] = -psi[neg]
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return float(psi[0]), float(dpsi[0])
-        return psi, dpsi
+        zz = np.asarray(z, dtype=float)
+        out = np.array([self._state(v) for v in zz.ravel().tolist()]).reshape(zz.shape + (2,))
+        return out[..., 0], out[..., 1]
 
     def __call__(self, z):
         out = self.evaluate(z)
         return out[0]
+
+    @cached_property
+    def _samples(self):
+        import numpy as np
+        half = _half_grid(self._traj._zs[-1])
+        z = np.array([-v for v in reversed(half[1:])] + half)
+        return (z, *self.evaluate(z))
+
+    z = property(lambda self: self._samples[0])
+    psi = property(lambda self: self._samples[1])
+    dpsi = property(lambda self: self._samples[2])
+
+
+def _half_grid(z_max: float) -> List[float]:
+    """The 2001 points k z_max/2000 of [0, z_max], as np.linspace forms them."""
+    return [k * (z_max / 2000) for k in range(2000)] + [z_max]
 
 
 def _trajectory(
@@ -163,13 +185,13 @@ def shoot(
 ) -> ShootingSolution:
     """Parity-symmetric solution of the tip ODE for index ``l``.
 
-    Integrates on [0, z_max], samples 2001 equally spaced points and
-    mirrors by the parity of l.  The growth exponent is the logarithmic
-    derivative z Psi'/Psi at z_max, None where Psi(z_max) = 0;
-    ``nfev`` and ``steps`` count the right-hand-side calls made, the dense
-    output's included, and the accepted steps.
+    Integrates on [0, z_max] and mirrors by the parity of l.  ``scale`` is
+    the largest |Psi| at the sample points in [0, w], w one past the last
+    zero and at least 1.  The growth exponent is the logarithmic derivative
+    z Psi'/Psi at z_max, None where Psi(z_max) = 0.  ``nfev`` counts the
+    right-hand-side calls made here, the interpolants of the crossings and
+    of those samples included; later reads build more that it does not count.
     """
-    import numpy as np
     if l < 1:
         raise ValueError("l must be >= 1")
     if not 0.0 < z_max < math.inf:
@@ -180,22 +202,11 @@ def shoot(
     ic = (1.0, 0.0) if even else (0.0, 1.0)
     traj = _trajectory(lam, n, 0.0, ic, z_max, rtol, atol)
 
-    zs = np.linspace(0.0, z_max, 2001)
-    vals = traj.sol(zs)
-    psi_half, dpsi_half = vals[0], vals[1]
-
-    # parity mirror onto the negative half-line
-    sign_psi, sign_dpsi = (1.0, -1.0) if even else (-1.0, 1.0)
-    z_full = np.concatenate([-zs[:0:-1], zs])
-    psi_full = np.concatenate([sign_psi * psi_half[:0:-1], psi_half])
-    dpsi_full = np.concatenate([sign_dpsi * dpsi_half[:0:-1], dpsi_half])
-
     pos_zeros = [t for t in traj.zeros if t > 1e-13]
     zeros = sorted({-t for t in pos_zeros} | set(pos_zeros) | ({0.0} if not even else set()))
     dmags = [abs(traj.sol(abs(t))[1]) for t in zeros]
     window = max(1.0, (abs(zeros[-1]) + 1.0) if zeros else 1.0)
-    local = np.abs(psi_half[zs <= window])
-    scale = float(local.max()) if local.size else float(np.abs(psi_half).max())
+    scale = max(abs(traj.sol(z)[0]) for z in _half_grid(z_max) if z <= window)
     flags = tuple(m > transversality_tol * scale for m in dmags)
     nodal = NodalSet(tuple(zeros), tuple(dmags), flags, transversality_tol * scale)
 
@@ -206,15 +217,12 @@ def shoot(
         l=l,
         n=float(n),
         lam=float(lam),
-        z=z_full,
-        psi=psi_full,
-        dpsi=dpsi_full,
         zeros=nodal,
         growth_exponent=growth,
         scale=scale,
         nfev=traj.nfev,
         steps=traj.steps,
-        _dense=traj.sol,
+        _traj=traj,
     )
 
 
@@ -236,7 +244,7 @@ class Profile:
     def _state(self, z: float) -> Tuple[float, float]:
         if not abs(z) <= self.z_max:
             raise ValueError(f"z={z!r} past the integrated span |z| <= {self.z_max!r}")
-        return (self._pos if z >= 0.0 else self._neg).sol(z)
+        return (self._pos if z >= 0.0 else self._neg).sol(float(z))
 
     def psi(self, z: float) -> float:
         return self._state(z)[0]

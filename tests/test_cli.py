@@ -466,7 +466,9 @@ def test_correction_solve_loads_no_scipy_sparse():
 
 def test_numpy_loads_on_first_use():
     # the polynomial and scalar layers run on Python floats, quartic roots
-    # and folds included: only shoot, which returns sampled arrays, loads numpy
+    # and folds included, and so do a shot's zeros, growth exponent and
+    # scale and its JSON record: only a shot's samples, which CSV writes,
+    # load numpy
     code = (
         "import sys, cracktip, cracktip.cli\n"
         "from cracktip.cli import run\n"
@@ -480,14 +482,19 @@ def test_numpy_loads_on_first_use():
         "             ['char-scan', '--figure', '2'], ['char-scan', '--figure', '5'],\n"
         "             ['branch', '--l', '2'], ['crack', '--alphas', '-1,1'],\n"
         "             ['crack', '--alphas', '-1,1', '--n', '0.05', '--l-max', '2', '--tol', '0.3'],\n"
-        "             ['mu', '--l', '3', '--family', 'second']):\n"
+        "             ['mu', '--l', '3', '--family', 'second'],\n"
+        "             ['shoot', '--l', '3', '--n', '0.05', '--lambda', '-3.1', '--format', 'json']):\n"
         "    assert run(argv) == 0, argv\n"
         "    assert not loaded(), (argv, loaded())\n"
+        "sol = cracktip.shoot(3, 0.05, -3.1)\n"
+        "assert sol.zeros.zeros and sol.growth_exponent > 0.0 and sol.scale >= 1.0\n"
+        "assert not loaded(), loaded()\n"
+        "assert sol.z.size == 4001 and loaded()\n"
         "assert run(['shoot', '--l', '3', '--n', '0.01', '--lambda', '-3']) == 0\n"
-        "assert 'numpy' in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+

@@ -1,9 +1,9 @@
 """Byte-for-byte regression of CLI output against recorded files.
 
 None of these invocations uses scipy: the nonlinear crack check and
-``shoot`` run the in-module DOP853 stepper on Python floats, and
-``shoot`` alone loads numpy, to sample its solution.  After a deliberate
-change to the output, see what it moves with
+``shoot`` run the in-module DOP853 stepper on Python floats.  Only
+``shoot``'s CSV loads numpy, for the samples it writes; its JSON record
+does not.  After a deliberate change to the output, see what it moves with
 
     PYTHONPATH=src python tests/test_cli_golden.py --diff
 
@@ -48,6 +48,8 @@ CASES = {
     "shoot_3_nonlinear.json": (
         ["shoot", "--l", "3", "--n", "0.05", "--lambda", "-3.1", "--z-max", "30",
          "--format", "json"], EXIT_OK),
+    "shoot_3_nonlinear.csv": (
+        ["shoot", "--l", "3", "--n", "0.05", "--lambda", "-3.1", "--z-max", "30"], EXIT_OK),
     "shoot_2_rescaled.json": (
         ["shoot", "--l", "2", "--n", "0", "--lambda", "-100", "--format", "json"], EXIT_OK),
 }

@@ -182,6 +182,10 @@ _STATE = st.builds(lambda m, e: 0.0 if e < -160 else m * 10.0 ** e,
 @example(9.999999999999925e+299, 1e19, 1e9, 0.0, 0.0)
 # only z^2 overflows: the state scaled to unit size would lose Psi' = 1e-50
 @example(1e160, 1e300, 1e-50, 0.0, 0.0)
+# at lam = -1 the numerator is 2 n lam Psi'^2 g/den alone, and Psi' (Psi' g/den)
+# is subnormal or 0: once -2.85669e-300 for -2.85714e-300, and -0.0 for -2e-309
+@example(0.0, 0.7, 1e-160, -1.0, 1e20)
+@example(0.0, 1e9, 1e-160, -1.0, 1e20)
 def test_kernel_matches_the_exact_formula(z, psi, dpsi, lam, n):
     # the float kernel against the same Psi'' in exact rational arithmetic,
     # to the rounding of its terms; a raise or an overflow only where the
@@ -430,7 +434,7 @@ def test_trajectory_matches_solve_ivp(l, shift, n, theta, z0, span, backward, on
     assert abs(trials - (ref.nfev - 2) / 12) <= max(3.0, 0.1 * (ref.nfev - 2) / 12)
 
     zs = np.linspace(z0, z_end, 101)
-    have, want = got.sol(zs), np.empty((2, zs.size))
+    have, want = np.array([got.sol(z) for z in zs.tolist()]).T, np.empty((2, zs.size))
     keys = np.sign(z_end - z0) * np.array(got._zs)
     at = np.clip(np.searchsorted(keys, np.sign(z_end - z0) * zs) - 1, 0, got.steps - 1)
     states, crossings = got._states, []
@@ -449,8 +453,6 @@ def test_trajectory_matches_solve_ivp(l, shift, n, theta, z0, span, backward, on
             crossings.append(dense)
     for c in range(2):
         assert np.max(np.abs(have[c] - want[c])) <= 1e-9 * np.max(np.abs(want[c]))
-    for k in (0, 37, 100):
-        assert got.sol(zs[k]) == tuple(have[:, k])
     # scipy's interpolant vanishes at each zero, a start on Psi = 0 among
     # them, to within 1e-10 of its slope
     assert len(crossings) == len(got.zeros)
@@ -580,9 +582,14 @@ def test_shoot_needs_two_samples():
 @pytest.mark.parametrize("l, n, lam", [(1, 0.0, -1.0), (3, 0.05, -3.1), (2, 0.0, -100.0)])
 def test_work_counters(l, n, lam):
     # two RHS calls for the initial step, twelve per trial step and three per
-    # step interpolant, built on first use by a crossing or a sample
+    # step interpolant, built on first use by a crossing or a sample.  A shot
+    # builds those of its crossings and of the samples up to one past its
+    # last zero, which is all its count holds; later reads build more
     sol = shoot(l, n, lam)
     assert (sol.nfev - 2) % 3 == 0 and sol.nfev >= 12 * sol.steps + 2 and sol.steps > 0
+    window = max(1.0, abs(sol.zeros.zeros[-1]) + 1.0)
+    assert sol._traj.nfev == sol.nfev and max(sol._traj._zs[i] for i in sol._traj._dense) < window
+    assert sol.psi.size == 4001 and sol._traj.nfev > sol.nfev
     prof = two_sided_profile(n, lam, (1.0, 0.5), 20.0)
     pos, neg = prof._pos, prof._neg
     assert (prof.nfev, prof.steps) == (pos.nfev + neg.nfev, pos.steps + neg.steps)
@@ -594,7 +601,6 @@ def test_work_counters(l, n, lam):
         i = next(i for i in range(traj.steps) if i not in traj._dense)
         mid, before = 0.5 * (traj._zs[i] + traj._zs[i + 1]), traj.nfev
         assert traj.sol(mid) == traj.sol(mid) and traj.nfev == before + 3
-        assert traj.sol(np.array([mid, traj._zs[i + 1]]))[0, 0] == traj.sol(mid)[0]
 
 
 # nfev of shoot(l, 0, -l), z_max = 100, under the Dormand-Prince 5(4) pair
