@@ -200,7 +200,7 @@ def _cmd_fold(args):
 def _cmd_branch(args):
     family = BranchFamily.parse(args.family or "upper")
     n_max = args.n_max if args.n_max is not None else 1.0
-    br = continue_branch(args.l, family, n_max, **_set(args, "initial_step"))
+    br = continue_branch(args.l, family, n_max)
     fields = {
         "l": br.l,
         "family": family.value,
@@ -287,7 +287,6 @@ _COMMANDS = {
         ("--l", dict(type=int, required=True)),
         ("--family", dict(help="upper|lower")),
         ("--n-max", dict(type=float)),
-        ("--initial-step", dict(type=float)),
     )),
     "mu": (_cmd_mu, "branch slope at n = 0 by both methods", ("json",), (
         ("--l", dict(type=int, required=True)),

@@ -12,7 +12,8 @@ on the explicit graph n = -A/B.  In the shifted variable x = Lam + l the
 seeds sit at x = 0 and x = -1, where A vanishes; for l >= 2, B > 0 on
 [-1, 0], the graph rises from 0 at x = -1 to its peak n* and falls back to
 0 at x = 0.  The fold is that peak, the root of W = A'B - AB' in (-1, 0),
-and each branch is the inverse of the graph on one side of it.
+and each branch is the inverse of the graph on one side of it, sampled at
+equally spaced Lam with n read off the graph.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from typing import List, Optional, Tuple
 
 from .characteristic import _integer_parts, _polyder, _polyval, _root
 from .errors import NoFoldInBracketError, NoRealEigenvalueError, NumericsError
+
+_BRANCH_INTERVALS = 20  # a branch is sampled at this many + 1 values of Lam
 
 
 class BranchFamily(enum.Enum):
@@ -101,40 +104,33 @@ def _eigenvalue(meet: FoldPoint, family: BranchFamily, n: float) -> float:
     return _root(p, seed, x_star) - l
 
 
-def continue_branch(
-    l: int,
-    family: BranchFamily,
-    n_max: float,
-    initial_step: float = 1e-3,
-) -> Branch:
-    """Sample one branch on a geometric n grid up to ``n_max`` or its fold.
-
-    Steps start at ``initial_step`` and grow by a factor 1.4 up to 0.05; a
-    step that would reach the fold is halved, and once it falls below 1e-9
-    the branch ends with the fold.
-    """
+def continue_branch(l: int, family: BranchFamily, n_max: float) -> Branch:
+    """``_BRANCH_INTERVALS + 1`` samples of one branch, equally spaced in Lam
+    from the seed to the meeting point, or to the root at n_max below it.
+    For l = 1 the upper branch is the persistent root Lam = -1, which the
+    lower one meets at the crossing and follows on to n_max."""
     if l < 1:
         raise ValueError("l must be >= 1")
     if not n_max > 0.0:
         raise ValueError("n_max must be positive")
-    if not initial_step > 0.0:
-        raise ValueError("initial_step must be positive")
     meet = _meeting_point(l)
-    n_end = meet.n_star if meet.kind == "fold" else math.inf
-    if math.isinf(n_max) and math.isinf(n_end):
+    crossing = meet.kind == "crossing"
+    if crossing and math.isinf(n_max):
         raise ValueError(f"n_max must be finite for l={l}, whose branches never end")
-    samples: List[Tuple[float, float]] = [(0.0, _eigenvalue(meet, family, 0.0))]
-    n, step = 0.0, initial_step
-    while n < n_max:
-        dn = min(step, n_max - n)
-        while n + dn >= n_end:
-            dn *= 0.5
-            if dn < 1e-9:
-                return Branch(l, family, tuple(samples), meet, reached_n_max=False)
-        n += dn
-        samples.append((n, _eigenvalue(meet, family, n)))
-        step = min(dn * 1.4, 0.05)
-    return Branch(l, family, tuple(samples), None, reached_n_max=True)
+    seed = float(-l - (family is BranchFamily.LOWER))
+    if crossing and family is BranchFamily.UPPER:
+        return Branch(l, family, ((0.0, seed), (n_max, seed)), None, reached_n_max=True)
+    reached = n_max < meet.n_star
+    end = ((n_max, _eigenvalue(meet, family, n_max)) if reached
+           else (meet.n_star, meet.lambda_star))
+    A, B = _shifted_parts(l)
+    samples = [(0.0, seed)]
+    for k in range(1, _BRANCH_INTERVALS):
+        lam = seed + k * (end[1] - seed) / _BRANCH_INTERVALS  # in [-l-1, -l]: lam + l is exact
+        samples.append((0.0 - _polyval(A, lam + l) / _polyval(B, lam + l), lam))  # never -0.0
+    tail = [(n_max, -1.0)] if crossing and n_max > meet.n_star else []
+    fold = None if reached or crossing else meet
+    return Branch(l, family, (*samples, end, *tail), fold, reached_n_max=fold is None)
 
 
 def _fold_point(l: int, n: float, x: float, kind: str) -> FoldPoint:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Tuple
 
@@ -48,22 +49,19 @@ def _tip_kernel(lam: float, n: float):
     of degree 0 in the state and are formed as ratios, from the gradient
     (psi', g) scaled to unit size by a power of two where den lies outside
     (2^-900, inf); 2 n lam psi'^2 g/den is formed from the smaller of g and
-    psi', as g (1 - phi1) or psi' (psi' g/den), and where that is subnormal
-    as (2 n lam psi') (psi' g/den).  Float arithmetic, with
+    psi', as g (1 - phi1) or psi' (psi' g/den).  Float arithmetic, with
     lam + 1 and 2 n lam bound once.  A vanishing gradient raises.  Where
-    the quotient or its divisor overflows, both are formed over s^2, with
-    s = 2^-k and |z s| < 1, and Psi'' is 2^-k times that.  Where a product
-    of the state itself overflows, psi2 calls itself on the state scaled
-    to unit size by 2^-f (Psi'' is homogeneous of degree 1), with owed = f
-    and q_max = 0, which skips the plain quotient.  2^(owed - k) is applied
-    once, at the end, and gives +-inf past the double range.  n < 0 or a
-    non-finite lam or n raises ValueError.
+    the quotient or its divisor is not finite, or that last term is
+    subnormal and not 0, Psi'' is taken in rationals as
+    -[P0 (den + n g^2) + 2 n lam psi'^2 g] / [(1 + z^2) den + n w^2], rounded
+    once: +-inf past the double range, nan for a non-finite state.  n < 0
+    or a non-finite lam or n raises ValueError.
     """
     if not (0.0 <= n < math.inf and math.isfinite(lam)):
         raise ValueError(f"n must be finite and >= 0 and lambda finite, got {n}, {lam}")
     lam1, n_lam_2 = lam + 1.0, 2.0 * n * lam
 
-    def psi2(z, psi, dpsi, owed=0, q_max=math.inf):
+    def psi2(z, psi, dpsi):
         zd = z * dpsi
         g = lam * psi + zd
         a, b = dpsi, g
@@ -76,25 +74,30 @@ def _tip_kernel(lam: float, n: float):
                 raise QuasilinearDegeneracyError(z)
         phi1 = b * (b / den)
         w = z * b + a
-        t, c = g * (1.0 - phi1) if phi1 <= 0.5 else dpsi * (a * (b / den)), n_lam_2
-        if -2.0 ** -1022 < t < 2.0 ** -1022 and c and dpsi:  # 2 n lam onto psi' first
-            t, c = n_lam_2 * dpsi * (a * (b / den)), 1.0
+        t = g * (1.0 - phi1) if phi1 <= 0.5 else dpsi * (a * (b / den))
         q = 1.0 + z * z + n * (w * (w / den))
-        d2 = -(lam1 * (g + zd) * (1.0 + n * phi1) + c * t) / q
-        if -math.inf < d2 < math.inf and q < q_max:
+        d2 = -(lam1 * (g + zd) * (1.0 + n * phi1) + n_lam_2 * t) / q
+        if -math.inf < d2 < math.inf and q < math.inf and not (
+                -2.0 ** -1022 < t < 2.0 ** -1022 and n_lam_2 and dpsi and g):
             return d2
-        k = max(math.frexp(z)[1], 0)
-        s = math.ldexp(1.0, -k)
-        zs, ws = z * s, z * s * b + a * s
-        m = -(lam1 * (g * s + zd * s) * (1.0 + n * phi1) + c * (t * s)) / (
-            s * s + zs * zs + n * (ws * (ws / den)))
-        if -math.inf < m < math.inf:
-            big = math.frexp(m)[1] + owed - k > 1024  # past the largest double
-            return math.copysign(math.inf, m) if big else math.ldexp(m, owed - k)
-        f = math.frexp(max(abs(psi), abs(dpsi)))[1]
-        return psi2(z, math.ldexp(psi, -f), math.ldexp(dpsi, -f), owed + f, 0.0) if f > 0 else m
+        return _exact_psi2(z, psi, dpsi, lam, n)
 
     return psi2
+
+
+def _exact_psi2(z, psi, dpsi, lam, n):
+    """``_tip_kernel``'s Psi'' over den in rational arithmetic, rounded once."""
+    if not (math.isfinite(z) and math.isfinite(psi) and math.isfinite(dpsi)):
+        return math.nan
+    z, psi, dpsi, lam, n = map(Fraction, (z, psi, dpsi, lam, n))
+    g = lam * psi + z * dpsi
+    den, w = dpsi * dpsi + g * g, z * g + dpsi
+    num = (lam + 1) * (g + z * dpsi) * (den + n * g * g) + 2 * n * lam * dpsi * dpsi * g
+    r = -num / ((1 + z * z) * den + n * w * w)
+    try:
+        return float(r)
+    except OverflowError:
+        return math.inf if r > 0 else -math.inf
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,7 @@ def test_criterion_07_slope_consistency():
             (BranchFamily.UPPER, Family.FIRST),
             (BranchFamily.LOWER, Family.SECOND),
         ):
-            br = continue_branch(l, branch, 2.5e-7, initial_step=1e-7)
+            br = continue_branch(l, branch, 2.5e-7)
             (n0, l0), (n1, l1) = br.samples[:2]
             fd = (l1 - l0) / (n1 - n0)
             mu = mu_via_ift(l, family)

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -262,8 +264,8 @@ CONFIGURED = {
     "fold": (["--l", "2"], {}, {"l": 2}),
     "branch": (
         ["--l", "2"],
-        {"family": "lower", "n-max": "0.05", "initial_step": "0.002"},
-        {"l": 2, "family": "lower", "n_max": 0.05, "initial_step": 0.002},
+        {"family": "lower", "n-max": "0.05"},
+        {"l": 2, "family": "lower", "n_max": 0.05},
     ),
     "mu": (["--l", "3"], {"family": "second", "method": "ift"},
            {"l": 3, "family": "second", "method": "ift"}),
@@ -304,6 +306,7 @@ def test_config_file_matches_flags(command, tmp_path, capsys):
         ("degree=3", ["crack", "--alphas", "-1,1"], "unknown configuration key"),
         ("figure=two", ["char-scan"], "invalid literal"),
         ("n-max 0.01", ["branch", "--l", "2"], "expected key=value"),
+        ("initial_step=0.001", ["branch", "--l", "2"], "unknown configuration key"),
     ],
 )
 def test_config_values_checked_like_flags(line, argv, message, tmp_path, capsys):
@@ -320,8 +323,9 @@ def test_config_values_checked_like_flags(line, argv, message, tmp_path, capsys)
         (["fold", "--l", "2", "--format", "csv"], "invalid choice"),
         (["mu", "--l", "2", "--format", "csv"], "invalid choice"),
         (["crack", "--alphas", "-1,1", "--format", "csv"], "invalid choice"),
-        (["branch", "--l", "2", "--initial-step", "0"], "initial_step"),
-        (["branch", "--l", "2", "--initial-step", "-0.01"], "initial_step"),
+        # branches are sampled in Lam, with no step to set
+        (["branch", "--l", "2", "--initial-step", "0.001"], "unrecognized arguments"),
+        (["branch", "--l", "2", "--initial-step", "-0.01"], "unrecognized arguments"),
         (["branch", "--l", "2", "--n-max", "nan"], "n_max"),
         (["char-scan", "--l", "2", "--n-list", "0", "--lambda-step", "0"], "must be positive"),
         (["char-scan", "--l", "2", "--n-list", "0", "--lambda-step", "-0.01"], "must be positive"),
@@ -498,3 +502,20 @@ def test_numpy_loads_on_first_use():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+README_COMMANDS = [line for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+                   for line in block.splitlines() if line.startswith("cracktip ")]
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_runs(line, capsys):
+    # each documented invocation runs as written, so a removed flag or
+    # option cannot stay in the docs
+    code, _, err = run_capture(shlex.split(line)[1:], capsys)
+    assert code == EXIT_OK, err
+
+
+def test_readme_library_example_runs():
+    (example,) = re.findall(r"```python\n(.*?)```", README, re.S)
+    exec(example, {})

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cracktip import (
@@ -62,7 +62,7 @@ def test_branch_terminates_at_fold():
     n_ref, lam_ref = exact_fold(2)
     assert br.fold.n_star == pytest.approx(n_ref, rel=1e-8)
     assert br.fold.lambda_star == pytest.approx(lam_ref, rel=1e-8)
-    assert br.samples[-1][0] < br.fold.n_star
+    assert br.samples[-1] == (br.fold.n_star, br.fold.lambda_star)
 
 
 @pytest.mark.parametrize("l", [2, 3, 5, 10, 100, 1000, 3000])
@@ -111,7 +111,7 @@ def test_fold_decreases_with_index():
 
 def test_branch_slope_matches_ift():
     for family, pfam in ((BranchFamily.UPPER, Family.FIRST), (BranchFamily.LOWER, Family.SECOND)):
-        br = continue_branch(2, family, 2.5e-7, initial_step=1e-7)
+        br = continue_branch(2, family, 2.5e-7)
         (n0, l0), (n1, l1) = br.samples[0], br.samples[1]
         fd = (l1 - l0) / (n1 - n0)
         mu = mu_via_ift(2, pfam)
@@ -203,6 +203,50 @@ def test_l1_lower_branch_reaches_persistent_root(n):
         assert quartic_residual(1, n, lower) <= 1e-12
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    l=st.integers(min_value=1, max_value=3000),
+    family=st.sampled_from(BranchFamily),
+    r=st.floats(min_value=1e-6, max_value=5.0),
+)
+@example(l=10, family=BranchFamily.UPPER, r=1.0)
+@example(l=1, family=BranchFamily.LOWER, r=1.0)
+# Lam cannot resolve n_max: every inner sample is the seed, at n = +0.0
+@example(l=2, family=BranchFamily.UPPER, r=1e-300)
+def test_branches_are_the_graph(l, family, r):
+    # 21 samples equally spaced in Lam from the seed to the meeting point,
+    # or to the root at n_max below it, each on the quartic, n rising; at
+    # l = 1 the persistent root Lam = -1 carries a branch on to n_max
+    meet = double_root_l1() if l == 1 else find_fold(l)
+    n_max = r * meet.n_star
+    br = continue_branch(l, family, n_max)
+    seed = float(-l - (family is BranchFamily.LOWER))
+    assert br.samples[0] == (0.0, seed)
+    ns = [n for n, _ in br.samples]
+    assert all(a <= b for a, b in zip(ns, ns[1:]))
+    assert all(math.copysign(1.0, n) > 0.0 for n in ns)  # no -0 in the output
+    assert all(quartic_residual(l, n, lam) <= 1e-15 for n, lam in br.samples)
+    assert br.reached_n_max == (br.fold is None)
+    if l == 1 and family is BranchFamily.UPPER:
+        assert br.samples == ((0.0, -1.0), (n_max, -1.0))
+        return
+    samples = br.samples
+    if l == 1 and n_max > meet.n_star:
+        assert samples[-1] == (n_max, -1.0)
+        samples = samples[:-1]
+    assert len(samples) == 21
+    if n_max < meet.n_star:
+        assert br.reached_n_max
+        assert samples[-1] == (n_max, _eigenvalue(meet, family, n_max))
+    else:
+        assert samples[-1] == (meet.n_star, meet.lambda_star)
+        assert br.fold == (None if l == 1 else meet)
+    lams = [lam for _, lam in samples]
+    step = (lams[-1] - lams[0]) / 20
+    assert all(abs(lam - (lams[0] + k * step)) <= 4 * math.ulp(l + 1.0)
+               for k, lam in enumerate(lams))
+
+
 def test_past_the_fold_has_no_eigenvalue():
     fp = find_fold(4)
     for family in BranchFamily:
@@ -216,9 +260,5 @@ def test_preconditions():
     for n_max in (-1.0, math.nan):
         with pytest.raises(ValueError):
             continue_branch(2, BranchFamily.UPPER, n_max)
-    # steps that cannot carry n to n_max would loop for ever
-    for initial_step in (0.0, -0.01):
-        with pytest.raises(ValueError):
-            continue_branch(2, BranchFamily.UPPER, 0.1, initial_step=initial_step)
     with pytest.raises(ValueError):
         continue_branch(1, BranchFamily.LOWER, math.inf)

@@ -111,7 +111,7 @@ def test_mu_ift_is_the_rounded_closed_form(l):
     [(2, Family.FIRST, BranchFamily.UPPER), (3, Family.SECOND, BranchFamily.LOWER)],
 )
 def test_mu_ift_matches_continuation_slope(l, family, branch):
-    br = continue_branch(l, branch, 2.5e-7, initial_step=1e-7)
+    br = continue_branch(l, branch, 2.5e-7)
     (n0, l0), (n1, l1) = br.samples[:2]
     assert (l1 - l0) / (n1 - n0) == pytest.approx(mu_via_ift(l, family), rel=1e-5)
 

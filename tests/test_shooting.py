@@ -186,6 +186,10 @@ _STATE = st.builds(lambda m, e: 0.0 if e < -160 else m * 10.0 ** e,
 # is subnormal or 0: once -2.85669e-300 for -2.85714e-300, and -0.0 for -2e-309
 @example(0.0, 0.7, 1e-160, -1.0, 1e20)
 @example(0.0, 1e9, 1e-160, -1.0, 1e20)
+# the same at lam = -1 where z^2 overflows: once -0.0 for -2e-191, and
+# -2.000421763024855e-181 for -2e-181
+@example(-1e160, 0.0, 1e299, -1.0, 1e-10)
+@example(-1e160, 0.0, 1e299, -1.0, 1e20)
 def test_kernel_matches_the_exact_formula(z, psi, dpsi, lam, n):
     # the float kernel against the same Psi'' in exact rational arithmetic,
     # to the rounding of its terms; a raise or an overflow only where the
