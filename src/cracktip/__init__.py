@@ -66,8 +66,6 @@ from .perturbation import (
 from .shooting import (
     Profile,
     ShootingSolution,
-    arctan_example,
-    arctan_ode_residual,
     closed_form_lambda0_derivative,
     isolate_second_derivative,
     shoot,

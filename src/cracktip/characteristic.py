@@ -23,8 +23,7 @@ complex pair -l +/- i l comes from the cleared denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import RootFindingError
 
@@ -109,8 +108,7 @@ def _real_roots(p: Sequence[float]) -> List[float]:
     return roots
 
 
-@dataclass(frozen=True)
-class CharacteristicQuartic:
+class CharacteristicQuartic(NamedTuple):
     l: int
     n: float
     a4: float
@@ -185,8 +183,7 @@ def real_roots(q: CharacteristicQuartic) -> List[float]:
 _PUBLISHED_LIMIT_L2 = (1.0, 7.0, 26.0, 46.0, 36.0)
 
 
-@dataclass(frozen=True)
-class LimitQuartic:
+class LimitQuartic(NamedTuple):
     """Large-n limit of the characteristic quartic (the n-linear part)."""
 
     l: int

@@ -25,8 +25,7 @@ import argparse
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .characteristic import build_quartic, limit_polynomial
@@ -85,8 +84,7 @@ def _csv(header: str, rows: Iterable[Sequence[float]]) -> Iterable[str]:
         yield ",".join(map(_fmt, row))
 
 
-@dataclass(frozen=True)
-class FigureDataset:
+class FigureDataset(NamedTuple):
     """Rectangular (Lambda, Phi) grid reproducing one reference figure."""
 
     figure_id: int
@@ -194,7 +192,7 @@ def _cmd_char_scan(args):
 
 
 def _cmd_fold(args):
-    return asdict(_meeting_point(args.l)), None, EXIT_OK
+    return _meeting_point(args.l)._asdict(), None, EXIT_OK
 
 
 def _cmd_branch(args):
@@ -206,7 +204,7 @@ def _cmd_branch(args):
         "family": family.value,
         "reached_n_max": br.reached_n_max,
         "samples": [[n, lam] for n, lam in br.samples],
-        "fold": None if br.fold is None else asdict(br.fold),
+        "fold": None if br.fold is None else br.fold._asdict(),
     }
     return fields, _csv("n,lambda", br.samples), EXIT_OK
 
@@ -222,7 +220,7 @@ def _cmd_mu(args):
     if method in {"quad", "both"}:
         mu, diag = mu_via_quadrature(args.l, family)
         fields["mu_quadrature"] = mu
-        fields["quadrature_diagnostics"] = asdict(diag)
+        fields["quadrature_diagnostics"] = diag._asdict()
     return fields, None, EXIT_OK
 
 
@@ -256,7 +254,7 @@ def _cmd_crack(args):
         "decay_exponent": report.decay_exponent,
         "mode": report.mode,
         "experimental": report.experimental,
-        "matches": [asdict(m) for m in report.matches],
+        "matches": [m._asdict() for m in report.matches],
         "notes": list(report.notes),
     }
     return fields, None, EXIT_OK if report.admissible else EXIT_INADMISSIBLE

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .characteristic import _integer_parts, _polyder, _polyval, _root
 from .errors import NoFoldInBracketError, NoRealEigenvalueError, NumericsError
@@ -41,8 +40,7 @@ class BranchFamily(enum.Enum):
             raise ValueError(f"unknown branch family {text!r}; expected 'upper' or 'lower'")
 
 
-@dataclass(frozen=True)
-class FoldPoint:
+class FoldPoint(NamedTuple):
     """A parameter value where two real eigenvalues merge.
 
     ``kind`` is "fold" for a genuine pair annihilation and "crossing" for
@@ -58,8 +56,7 @@ class FoldPoint:
     kind: str = "fold"
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     l: int
     family: BranchFamily
     samples: Tuple[Tuple[float, float], ...]

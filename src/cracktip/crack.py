@@ -24,8 +24,7 @@ first slope; this extrapolation is flagged experimental in its output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .continuation import BranchFamily, _eigenvalue, _meeting_point
 from .errors import NoRealEigenvalueError
@@ -33,30 +32,34 @@ from .pencil import _lattice, _lattice_points, combine, nodal_set
 from .shooting import _trajectory
 
 DEFAULT_TOL = 1e-8
+# check_nonlinear matches a slope to a profile zero within max(this, 10 tol)
+# times 1 + |slope|: a floor, so a tol far below the profiles' rtol of 1e-11
+# cannot reject a zero for its integration error; why 1e-6 is not recorded
+MATCH_DIST_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class CrackSpec:
+class CrackSpec(NamedTuple("CrackSpec", [("alphas", Tuple[float, ...])])):
     """Strictly increasing slopes of the straight-line cracks, in tip
     coordinates z = x / (-y)."""
 
-    alphas: Tuple[float, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
-    def __post_init__(self):
-        if len(self.alphas) == 0:
+    def __new__(cls, alphas: Tuple[float, ...]):
+        if len(alphas) == 0:
             raise ValueError("a crack specification needs at least one slope")
-        if not all(math.isfinite(a) for a in self.alphas):
+        if not all(math.isfinite(a) for a in alphas):
             raise ValueError("crack slopes must be finite")
-        if any(b <= a for a, b in zip(self.alphas, self.alphas[1:])):
+        if any(b <= a for a, b in zip(alphas, alphas[1:])):
             raise ValueError("crack slopes must be strictly increasing")
+        return super().__new__(cls, alphas)
 
     @property
     def m(self) -> int:
         return len(self.alphas)
 
 
-@dataclass(frozen=True)
-class CrackMatch:
+class CrackMatch(NamedTuple):
     l: int
     ratio: Tuple[float, float]
     zero_indices: Tuple[int, ...]
@@ -64,8 +67,7 @@ class CrackMatch:
     zeros: Tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     admissible: bool
     matches: Tuple[CrackMatch, ...]
     decay_exponent: Optional[int]
@@ -79,7 +81,7 @@ def _match_alphas_to_zeros(
     alphas: Sequence[float],
     zeros: Sequence[float],
     consecutive: bool,
-    dist_tol: float = 1e-6,
+    dist_tol: float,
 ) -> Optional[Tuple[int, ...]]:
     if len(zeros) < len(alphas):
         return None
@@ -221,6 +223,7 @@ def check_nonlinear(
 
     a1 = spec.alphas[0]
     z_end = max(spec.alphas[-1] + 4.0, 0.0)
+    dist_tol = max(MATCH_DIST_FLOOR, 10.0 * tol)
     matches: List[CrackMatch] = []
     for l, lam in usable:
         # Solutions grow like |z|**-lam, so the slope s = hypot(1, a1)**-(lam + 2),
@@ -242,9 +245,7 @@ def check_nonlinear(
         if worst > tol:
             continue
         zeros = sorted({a1}.union(prof.zeros))
-        idx = _match_alphas_to_zeros(
-            spec.alphas, zeros, consecutive, dist_tol=max(1e-6, 10.0 * tol)
-        )
+        idx = _match_alphas_to_zeros(spec.alphas, zeros, consecutive, dist_tol)
         if idx is not None:
             matches.append(CrackMatch(l, ratio, idx, worst, tuple(zeros)))
     return _report(matches, mode="nonlinear", n=float(n), experimental=True, notes=tuple(notes))

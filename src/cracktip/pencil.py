@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
+from ._record import Record
 from .characteristic import _polyval
 
 DEFAULT_TRANSVERSALITY_TOL = 1e-8
@@ -52,25 +52,28 @@ class Family(enum.Enum):
             raise ValueError(f"unknown family {text!r}; expected 'first' or 'second'")
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Dense real polynomial; ``coeffs[k]`` multiplies ``z**k``.
 
     ``exact`` carries the rational coefficients of a pencil eigenfunction;
     it is None for generic combinations.  ``lattice`` is (l, c, d), the
     index and phase (c : d) of the nodal lattice, when the polynomial is
-    c Re (z + i)**l + d Im (z + i)**l / l, and None otherwise.
+    c Re (z + i)**l + d Im (z + i)**l / l, and None otherwise.  Equality
+    and the hash see ``coeffs`` only.
     """
 
-    coeffs: Tuple[float, ...]
-    exact: Optional[Tuple[Fraction, ...]] = field(default=None, compare=False)
-    lattice: Optional[Tuple[int, float, float]] = field(default=None, compare=False)
+    __slots__ = _fields = ("coeffs", "exact", "lattice")
 
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs: Tuple[float, ...], exact: Optional[Tuple[Fraction, ...]] = None,
+                 lattice: Optional[Tuple[int, float, float]] = None):
+        if len(coeffs) == 0:
             raise ValueError("polynomial needs at least one coefficient")
-        if self.degree > 0 and self.coeffs[-1] == 0.0:
+        if len(coeffs) > 1 and coeffs[-1] == 0.0:
             raise ValueError("leading coefficient must be nonzero")
+        super().__init__(coeffs, exact, lattice)
+
+    def _key(self) -> tuple:
+        return self.coeffs
 
     @property
     def degree(self) -> int:
@@ -93,8 +96,7 @@ def _trim(coeffs: Sequence[float]) -> Tuple[float, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PencilEigenpair:
+class PencilEigenpair(NamedTuple):
     """A pencil eigenvalue with its monic polynomial eigenfunction."""
 
     degree: int
@@ -103,8 +105,7 @@ class PencilEigenpair:
     poly: Polynomial
 
 
-@dataclass(frozen=True)
-class SturmLiouvilleImage:
+class SturmLiouvilleImage(NamedTuple):
     """Parameters of the symmetric reduction of the pencil ODE.
 
     Substituting psi = (1 + z^2)**gamma * phi with gamma = -(lam+1)/2 turns
@@ -118,14 +119,10 @@ class SturmLiouvilleImage:
     weight_exponent: float
 
 
-@dataclass(frozen=True)
-class NodalSet:
+class NodalSet(Record):
     """Sorted real zeros of a polynomial with transversality annotations."""
 
-    zeros: Tuple[float, ...]
-    derivative_magnitudes: Tuple[float, ...]
-    transversal: Tuple[bool, ...]
-    tol: float
+    __slots__ = _fields = ("zeros", "derivative_magnitudes", "transversal", "tol")
 
     def __len__(self) -> int:
         return len(self.zeros)

@@ -36,9 +36,8 @@ that must be consistent with the continuation module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from .characteristic import _integer_parts
 from .errors import NumericsError
@@ -96,8 +95,7 @@ def mu_via_ift(l: int, family: Family) -> float:
     return float(Fraction(-b, da))
 
 
-@dataclass(frozen=True)
-class QuadratureDiagnostics:
+class QuadratureDiagnostics(NamedTuple):
     """The midpoint rule's largest |z|, cot(pi / 2N), and its mu, one each."""
 
     windows: Tuple[float, ...]
@@ -150,8 +148,7 @@ def mu_via_quadrature(l: int, family: Family) -> Tuple[float, QuadratureDiagnost
     return (math.nan if divergent else mu), diag
 
 
-@dataclass(frozen=True)
-class CorrectionSolution:
+class CorrectionSolution(NamedTuple):
     """Sampled first eigenfunction correction with solve diagnostics.
 
     ``resonance_amplitude`` is the coefficient of the left-null direction

@@ -18,11 +18,11 @@ exponent is read off the end state as z Psi'/Psi at z_max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
+from ._record import Record
 from .errors import QuasilinearDegeneracyError
 from .pencil import NodalSet
 
@@ -100,23 +100,15 @@ def _exact_psi2(z, psi, dpsi, lam, n):
         return math.inf if r > 0 else -math.inf
 
 
-@dataclass(frozen=True)
-class ShootingSolution:
+class ShootingSolution(Record):
     """A shot: its zeros, growth exponent and ``scale``, with ``nfev`` and
     ``steps`` counting the calls ``shoot`` made and its accepted steps.
     ``evaluate`` reads (Psi, Psi') off the trajectory anywhere on the span;
     ``z``, ``psi`` and ``dpsi`` are its samples at 2001 equally spaced points
     of [0, z_max] and their mirror images, formed on first read."""
 
-    l: int
-    n: float
-    lam: float
-    zeros: NodalSet
-    growth_exponent: Optional[float]
-    scale: float
-    nfev: int
-    steps: int
-    _traj: object
+    # no __slots__: the cached samples need an instance __dict__
+    _fields = ("l", "n", "lam", "zeros", "growth_exponent", "scale", "nfev", "steps", "_traj")
 
     def _state(self, z: float) -> Tuple[float, float]:
         """(Psi, Psi') at the float z, |z| <= z_max, parity-mirrored."""
@@ -229,20 +221,12 @@ def shoot(
     )
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Record):
     """Two-sided solution from arbitrary initial data (no parity assumed);
     ``nfev`` and ``steps`` sum the two half-lines as integrated, before any
     later evaluation builds a step's interpolant."""
 
-    lam: float
-    n: float
-    ic: Tuple[float, float]
-    z_max: float
-    _pos: object
-    _neg: object
-    nfev: int
-    steps: int
+    __slots__ = _fields = ("lam", "n", "ic", "z_max", "_pos", "_neg", "nfev", "steps")
 
     def _state(self, z: float) -> Tuple[float, float]:
         if not abs(z) <= self.z_max:
@@ -289,26 +273,3 @@ def closed_form_lambda0_derivative(n: float, z):
     if n < 0.0:
         raise ValueError("n must be >= 0")
     return 1.0 / (1.0 + z * z) * np.exp(-(n / (1.0 + n)) / (1.0 + z * z))
-
-
-def arctan_example(z):
-    """The bounded analytic lam = 0 solution arctan(z) of the linear pencil.
-
-    It solves (1+z^2) psi'' + 2 z psi' = 0 with limits +/- pi/2, but its
-    blow-up limit is the sign function, which no admissible tip profile can
-    trace; it is therefore classified as inadmissible.
-    """
-    import numpy as np
-    return np.arctan(z)
-
-
-def arctan_ode_residual(z):
-    """(1+z^2) psi'' + 2 z psi' for psi = arctan; zero up to rounding."""
-    import numpy as np
-    zz = np.asarray(z, dtype=float)
-    d1 = 1.0 / (1.0 + zz * zz)
-    d2 = -2.0 * zz / (1.0 + zz * zz) ** 2
-    return (1.0 + zz * zz) * d2 + 2.0 * zz * d1
-
-
-ARCTAN_EXAMPLE_ADMISSIBLE = False

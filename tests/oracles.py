@@ -315,3 +315,24 @@ def integral_over_reals(f, order=600):
     w = 0.5 * np.pi * weights
     z = np.tan(theta)
     return float(np.sum(w * f(z) / np.cos(theta) ** 2))
+
+
+def arctan_example(z):
+    """The bounded analytic lam = 0 solution arctan(z) of the linear pencil.
+
+    It solves (1+z^2) psi'' + 2 z psi' = 0 with limits +/- pi/2, but its
+    blow-up limit is the sign function, which no admissible tip profile can
+    trace; it is therefore classified as inadmissible.
+    """
+    return np.arctan(z)
+
+
+def arctan_ode_residual(z):
+    """(1+z^2) psi'' + 2 z psi' for psi = arctan; zero up to rounding."""
+    zz = np.asarray(z, dtype=float)
+    d1 = 1.0 / (1.0 + zz * zz)
+    d2 = -2.0 * zz / (1.0 + zz * zz) ** 2
+    return (1.0 + zz * zz) * d2 + 2.0 * zz * d1
+
+
+ARCTAN_EXAMPLE_ADMISSIBLE = False

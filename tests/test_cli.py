@@ -421,6 +421,27 @@ def test_figure_ids_validated():
         assert len({len(r) for r in ds.values}) == 1
 
 
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports cracktip from this
+    checkout; its assertions fail the test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+# commands that load no numpy: every one but shoot's CSV
+NUMPY_FREE_COMMANDS = [
+    ["fold", "--l", "3"], ["pencil", "--degree", "4"],
+    ["char-scan", "--figure", "2"], ["char-scan", "--figure", "5"],
+    ["branch", "--l", "2"], ["crack", "--alphas", "-1,1"],
+    ["crack", "--alphas", "-1,1", "--n", "0.05", "--l-max", "2", "--tol", "0.3"],
+    ["mu", "--l", "3", "--family", "second"],
+    ["shoot", "--l", "3", "--n", "0.05", "--lambda", "-3.1", "--format", "json"],
+]
+
+
 def test_scipy_loads_on_first_use():
     # only solve_correction uses scipy: neither the import nor these
     # commands, the shot and the nonlinear crack check included, load it
@@ -440,11 +461,7 @@ def test_scipy_loads_on_first_use():
         "assert cracktip.cli.run(['shoot', '--l', '3', '--n', '0.01', '--lambda', '-3']) == 0\n"
         "assert not loaded(), loaded()\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(code)
 
 
 def test_correction_solve_loads_no_scipy_sparse():
@@ -461,11 +478,7 @@ def test_correction_solve_loads_no_scipy_sparse():
         "solve_correction(2, Family.SECOND, 0.5)\n"
         "assert sparse() == base, sorted(sparse() - base)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(code)
 
 
 def test_numpy_loads_on_first_use():
@@ -482,12 +495,7 @@ def test_numpy_loads_on_first_use():
         "assert cracktip.limit_polynomial(2).global_min()[1] > 6.8\n"
         "assert cracktip.find_fold(4).n_star > 0.0\n"
         "assert not loaded(), loaded()\n"
-        "for argv in (['fold', '--l', '3'], ['pencil', '--degree', '4'],\n"
-        "             ['char-scan', '--figure', '2'], ['char-scan', '--figure', '5'],\n"
-        "             ['branch', '--l', '2'], ['crack', '--alphas', '-1,1'],\n"
-        "             ['crack', '--alphas', '-1,1', '--n', '0.05', '--l-max', '2', '--tol', '0.3'],\n"
-        "             ['mu', '--l', '3', '--family', 'second'],\n"
-        "             ['shoot', '--l', '3', '--n', '0.05', '--lambda', '-3.1', '--format', 'json']):\n"
+        f"for argv in {NUMPY_FREE_COMMANDS!r}:\n"
         "    assert run(argv) == 0, argv\n"
         "    assert not loaded(), (argv, loaded())\n"
         "sol = cracktip.shoot(3, 0.05, -3.1)\n"
@@ -496,11 +504,24 @@ def test_numpy_loads_on_first_use():
         "assert sol.z.size == 4001 and loaded()\n"
         "assert run(['shoot', '--l', '3', '--n', '0.01', '--lambda', '-3']) == 0\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(code)
+
+
+def test_records_load_no_dataclasses():
+    # the result records are NamedTuples or slotted classes, so neither the
+    # import nor a command loads dataclasses, or the inspect, ast and dis
+    # modules it pulls in, which together cost a CLI call several milliseconds
+    run_fresh(
+        "import sys\n"
+        "loaded = lambda: sorted({'dataclasses', 'inspect'}.intersection(sys.modules))\n"
+        "import cracktip\n"
+        "assert not loaded(), loaded()\n"
+        "import cracktip.cli\n"
+        "assert not loaded(), loaded()\n"
+        f"for argv in {NUMPY_FREE_COMMANDS!r}:\n"
+        "    assert cracktip.cli.run(argv) == 0, argv\n"
+        "    assert not loaded(), (argv, loaded())\n"
+    )
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -1,0 +1,142 @@
+"""The result records' contract: field names and order, defaults, keyword
+construction, immutability and validation.
+
+The CLI writes records through ``_asdict()``, so their field names and
+order are JSON keys.  Twelve records are ``typing.NamedTuple``s; the four
+that must not behave as tuples derive from ``cracktip._record.Record``.
+"""
+
+import copy
+import math
+from fractions import Fraction
+
+import pytest
+
+from cracktip import (
+    AdmissibilityReport,
+    BranchFamily,
+    CrackSpec,
+    Family,
+    FoldPoint,
+    NodalSet,
+    Polynomial,
+    build_eigenfunction,
+    build_quartic,
+    check_linear,
+    combine,
+    continue_branch,
+    find_fold,
+    limit_polynomial,
+    mu_via_quadrature,
+    nodal_set,
+    shoot,
+    solve_correction,
+    sturm_liouville_map,
+    two_sided_profile,
+)
+from cracktip.cli import emit_figure
+
+NOT_TUPLES = {"Polynomial", "NodalSet", "ShootingSolution", "Profile"}
+
+# record name -> (how to make one, its fields in order)
+RECORDS = {
+    "CharacteristicQuartic": (lambda: build_quartic(2, 0.1), ("l", "n", "a4", "a3", "a2", "a1", "a0")),
+    "LimitQuartic": (lambda: limit_polynomial(3), ("l", "coeffs")),
+    "FoldPoint": (lambda: find_fold(2), (
+        "l", "n_star", "lambda_star", "residual_phi", "residual_dphi", "second_derivative", "kind",
+    )),
+    "Branch": (lambda: continue_branch(2, BranchFamily.UPPER, 0.05), (
+        "l", "family", "samples", "fold", "reached_n_max",
+    )),
+    "CrackSpec": (lambda: CrackSpec(alphas=(-1.0, 1.0)), ("alphas",)),
+    "CrackMatch": (lambda: check_linear(CrackSpec((-1.0, 1.0))).matches[0], (
+        "l", "ratio", "zero_indices", "max_residual", "zeros",
+    )),
+    "AdmissibilityReport": (lambda: check_linear(CrackSpec((-1.0, 1.0))), (
+        "admissible", "matches", "decay_exponent", "mode", "n", "experimental", "notes",
+    )),
+    "Polynomial": (lambda: combine(1.0, 0.5, 3), ("coeffs", "exact", "lattice")),
+    "PencilEigenpair": (lambda: build_eigenfunction(3, Family.FIRST), ("degree", "family", "lam", "poly")),
+    "SturmLiouvilleImage": (lambda: sturm_liouville_map(-2.0), ("gamma", "mu", "weight_exponent")),
+    "NodalSet": (lambda: nodal_set(combine(1.0, 0.5, 3)), (
+        "zeros", "derivative_magnitudes", "transversal", "tol",
+    )),
+    "QuadratureDiagnostics": (lambda: mu_via_quadrature(2, Family.SECOND)[1], (
+        "windows", "mu_values", "divergent_tail", "converged",
+    )),
+    "CorrectionSolution": (lambda: solve_correction(2, Family.SECOND, 0.5, num_points=201), (
+        "l", "family", "mu", "z", "phi", "interior_residual_max", "resonance_amplitude",
+        "orthogonality_value",
+    )),
+    "ShootingSolution": (lambda: shoot(2, 0.0, -2.0, z_max=5.0), (
+        "l", "n", "lam", "zeros", "growth_exponent", "scale", "nfev", "steps", "_traj",
+    )),
+    "Profile": (lambda: two_sided_profile(0.0, -2.0, (1.0, 0.0), 3.0), (
+        "lam", "n", "ic", "z_max", "_pos", "_neg", "nfev", "steps",
+    )),
+    "FigureDataset": (lambda: emit_figure(2), ("figure_id", "l", "n_values", "lambda_grid", "values")),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_contract(name):
+    make, fields = RECORDS[name]
+    rec = make()
+    assert type(rec).__name__ == name
+    assert isinstance(rec, tuple) is (name not in NOT_TUPLES)
+    assert rec._fields == fields
+    values = rec._asdict()
+    assert list(values) == list(fields)
+    assert all(values[f] is getattr(rec, f) for f in fields)
+    # by keyword and by position, and by copy, the same fields come back
+    for again in (type(rec)(**values), type(rec)(*values.values()), copy.copy(rec)):
+        assert type(again) is type(rec)
+        assert all(getattr(again, f) is getattr(rec, f) for f in fields)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, f, getattr(rec, f))
+    assert repr(rec).startswith(name + "(")
+
+
+def test_record_defaults():
+    fold = FoldPoint(l=2, n_star=0.1, lambda_star=-2.5, residual_phi=0.0,
+                     residual_dphi=0.0, second_derivative=1.0)
+    assert fold.kind == "fold"
+    report = AdmissibilityReport(admissible=False, matches=(), decay_exponent=None)
+    assert (report.mode, report.n, report.experimental, report.notes) == ("linear", 0.0, False, ())
+
+
+def test_polynomial_compares_on_coefficients_only():
+    plain = Polynomial((1.0, 2.0))
+    tagged = Polynomial((1.0, 2.0), exact=(Fraction(1), Fraction(2)), lattice=(1, 2.0, 1.0))
+    assert plain == tagged and hash(plain) == hash(tagged)
+    assert plain != Polynomial((1.0, 3.0))
+    assert plain.exact is None and plain.lattice is None
+
+
+@pytest.mark.parametrize("coeffs", [(), (1.0, 0.0)])
+def test_polynomial_rejects_bad_coefficients(coeffs):
+    with pytest.raises(ValueError):
+        Polynomial(coeffs)
+
+
+@pytest.mark.parametrize("alphas", [(), (0.0, math.nan), (1.0, 1.0), (2.0, 1.0)])
+def test_crack_spec_rejects_bad_slopes(alphas):
+    with pytest.raises(ValueError):
+        CrackSpec(alphas=alphas)
+    with pytest.raises(ValueError):
+        CrackSpec((-1.0, 1.0))._replace(alphas=alphas)
+
+
+def test_nodal_set_length_is_its_number_of_zeros():
+    full = nodal_set(combine(1.0, 0.5, 3))
+    assert len(full) == len(full.zeros) == 3
+    second_only = nodal_set(build_eigenfunction(2, Family.SECOND).poly)  # no first-family part
+    assert len(second_only) == len(second_only.zeros) == 2
+
+
+def test_record_needs_every_field_once():
+    with pytest.raises(TypeError):
+        NodalSet((), (), ())
+    with pytest.raises(TypeError):
+        NodalSet((), (), (), 1e-8, tol=1e-8)

@@ -12,16 +12,15 @@ from cracktip import (
     Family,
     NumericsError,
     QuasilinearDegeneracyError,
-    arctan_example,
-    arctan_ode_residual,
     build_eigenfunction,
     closed_form_lambda0_derivative,
     isolate_second_derivative,
     shoot,
     two_sided_profile,
 )
-from cracktip.shooting import ARCTAN_EXAMPLE_ADMISSIBLE, _tip_kernel, _trajectory
+from cracktip.shooting import _tip_kernel, _trajectory
 from cracktip._dopri import _dense, _interpolate, _powers, _step_zero, integrate
+from oracles import ARCTAN_EXAMPLE_ADMISSIBLE, arctan_example, arctan_ode_residual
 
 
 def test_reduction_at_n_zero():
