@@ -5,69 +5,45 @@ pencil, the quartic characteristic polynomial of the quasilinear
 eigenvalue problem, eigenvalue branches in the medium exponent with their
 saddle-node folds, first-order branching data, direct ODE shooting, and
 the admissibility classification of straight-line crack configurations.
+
+``import cracktip`` loads none of its modules: each public name below is
+loaded with the module that defines it on first access (PEP 562).
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .characteristic import (
-    CharacteristicQuartic,
-    LimitQuartic,
-    build_quartic,
-    limit_polynomial,
-    real_roots,
-    residual_consistency,
-)
-from .continuation import (
-    Branch,
-    BranchFamily,
-    FoldPoint,
-    continue_branch,
-    double_root_l1,
-    find_fold,
-)
-from .crack import (
-    AdmissibilityReport,
-    CrackMatch,
-    CrackSpec,
-    check_linear,
-    check_nonlinear,
-    roundtrip_generate,
-)
-from .errors import (
-    NoFoldInBracketError,
-    NoRealEigenvalueError,
-    NumericsError,
-    QuasilinearDegeneracyError,
-    RootFindingError,
-)
-from .pencil import (
-    Family,
-    NodalSet,
-    PencilEigenpair,
-    Polynomial,
-    SturmLiouvilleImage,
-    blowup_coordinates,
-    build_eigenfunction,
-    combine,
-    evaluate_expansion,
-    nodal_set,
-    pencil_eigenvalues,
-    pencil_residual,
-    sturm_liouville_map,
-)
-from .perturbation import (
-    CorrectionSolution,
-    QuadratureDiagnostics,
-    mu_via_ift,
-    mu_via_quadrature,
-    solve_correction,
-    source_h,
-)
-from .shooting import (
-    Profile,
-    ShootingSolution,
-    closed_form_lambda0_derivative,
-    isolate_second_derivative,
-    shoot,
-    two_sided_profile,
-)
+# module -> the public names it defines
+_MODULES = {
+    "characteristic": "CharacteristicQuartic LimitQuartic build_quartic limit_polynomial "
+                      "real_roots residual_consistency",
+    "continuation": "Branch BranchFamily FoldPoint continue_branch double_root_l1 find_fold",
+    "crack": "AdmissibilityReport CrackMatch CrackSpec check_linear check_nonlinear "
+             "roundtrip_generate",
+    "errors": "NoFoldInBracketError NoRealEigenvalueError NumericsError "
+              "QuasilinearDegeneracyError RootFindingError",
+    "pencil": "Family NodalSet PencilEigenpair Polynomial SturmLiouvilleImage blowup_coordinates "
+              "build_eigenfunction combine evaluate_expansion nodal_set pencil_eigenvalues "
+              "pencil_residual sturm_liouville_map",
+    "perturbation": "CorrectionSolution QuadratureDiagnostics mu_via_ift mu_via_quadrature "
+                    "solve_correction source_h",
+    "shooting": "Profile ShootingSolution closed_form_lambda0_derivative "
+                "isolate_second_derivative shoot two_sided_profile",
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name`` and keep the name here."""
+    if name in _MODULES:  # a module not yet imported, as ``cracktip.pencil``
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_MODULES})

@@ -28,13 +28,7 @@ import sys
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
-from .characteristic import build_quartic, limit_polynomial
-from .continuation import BranchFamily, _meeting_point, continue_branch
-from .crack import CrackSpec, check_linear, check_nonlinear
 from .errors import NumericsError
-from .pencil import Family, build_eigenfunction
-from .perturbation import mu_via_ift, mu_via_quadrature
-from .shooting import shoot
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -118,6 +112,7 @@ def _quartic_dataset(
 ) -> FigureDataset:
     """The quartic of index l, one row per n, on a Lambda grid that defaults
     to [-(l + 3), 0.5] in steps of 0.01."""
+    from .characteristic import build_quartic
     grid = _lambda_grid(
         -(l + 3.0) if lo is None else lo,
         0.5 if hi is None else hi,
@@ -136,6 +131,7 @@ def emit_figure(figure_id: int) -> FigureDataset:
     the n-list of the corresponding caption (l = 1, 3, 2, 4 respectively).
     """
     if figure_id == 2:
+        from .characteristic import limit_polynomial
         grid = _lambda_grid(-6.0, 1.0)
         fl = limit_polynomial(2)
         lim_row = tuple(float(fl(x)) for x in grid)
@@ -147,7 +143,8 @@ def emit_figure(figure_id: int) -> FigureDataset:
 
 
 # ----------------------------------------------------------------------
-# per-command drivers: each returns (JSON fields, CSV lines or None, exit code)
+# per-command drivers: each imports its layer when called and returns
+# (JSON fields, CSV lines or None, exit code)
 
 def _set(args, *names):
     """The named options that were set; the library's defaults stand for the rest."""
@@ -155,6 +152,7 @@ def _set(args, *names):
 
 
 def _cmd_pencil(args):
+    from .pencil import Family, build_eigenfunction
     family = Family.parse(args.family or "first")
     pair = build_eigenfunction(args.degree, family)
     fields = {
@@ -192,10 +190,12 @@ def _cmd_char_scan(args):
 
 
 def _cmd_fold(args):
+    from .continuation import _meeting_point
     return _meeting_point(args.l)._asdict(), None, EXIT_OK
 
 
 def _cmd_branch(args):
+    from .continuation import BranchFamily, continue_branch
     family = BranchFamily.parse(args.family or "upper")
     n_max = args.n_max if args.n_max is not None else 1.0
     br = continue_branch(args.l, family, n_max)
@@ -210,6 +210,8 @@ def _cmd_branch(args):
 
 
 def _cmd_mu(args):
+    from .pencil import Family
+    from .perturbation import mu_via_ift, mu_via_quadrature
     family = Family.parse(args.family or "first")
     method = (args.method or "both").lower()
     if method not in {"ift", "quad", "both"}:
@@ -225,6 +227,7 @@ def _cmd_mu(args):
 
 
 def _cmd_shoot(args):
+    from .shooting import shoot
     sol = shoot(args.l, args.n, args.lam, **_set(args, "z_max", "transversality_tol"))
     fields = {
         "l": sol.l,
@@ -242,6 +245,7 @@ def _cmd_shoot(args):
 
 
 def _cmd_crack(args):
+    from .crack import CrackSpec, check_linear, check_nonlinear
     spec = CrackSpec(alphas=tuple(float(s) for s in args.alphas.split(",")))
     opts = dict(l_max=args.l_max, consecutive=not args.any_subset, **_set(args, "tol"))
     n = args.n if args.n is not None else 0.0

@@ -25,17 +25,20 @@ from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from ._record import Record
 from .characteristic import _polyval
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 DEFAULT_TRANSVERSALITY_TOL = 1e-8
 
-# pi to 40 decimals, so that each nodal angle is rounded once
-_PI = Fraction(31415926535897932384626433832795028841972, 10 ** 40)
+# pi to 40 decimals as (numerator, denominator), so that each nodal angle
+# is rounded once
+_PI = (31415926535897932384626433832795028841972, 10 ** 40)
 
 
 class Family(enum.Enum):
@@ -159,6 +162,7 @@ def build_eigenfunction(degree: int, family: Family) -> PencilEigenpair:
     With e the exponent, the coefficient of z**(d - 2m) is (-1)**m C(e, d - 2m),
     over d + 1 for the second family; coefficients of the other parity vanish.
     """
+    from fractions import Fraction
     lattice = _seed_lattice(degree, family)
     e, denom = lattice[0], (1 if family is Family.FIRST else lattice[0])
     exact = [Fraction(0)] * (degree + 1)
@@ -205,16 +209,24 @@ def _lattice(l: int, p, q) -> Iterator[Tuple[float, float]]:
     end (cotangent), formed exactly and rounded once."""
     b2, s = (0, p) if abs(p) <= abs(q) else ((1 if p > 0 else -1), q)  # p = b2 / 2 + s
     sn, sd = s.as_integer_ratio()
-    den = _PI.denominator * 2 * l * sd
+    pi_num, pi_den = _PI
+    den = pi_den * 2 * l * sd
     for j in _lattice_points(l, p):
         t = (2 * j + b2) * sd + 2 * sn  # 2 (j + p) sd
         h = l * sd - t  # the angle from pi / 2 in units of pi / (2 l sd)
         if 2 * abs(h) <= l * sd:
-            x = _PI.numerator * h / den
+            x = pi_num * h / den
             yield math.tan(x), math.cos(x)
         else:
-            x = _PI.numerator * (t if h > 0 else t - 2 * l * sd) / den
+            x = pi_num * (t if h > 0 else t - 2 * l * sd) / den
             yield 1.0 / math.tan(x), abs(math.sin(x))
+
+
+def _over_pi(x: float) -> Fraction:
+    """x / pi in rationals, with ``_PI`` for pi."""
+    from fractions import Fraction
+    (num, den), (pi_num, pi_den) = x.as_integer_ratio(), _PI
+    return Fraction(num * pi_den, den * pi_num)
 
 
 def nodal_set(poly: Polynomial, tol: float = DEFAULT_TRANSVERSALITY_TOL) -> NodalSet:
@@ -234,8 +246,8 @@ def nodal_set(poly: Polynomial, tol: float = DEFAULT_TRANSVERSALITY_TOL) -> Noda
     # its offset from the nearer half-integer is q = atan2(d, |c| l) / pi,
     # both signed by c; each is formed directly and divided by pi exactly
     a = abs(c) * l
-    p = Fraction(-math.copysign(math.atan2(a, d), c)) / _PI
-    q = Fraction(math.copysign(math.atan2(d, a), c)) / _PI
+    p = _over_pi(-math.copysign(math.atan2(a, d), c))
+    q = _over_pi(math.copysign(math.atan2(d, a), c))
     scale = math.hypot(l * c, d)
     zeros, dmags = [], []
     for z, sine in _lattice(l, p, q):

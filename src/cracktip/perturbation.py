@@ -36,7 +36,6 @@ that must be consistent with the continuation module.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from .characteristic import _integer_parts
@@ -92,7 +91,7 @@ def mu_via_ift(l: int, family: Family) -> float:
     lam = -l if family is Family.FIRST else -l - 1
     b = sum(c * lam ** (4 - i) for i, c in enumerate(B))
     da = sum((4 - i) * c * lam ** (3 - i) for i, c in enumerate(A[:-1]))
-    return float(Fraction(-b, da))
+    return -b / da  # int / int rounds the exact quotient once
 
 
 class QuadratureDiagnostics(NamedTuple):

@@ -18,7 +18,6 @@ exponent is read off the end state as z Psi'/Psi at z_max.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 from typing import List, Tuple
 
@@ -89,6 +88,7 @@ def _exact_psi2(z, psi, dpsi, lam, n):
     """``_tip_kernel``'s Psi'' over den in rational arithmetic, rounded once."""
     if not (math.isfinite(z) and math.isfinite(psi) and math.isfinite(dpsi)):
         return math.nan
+    from fractions import Fraction
     z, psi, dpsi, lam, n = map(Fraction, (z, psi, dpsi, lam, n))
     g = lam * psi + z * dpsi
     den, w = dpsi * dpsi + g * g, z * g + dpsi

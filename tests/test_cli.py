@@ -524,6 +524,31 @@ def test_records_load_no_dataclasses():
     )
 
 
+def test_commands_load_only_their_layer():
+    # import cracktip loads none of its modules; fold, branch and char-scan
+    # load only the quartic and continuation layers; and no command but
+    # pencil, which writes exact coefficients, loads fractions (and the
+    # decimal module that it pulls in)
+    quartic = [argv for argv in NUMPY_FREE_COMMANDS if argv[0] in {"fold", "branch", "char-scan"}]
+    others = [argv for argv in NUMPY_FREE_COMMANDS if argv not in quartic and argv[0] != "pencil"]
+    unused = ["fractions"] + [f"cracktip.{m}" for m in
+                              ("pencil", "crack", "shooting", "perturbation", "_dopri")]
+    run_fresh(
+        "import sys\n"
+        "import cracktip\n"
+        "own = sorted(m for m in sys.modules if m.startswith('cracktip.') or m == 'fractions')\n"
+        "assert not own, own\n"
+        "from cracktip.cli import run\n"
+        "loaded = lambda names: sorted(set(names).intersection(sys.modules))\n"
+        f"for argv in {quartic!r}:\n"
+        "    assert run(argv) == 0, argv\n"
+        f"    assert not loaded({unused!r}), (argv, loaded({unused!r}))\n"
+        f"for argv in {others!r}:\n"
+        "    assert run(argv) == 0, argv\n"
+        "    assert not loaded(['fractions']), argv\n"
+    )
+
+
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 README_COMMANDS = [line for block in re.findall(r"```sh\n(.*?)```", README, re.S)
                    for line in block.splitlines() if line.startswith("cracktip ")]

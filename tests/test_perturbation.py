@@ -17,6 +17,7 @@ from cracktip import (
     solve_correction,
     source_h,
 )
+from cracktip.characteristic import _integer_parts
 
 from oracles import correction_system, integral_over_reals, phi1, phi2, source_h_exact
 
@@ -104,6 +105,21 @@ def test_mu_ift_is_the_rounded_closed_form(l):
     assert mu_via_ift(l, Family.FIRST) == float(-l * (l - 1))
     second = Fraction(l * (l ** 3 - 3 * l ** 2 + 4 * l + 2), l * l + 1)
     assert mu_via_ift(l, Family.SECOND) == float(second)
+
+
+def test_mu_ift_is_the_rational_slope_rounded_once():
+    # the slope of integer division is bit for bit the rational
+    # -B(seed) / A'(seed) rounded once, on both families up to l = 3000
+    for l in range(1, 3001):
+        A, B = _integer_parts(l)
+        for family, lam in ((Family.FIRST, -l), (Family.SECOND, -l - 1)):
+            b = da = 0
+            for c in B:  # Horner's rule for B(lam) and A'(lam)
+                b = b * lam + c
+            for k, c in enumerate(A[:-1]):
+                da = da * lam + (4 - k) * c
+            expected = float(Fraction(-b, da))
+            assert mu_via_ift(l, family).hex() == expected.hex(), (l, family)
 
 
 @pytest.mark.parametrize(
