@@ -16,18 +16,16 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _MODULES = {
-    "characteristic": "CharacteristicQuartic LimitQuartic build_quartic limit_polynomial "
-                      "real_roots residual_consistency",
+    "characteristic": "CharacteristicQuartic LimitQuartic build_quartic limit_polynomial real_roots",
     "continuation": "Branch BranchFamily FoldPoint continue_branch double_root_l1 find_fold",
     "crack": "AdmissibilityReport CrackMatch CrackSpec check_linear check_nonlinear "
              "roundtrip_generate",
     "errors": "NoFoldInBracketError NoRealEigenvalueError NumericsError "
               "QuasilinearDegeneracyError RootFindingError",
-    "pencil": "Family NodalSet PencilEigenpair Polynomial SturmLiouvilleImage blowup_coordinates "
-              "build_eigenfunction combine evaluate_expansion nodal_set pencil_eigenvalues "
-              "pencil_residual sturm_liouville_map",
+    "pencil": "Family NodalSet PencilEigenpair Polynomial build_eigenfunction combine "
+              "evaluate_expansion nodal_set",
     "perturbation": "CorrectionSolution QuadratureDiagnostics mu_via_ift mu_via_quadrature "
-                    "solve_correction source_h",
+                    "solve_correction",
     "shooting": "Profile ShootingSolution closed_form_lambda0_derivative "
                 "isolate_second_derivative shoot two_sided_profile",
 }

@@ -138,35 +138,6 @@ def build_quartic(l: int, n: float) -> CharacteristicQuartic:
     return CharacteristicQuartic(l=l, n=float(n), a4=a4, a3=a3, a2=a2, a1=a1, a0=a0)
 
 
-def rational_form(l: int, n: float, lam: float) -> float:
-    """The characteristic equation before clearing its denominator.
-
-    Q(Lam) [1 + n (Lam+l)^2 / D] + n [l^3 (l-1) + 2 l (Lam+l)(Lam + l(l-1))] / D
-
-    with Q = Lam^2 + (2l+1) Lam + l(l+1) and D = l^2 + (Lam+l)^2.  For real
-    Lam the denominator satisfies D >= l^2 > 0, so clearing it introduces
-    no spurious real roots.
-    """
-    Q = lam * lam + (2 * l + 1) * lam + l * (l + 1)
-    shift = lam + l
-    D = l * l + shift * shift
-    R = l ** 3 * (l - 1) + 2 * l * shift * (lam + l * (l - 1))
-    return Q * (1.0 + n * shift * shift / D) + n * R / D
-
-
-def residual_consistency(l: int, n: float, lam: float) -> float:
-    """|denominator-cleared rational form - Phi_l(lam; n)|.
-
-    Validates, at each requested point, the algebra connecting the rational
-    characteristic equation with the expanded quartic; the identity is
-    exact, so the value sits at rounding level relative to the terms.
-    """
-    shift = lam + l
-    D = l * l + shift * shift
-    cleared = rational_form(l, n, lam) * D
-    return abs(cleared - build_quartic(l, n)(lam))
-
-
 def real_roots(q: CharacteristicQuartic) -> List[float]:
     """All real roots, ascending, possibly none.  Past the fold the pair
     near the seeds is gone, but from l = 15 a far pair can appear (near

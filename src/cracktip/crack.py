@@ -28,7 +28,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .continuation import BranchFamily, _eigenvalue, _meeting_point
 from .errors import NoRealEigenvalueError
-from .pencil import _lattice, _lattice_points, combine, nodal_set
+from .pencil import _check_combination, _lattice, _lattice_points, _nodal_set
 from .shooting import _trajectory
 
 DEFAULT_TOL = 1e-8
@@ -168,8 +168,10 @@ def _report(matches: List[CrackMatch], **kwargs) -> AdmissibilityReport:
 
 
 def roundtrip_generate(l: int, c: float, d: float) -> CrackSpec:
-    """Nodal set of the (c, d) combination, as a crack specification."""
-    zeros = nodal_set(combine(c, d, l)).zeros
+    """Nodal set of the (c, d) combination, as a crack specification.  It
+    is read off the lattice, so no coefficient is formed at any l."""
+    _check_combination(c, d, l)
+    zeros = _nodal_set(l, c, d).zeros
     if not zeros:
         raise ValueError("combination has no real zeros; nothing to generate")
     return CrackSpec(alphas=zeros)

@@ -6,14 +6,16 @@ The rescaled tip equation separates into the one-parameter family of ODEs
 
 whose polynomial solutions come in two discrete families: degree-d
 polynomials with lam = -d (first family) and degree-d polynomials with
-lam = -d - 1 (second family).  This module constructs them exactly, maps
-the ODE to its symmetric Sturm-Liouville form, and extracts nodal sets,
-which downstream modules interpret as admissible crack slopes.
+lam = -d - 1 (second family).  This module constructs them exactly,
+evaluates them, and extracts nodal sets, which downstream modules
+interpret as admissible crack slopes.
 
-The eigenfunctions are the binomial expansions of Re (z + i)**d (first
-family) and Im (z + i)**(d + 1) / (d + 1) (second family), kept as exact
-rationals at every degree, so the classical low-degree table is
-reproduced without rounding.
+The eigenfunctions are Re (z + i)**d (first family) and
+Im (z + i)**(d + 1) / (d + 1) (second family).  Their binomial
+coefficients are kept as exact rationals at every degree, so the classical
+low-degree table is reproduced without rounding, but they are evaluated
+from one complex power (z + i)**l: Horner's rule over the rounded
+coefficients is off by 1e-7 relative at degree 60 and by 4e-2 at 100.
 
 With z = cot(theta), c Re (z + i)**l + d Im (z + i)**l / l is
 (c cos(l theta) + (d / l) sin(l theta)) / sin(theta)**l, so its zeros are
@@ -61,8 +63,10 @@ class Polynomial(Record):
     ``exact`` carries the rational coefficients of a pencil eigenfunction;
     it is None for generic combinations.  ``lattice`` is (l, c, d), the
     index and phase (c : d) of the nodal lattice, when the polynomial is
-    c Re (z + i)**l + d Im (z + i)**l / l, and None otherwise.  Equality
-    and the hash see ``coeffs`` only.
+    c Re (z + i)**l + d Im (z + i)**l / l, and None otherwise.  A call at
+    a real z, scalar or array, evaluates that formula when there is a
+    lattice, and Horner's rule over ``coeffs`` only when there is none.
+    Equality and the hash see ``coeffs`` only.
     """
 
     __slots__ = _fields = ("coeffs", "exact", "lattice")
@@ -83,13 +87,27 @@ class Polynomial(Record):
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        return _polyval(reversed(self.coeffs), z)
+        if self.lattice is None:
+            return _polyval(reversed(self.coeffs), z)
+        return _lattice_value(*self.lattice, z + 1j)
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
             return Polynomial((0.0,))
         d = tuple(k * c for k, c in enumerate(self.coeffs))[1:]
         return Polynomial(d if d[-1] != 0.0 else _trim(d))
+
+
+def _lattice_value(l: int, c: float, d: float, w):
+    """c Re w**l + d Im w**l / l (c at l = 0) for a complex scalar or array w,
+    from one complex power.  A scalar power can overflow to inf or nan
+    without raising, so a scalar value that is not finite raises
+    OverflowError."""
+    p = w ** l
+    value = c * p.real + d * p.imag / max(l, 1)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise OverflowError(f"|w|**{l} is past the double range at w = {w!r}")
+    return value
 
 
 def _trim(coeffs: Sequence[float]) -> Tuple[float, ...]:
@@ -108,20 +126,6 @@ class PencilEigenpair(NamedTuple):
     poly: Polynomial
 
 
-class SturmLiouvilleImage(NamedTuple):
-    """Parameters of the symmetric reduction of the pencil ODE.
-
-    Substituting psi = (1 + z^2)**gamma * phi with gamma = -(lam+1)/2 turns
-    the pencil equation into  -(1+z^2)^2 phi'' = mu phi  with
-    mu = (lam+1)(lam-1); the pencil's own symmetric form carries the weight
-    (1+z^2)**(lam+1).
-    """
-
-    gamma: float
-    mu: float
-    weight_exponent: float
-
-
 class NodalSet(Record):
     """Sorted real zeros of a polynomial with transversality annotations."""
 
@@ -133,18 +137,6 @@ class NodalSet(Record):
     @property
     def all_transversal(self) -> bool:
         return all(self.transversal)
-
-
-def pencil_eigenvalues(l: int) -> Tuple[float, float]:
-    """Both eigenvalues attached to index l: the roots of
-    lam^2 + (2l+1) lam + l(l+1), i.e. (-l, -l-1).
-
-    l = 0 is rejected: the first family starts at the non-vanishing
-    constant mode, which callers must treat separately.
-    """
-    if l < 1:
-        raise ValueError("index l must be >= 1 (l = 0 is the constant mode)")
-    return (-float(l), -float(l) - 1.0)
 
 
 def _seed_lattice(degree: int, family: Family) -> Tuple[int, float, float]:
@@ -171,26 +163,6 @@ def build_eigenfunction(degree: int, family: Family) -> PencilEigenpair:
     exact = tuple(exact)
     poly = Polynomial(tuple(float(c) for c in exact), exact=exact, lattice=lattice)
     return PencilEigenpair(degree, family, float(-e), poly)
-
-
-def pencil_ode_residual(poly: Polynomial, lam: float, z):
-    """(1+z^2) psi'' + 2(lam+1) z psi' + lam(lam+1) psi at ``z``."""
-    d1 = poly.derivative()
-    d2 = d1.derivative()
-    return (1.0 + z * z) * d2(z) + 2.0 * (lam + 1.0) * z * d1(z) + lam * (lam + 1.0) * poly(z)
-
-
-def pencil_residual(pair: PencilEigenpair, z):
-    """ODE residual of an eigenpair; at rounding level for exact pairs."""
-    return pencil_ode_residual(pair.poly, pair.lam, z)
-
-
-def sturm_liouville_map(lam: float) -> SturmLiouvilleImage:
-    return SturmLiouvilleImage(
-        gamma=-(lam + 1.0) / 2.0,
-        mu=(lam + 1.0) * (lam - 1.0),
-        weight_exponent=lam + 1.0,
-    )
 
 
 def _lattice_points(l: int, p) -> range:
@@ -239,7 +211,12 @@ def nodal_set(poly: Polynomial, tol: float = DEFAULT_TRANSVERSALITY_TOL) -> Noda
     if poly.lattice is None:
         raise ValueError("nodal_set needs a pencil eigenfunction or a combine() result; "
                          "this polynomial carries no nodal lattice")
-    l, c, d = poly.lattice
+    return _nodal_set(*poly.lattice, tol)
+
+
+def _nodal_set(l: int, c: float, d: float, tol: float = DEFAULT_TRANSVERSALITY_TOL) -> NodalSet:
+    """``nodal_set`` of c Re (z + i)**l + d Im (z + i)**l / l, from the
+    lattice alone, so no coefficient is formed at any l."""
     if math.copysign(1.0, d) < 0.0:
         c, d = -c, -d
     # with d >= 0 the phase is p = -atan2(|c| l, d) / pi in [-1/2, 1/2], and
@@ -259,18 +236,24 @@ def nodal_set(poly: Polynomial, tol: float = DEFAULT_TRANSVERSALITY_TOL) -> Noda
     return NodalSet(tuple(zeros), tuple(dmags), tuple(m > tol for m in dmags), tol)
 
 
-def combine(c: float, d: float, l: int) -> Polynomial:
-    """c * (first family, degree l) + d * (second family, degree l-1).
-
-    Both constituents share the eigenvalue -l, so any such combination
-    solves the same pencil ODE; its zeros are candidate crack slopes.
-    """
+def _check_combination(c: float, d: float, l: int) -> None:
+    """Raise ValueError unless (c, d, l) is a combination: l >= 1 and finite
+    weights, not both 0."""
     if l < 1:
         raise ValueError("l must be >= 1")
     if c == 0.0 and d == 0.0:
         raise ValueError("combination requires c^2 + d^2 != 0")
     if not (math.isfinite(c) and math.isfinite(d)):
         raise ValueError("combination weights must be finite")
+
+
+def combine(c: float, d: float, l: int) -> Polynomial:
+    """c * (first family, degree l) + d * (second family, degree l-1).
+
+    Both constituents share the eigenvalue -l, so any such combination
+    solves the same pencil ODE; its zeros are candidate crack slopes.
+    """
+    _check_combination(c, d, l)
     p1 = build_eigenfunction(l, Family.FIRST).poly
     p2 = build_eigenfunction(l - 1, Family.SECOND).poly
     n = max(len(p1.coeffs), len(p2.coeffs))
@@ -282,23 +265,16 @@ def combine(c: float, d: float, l: int) -> Polynomial:
     return Polynomial(_trim(out), lattice=(l, c, d))
 
 
-def blowup_coordinates(x: float, y: float) -> Tuple[float, float]:
-    """Map (x, y) with y < 0 to the tip variables z = x/(-y), tau = -ln(-y)."""
-    if y >= 0.0:
-        raise ValueError("blow-up coordinates require y < 0")
-    return x / (-y), -math.log(-y)
-
-
 def evaluate_expansion(terms: Sequence[Tuple[int, float, float]], z: float, tau: float) -> float:
-    """Sum of exp(-k tau) * [c_k * psi_{k,1} + d_k * psi_{k-1,2}] at (z, tau).
+    """Sum of exp(-k tau) * [c_k * psi_{k,1} + d_k * psi_{k-1,2}] at (z, tau),
+    that is of c_k Re w**k + d_k Im w**k / k with w = (z + i) exp(-tau).
 
     ``terms`` is a finite list of (k, c_k, d_k) with k >= 1.
     """
+    w = (z + 1j) * math.exp(-tau)
     total = 0.0
     for k, ck, dk in terms:
         if k < 1:
             raise ValueError("expansion indices must satisfy k >= 1")
-        p1 = build_eigenfunction(k, Family.FIRST).poly
-        p2 = build_eigenfunction(k - 1, Family.SECOND).poly
-        total += math.exp(-k * tau) * (ck * p1(z) + dk * p2(z))
+        total += _lattice_value(k, ck, dk, w)
     return total

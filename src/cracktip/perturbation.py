@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from .characteristic import _integer_parts
 from .errors import NumericsError
-from .pencil import Family, PencilEigenpair, _seed_lattice
+from .pencil import Family, _seed_lattice
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,16 +68,6 @@ def _source_terms(seed: Tuple[int, float, float], cos, sin):
     psi = (a * u).real
     f2 = ra * (ra * b.real + 2.0 * ia * (b.imag - e * sin * ra)) / ww
     return psi, f2, (1 - e) * psi + e * sin * ia, -ia * ia / ww * b.real
-
-
-def source_h(mu: float, pair: PencilEigenpair, z):
-    """Order-n source term h(mu, psi, lam) at ``z`` (scalar or array).
-
-    Affine in mu with slope -((2 lam + 1) psi + z psi'); uses L psi = -psi''.
-    """
-    r = abs(z + 1j)
-    _, f2, m, f1_lpsi = _source_terms(pair.poly.lattice, z / r, 1.0 / r)
-    return -(f2 + mu * m + f1_lpsi) * r ** -pair.lam
 
 
 def mu_via_ift(l: int, family: Family) -> float:

@@ -174,6 +174,31 @@ def pencil_pair_exact(l):
     return [Fraction(r) for r, _ in p], [Fraction(i, l) for _, i in p]
 
 
+def pencil_ode_residual_exact(coeffs, lam):
+    """Descending exact coefficients of (1+z^2) psi'' + 2(lam+1) z psi'
+    + lam(lam+1) psi, for the descending exact coefficients of psi."""
+    d1 = _polyder(coeffs)
+    out = [lam * (lam + 1) * a for a in coeffs]
+    for term in (_polymul([1, 0, 1], _polyder(d1)), _polymul([2 * (lam + 1), 0], d1)):
+        out = _polysub(out, [-a for a in term])
+    return out
+
+
+def rational_form_exact(l, n, lam):
+    """The characteristic equation before clearing its denominator D,
+
+        Q(Lam) [1 + n (Lam+l)^2 / D] + n [l^3 (l-1) + 2 l (Lam+l)(Lam + l(l-1))] / D
+
+    with Q = Lam^2 + (2l+1) Lam + l(l+1) and D = l^2 + (Lam+l)^2, and D,
+    in rationals at the float (or rational) n and Lam."""
+    n, lam = Fraction(n), Fraction(lam)
+    Q = lam * lam + (2 * l + 1) * lam + l * (l + 1)
+    shift = lam + l
+    D = l * l + shift * shift
+    R = l ** 3 * (l - 1) + 2 * l * shift * (lam + l * (l - 1))
+    return Q * (1 + n * shift * shift / D) + n * R / D, D
+
+
 def phi1(psi, dpsi, lam, z):
     """First gradient coupling g^2 / (psi'^2 + g^2), g = lam psi + z psi',
     in the z form; plain arithmetic, so floats, arrays and Fractions alike."""
@@ -247,8 +272,8 @@ def combination_exact(l, c, d):
     return [cq * a + dq * b for a, b in zip(re, im)][::-1]
 
 
-def sign_at(coeffs, x):
-    """Sign of the descending exact polynomial at the float x = u / w,
+def value_at(coeffs, x):
+    """The descending exact polynomial at the float (or rational) x = u / w,
     exactly: Horner on w^k times the partial sums, in integers."""
     u, w = Fraction(x).as_integer_ratio()
     den = math.lcm(*(a.denominator for a in coeffs))
@@ -256,7 +281,13 @@ def sign_at(coeffs, x):
     for a in coeffs:
         acc = acc * u + a.numerator * (den // a.denominator) * wk
         wk *= w
-    return (acc > 0) - (acc < 0)
+    return Fraction(acc, den * (wk // w))
+
+
+def sign_at(coeffs, x):
+    """Sign of the descending exact polynomial at the float x, exactly."""
+    v = value_at(coeffs, x)
+    return (v > 0) - (v < 0)
 
 
 def slope_at(coeffs, x):

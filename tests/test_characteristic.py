@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cracktip import (
-    build_quartic, double_root_l1, find_fold, limit_polynomial, real_roots, residual_consistency,
-)
+from cracktip import build_quartic, double_root_l1, find_fold, limit_polynomial, real_roots
 from cracktip.characteristic import CharacteristicQuartic, _integer_parts, _polyder, _polyval
 
-from oracles import exact_real_roots, quartic_parts_exact, rounding_band_critical_points
+from oracles import (
+    exact_real_roots, quartic_parts_exact, rational_form_exact, rounding_band_critical_points,
+)
 
 
 def test_hand_expanded_quartic_l1_n1():
@@ -164,13 +164,16 @@ def test_double_root_l1_at_half():
      (7, 0.3, -7.7), (20, 0.05, -20.5), (100, 1e-5, -100.5)],
 )
 def test_rational_form_matches_quartic(l, n, lam):
-    scale = sum(abs(c) * max(1.0, abs(lam)) ** (4 - k) for k, c in enumerate(build_quartic(l, n).coeffs))
-    assert residual_consistency(l, n, lam) <= 1e-10 * scale
+    # the rational form times its denominator is Phi = A + n B, exactly
+    form, D = rational_form_exact(l, n, lam)
+    A, B = _integer_parts(l)
+    x = Fraction(lam)
+    assert form * D == sum((a + Fraction(n) * b) * x ** (4 - k) for k, (a, b) in enumerate(zip(A, B)))
 
 
 def test_consistency_zero_at_hand_root():
     # at (l, n, lam) = (1, 1, -1) both the rational form and the quartic vanish
-    assert residual_consistency(1, 1.0, -1.0) <= 1e-12
+    assert rational_form_exact(1, 1.0, -1.0)[0] == 0
     assert build_quartic(1, 1.0)(-1.0) == pytest.approx(0.0, abs=1e-13)
 
 

@@ -90,6 +90,15 @@ def test_roundtrip_examples():
     assert roundtrip_generate(3, 0.0, 1.0).alphas == pytest.approx((-s3, s3), abs=1e-12)
 
 
+def test_roundtrip_past_the_coefficient_range():
+    # from l = 1030 a binomial coefficient passes the largest double; the
+    # round trip reads the lattice alone
+    spec = roundtrip_generate(1100, 1.0, 0.5)
+    assert spec.m == 1100
+    report = check_linear(spec, l_max=1100)
+    assert report.admissible and report.decay_exponent == 1100
+
+
 def test_roundtrip_recovery_sample():
     rng = np.random.default_rng(2024)
     hits = 0

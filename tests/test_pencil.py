@@ -1,24 +1,17 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cracktip import (
-    Family,
-    blowup_coordinates,
-    build_eigenfunction,
-    combine,
-    evaluate_expansion,
-    nodal_set,
-    pencil_eigenvalues,
-    pencil_residual,
-    sturm_liouville_map,
+from cracktip import Family, build_eigenfunction, combine, evaluate_expansion, nodal_set
+from cracktip.pencil import Polynomial
+from oracles import (
+    combination_exact, pencil_ode_residual_exact, pencil_pair_exact, sign_at, slope_at, value_at,
 )
-from cracktip.pencil import Polynomial, pencil_ode_residual
-from oracles import combination_exact, pencil_pair_exact, sign_at, slope_at
 
 F = Fraction
 
@@ -58,17 +51,6 @@ def test_exact_table_at_every_degree(degree):
     assert second.coeffs == tuple(float(c) for c in im[:-1])
 
 
-def test_eigenvalue_pairs():
-    assert pencil_eigenvalues(2) == (-2.0, -3.0)
-    assert pencil_eigenvalues(1) == (-1.0, -2.0)
-    assert pencil_eigenvalues(7) == (-7.0, -8.0)
-
-
-def test_index_zero_rejected():
-    with pytest.raises(ValueError):
-        pencil_eigenvalues(0)
-
-
 @pytest.mark.parametrize("family", [Family.FIRST, Family.SECOND])
 @pytest.mark.parametrize("degree", list(range(0, 31, 3)))
 def test_parity_structure(degree, family):
@@ -80,12 +62,11 @@ def test_parity_structure(degree, family):
 
 
 @pytest.mark.parametrize("family", [Family.FIRST, Family.SECOND])
-@pytest.mark.parametrize("degree", list(range(1, 31)))
+@pytest.mark.parametrize("degree", list(range(0, 61)))
 def test_ode_residual_bound(degree, family):
+    # the residual of the exact coefficients is the zero polynomial
     pair = build_eigenfunction(degree, family)
-    for z in range(-10, 11):
-        res = pencil_residual(pair, float(z))
-        assert abs(res) <= 1e-9 * (1.0 + abs(z)) ** degree
+    assert not any(pencil_ode_residual_exact(pair.poly.exact[::-1], F(pair.lam)))
 
 
 @pytest.mark.parametrize("family", [Family.FIRST, Family.SECOND])
@@ -99,35 +80,14 @@ def test_zero_count_and_transversality(degree, family):
 
 
 def test_residual_examples():
-    p21 = build_eigenfunction(2, Family.FIRST)
-    scale = (1 + 25.0) * 2 + 2 * 25.0
-    assert abs(pencil_residual(p21, 5.0)) <= 1e-10 * scale
-    p41 = build_eigenfunction(4, Family.FIRST)
-    assert abs(pencil_residual(p41, -3.0)) <= 1e-10 * (1 + 9.0) * 200
+    for degree, z in ((2, 5.0), (4, -3.0)):
+        pair = build_eigenfunction(degree, Family.FIRST)
+        assert value_at(pencil_ode_residual_exact(pair.poly.exact[::-1], F(pair.lam)), z) == 0
     # z^2 - 1 paired with the wrong eigenvalue: residual is exactly
     # (1+z^2) * 2 at z = 1 since both first-order terms vanish
-    wrong = Polynomial((-1.0, 0.0, 1.0))
-    assert pencil_ode_residual(wrong, -1.0, 1.0) == pytest.approx(4.0, abs=1e-14)
-
-
-def test_sturm_liouville_map_values():
-    img = sturm_liouville_map(-2.0)
-    assert img.gamma == pytest.approx(0.5)
-    assert img.mu == pytest.approx(3.0)
-    assert img.weight_exponent == pytest.approx(-1.0)
-    img = sturm_liouville_map(-1.0)
-    assert img.gamma == 0.0 and img.mu == 0.0
-    img = sturm_liouville_map(-4.0)
-    assert img.gamma == pytest.approx(1.5)
-    assert img.mu == pytest.approx(15.0)
-
-
-@pytest.mark.parametrize("l", [1, 2, 3, 5, 11, 30])
-def test_sturm_liouville_mu_at_first_family(l):
-    # mu(-l) = (1-l)(-1-l) = l^2 - 1, exact in rationals and in floats
-    exact = (F(-l) + 1) * (F(-l) - 1)
-    assert exact == l * l - 1
-    assert sturm_liouville_map(float(-l)).mu == pytest.approx(l * l - 1, rel=1e-15)
+    wrong = pencil_ode_residual_exact([F(1), F(0), F(-1)], F(-1))
+    assert wrong == [2, 0, 2]
+    assert value_at(wrong, 1.0) == 4
 
 
 def test_nodal_set_examples():
@@ -221,6 +181,51 @@ def test_nodal_set_needs_a_lattice():
         nodal_set(build_eigenfunction(4, Family.FIRST).poly.derivative())
 
 
+# A complex power w**l in floats is within about 5 l eps |w|**l of the
+# exact one: l eps from the modulus (a power of hypot, or exp of l log|w|)
+# and l pi eps from the angle.  The weights add at most sqrt 2 of
+# hypot(c, d / l), and K doubles the product for margin.  A relative bound
+# cannot be met near a zero.
+EVAL_K = 16
+
+
+def _evaluation_bound(l, c, d, modulus):
+    """K l eps modulus**l hypot(c, d / l), with l read as 1 at l = 0.  Below
+    the normal range a float is a multiple of eps * float_info.min, so there
+    modulus**l is read as float_info.min, and one more such unit is added
+    for rounding the weighted sum."""
+    l, tiny = max(l, 1), sys.float_info.min
+    size = max(modulus ** l, tiny) * math.hypot(c, d / l) + tiny
+    return EVAL_K * l * sys.float_info.epsilon * size
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=st.integers(0, 300), kind=st.sampled_from(["first", "second", "combine"]),
+       c=_weights(1e-3), d=_weights(1e-3), z=st.floats(-10.0, 10.0))
+@example(l=60, kind="first", c=0.0, d=0.0, z=1.0)  # Horner's rule is off by 1e-7 relative
+def test_lattice_evaluation_matches_the_exact_coefficients(l, kind, c, d, z):
+    assume(l >= 1 or kind == "first")
+    if kind == "combine":
+        assume(c != 0.0 or d != 0.0)
+        poly, exact = combine(c, d, l), combination_exact(l, c, d)
+    else:
+        poly = build_eigenfunction(l if kind == "first" else l - 1, Family(kind)).poly
+        exact = poly.exact[::-1]
+    zs = np.array([z, -z, z / 3.0])
+    for x, value in [(z, poly(z)), *zip(zs, poly(zs))]:
+        bound = _evaluation_bound(*poly.lattice, abs(complex(x, 1.0)))
+        assert abs(F(float(value)) - value_at(exact, x)) <= bound, (x, value)
+
+
+@pytest.mark.parametrize("l,z", [(20, 1e30), (20, -1e30), (700, 3.0)])
+def test_lattice_evaluation_past_the_double_range_raises(l, z):
+    # (1e30 + 1j)**20 is nan + nan j without an error; (3 + 1j)**700 raises
+    for poly in (build_eigenfunction(l, Family.FIRST).poly,
+                 build_eigenfunction(l - 1, Family.SECOND).poly, combine(1.0, 0.5, l)):
+        with pytest.raises(OverflowError):
+            poly(z)
+
+
 def test_expansion_single_terms():
     assert evaluate_expansion([(1, 1.0, 0.0)], 2.0, 0.0) == pytest.approx(2.0, abs=1e-15)
     assert evaluate_expansion([(2, 1.0, 0.0)], 1.0, 3.7) == pytest.approx(0.0, abs=1e-15)
@@ -243,11 +248,14 @@ def test_expansion_rejects_bad_index():
         evaluate_expansion([(0, 1.0, 0.0)], 0.0, 0.0)
 
 
-def test_blowup_coordinates():
-    z, tau = blowup_coordinates(1.0, -math.exp(-1.0))
-    assert z == pytest.approx(math.e)
-    assert tau == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        blowup_coordinates(1.0, 0.0)
-    with pytest.raises(ValueError):
-        blowup_coordinates(1.0, 0.5)
+@settings(max_examples=50, deadline=None)
+@given(terms=st.lists(st.tuples(st.integers(1, 300), _weights(1e-3), _weights(1e-3)),
+                      min_size=1, max_size=3),
+       z=st.floats(-10.0, 10.0), tau=st.floats(0.0, 5.0))
+@example(terms=[(80, 1.0, 0.5)], z=0.7, tau=0.1)  # 479.2222 by Horner's rule, 479.2355 exactly
+def test_expansion_matches_the_exact_coefficients(terms, z, tau):
+    # exact at the rounded exp(-tau), whose own error is within the bound
+    e = math.exp(-tau)
+    exact = sum(value_at(combination_exact(k, c, d), z) * F(e) ** k for k, c, d in terms)
+    bound = sum(_evaluation_bound(k, c, d, abs(complex(z, 1.0)) * e) for k, c, d in terms)
+    assert abs(F(evaluate_expansion(terms, z, tau)) - exact) <= bound

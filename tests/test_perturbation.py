@@ -15,11 +15,19 @@ from cracktip import (
     mu_via_ift,
     mu_via_quadrature,
     solve_correction,
-    source_h,
 )
 from cracktip.characteristic import _integer_parts
+from cracktip.perturbation import _source_terms
 
 from oracles import correction_system, integral_over_reals, phi1, phi2, source_h_exact
+
+
+def source_h(mu, pair, z):
+    """Order-n source term h(mu, psi, lam) at ``z`` (scalar or array), from
+    the angle-form terms; uses L psi = -psi''."""
+    r = abs(z + 1j)
+    _, f2, m, f1_lpsi = _source_terms(pair.poly.lattice, z / r, 1.0 / r)
+    return -(f2 + mu * m + f1_lpsi) * r ** -pair.lam
 
 
 def test_phi_couplings_vanish_on_linear_mode():

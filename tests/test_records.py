@@ -2,7 +2,7 @@
 construction, immutability and validation.
 
 The CLI writes records through ``_asdict()``, so their field names and
-order are JSON keys.  Twelve records are ``typing.NamedTuple``s; the four
+order are JSON keys.  Eleven records are ``typing.NamedTuple``s; the four
 that must not behave as tuples derive from ``cracktip._record.Record``.
 """
 
@@ -31,7 +31,6 @@ from cracktip import (
     nodal_set,
     shoot,
     solve_correction,
-    sturm_liouville_map,
     two_sided_profile,
 )
 from cracktip.cli import emit_figure
@@ -57,7 +56,6 @@ RECORDS = {
     )),
     "Polynomial": (lambda: combine(1.0, 0.5, 3), ("coeffs", "exact", "lattice")),
     "PencilEigenpair": (lambda: build_eigenfunction(3, Family.FIRST), ("degree", "family", "lam", "poly")),
-    "SturmLiouvilleImage": (lambda: sturm_liouville_map(-2.0), ("gamma", "mu", "weight_exponent")),
     "NodalSet": (lambda: nodal_set(combine(1.0, 0.5, 3)), (
         "zeros", "derivative_magnitudes", "transversal", "tol",
     )),
