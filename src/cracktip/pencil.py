@@ -11,11 +11,11 @@ evaluates them, and extracts nodal sets, which downstream modules
 interpret as admissible crack slopes.
 
 The eigenfunctions are Re (z + i)**d (first family) and
-Im (z + i)**(d + 1) / (d + 1) (second family).  Their binomial
-coefficients are kept as exact rationals at every degree, so the classical
-low-degree table is reproduced without rounding, but they are evaluated
-from one complex power (z + i)**l: Horner's rule over the rounded
-coefficients is off by 1e-7 relative at degree 60 and by 4e-2 at 100.
+Im (z + i)**(d + 1) / (d + 1) (second family), each stored as its lattice
+(below).  Their binomial coefficients, exact rationals and their floats,
+are formed from integers only when read; evaluation takes one complex
+power (z + i)**l, where Horner's rule over the rounded coefficients is off
+by 1e-7 relative at degree 60 and by 4e-2 at 100.
 
 With z = cot(theta), c Re (z + i)**l + d Im (z + i)**l / l is
 (c cos(l theta) + (d / l) sin(l theta)) / sin(theta)**l, so its zeros are
@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._record import Record
 from .characteristic import _polyval
@@ -67,9 +68,16 @@ class Polynomial(Record):
     a real z, scalar or array, evaluates that formula when there is a
     lattice, and Horner's rule over ``coeffs`` only when there is none.
     Equality and the hash see ``coeffs`` only.
+
+    ``build_eigenfunction`` and ``combine`` store the lattice alone, and a
+    seed's family in place of ``exact``.  Their ``coeffs`` and ``exact``
+    are formed on first read and kept, and raise OverflowError past the
+    double range; a call, ``degree``, ``nodal_set``, copy and pickle form
+    neither, so they work at any l.
     """
 
-    __slots__ = _fields = ("coeffs", "exact", "lattice")
+    __slots__ = ("_coeffs", "_exact", "lattice")
+    _fields = ("coeffs", "exact", "lattice")
 
     def __init__(self, coeffs: Tuple[float, ...], exact: Optional[Tuple[Fraction, ...]] = None,
                  lattice: Optional[Tuple[int, float, float]] = None):
@@ -77,14 +85,44 @@ class Polynomial(Record):
             raise ValueError("polynomial needs at least one coefficient")
         if len(coeffs) > 1 and coeffs[-1] == 0.0:
             raise ValueError("leading coefficient must be nonzero")
-        super().__init__(coeffs, exact, lattice)
+        for name, value in zip(self.__slots__, (coeffs, exact, lattice)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # by the lattice while no coefficient is formed, so at any l
+        if self._coeffs is None:
+            return _lattice_polynomial, (self.lattice, self._exact)
+        return super().__reduce__()
+
+    @property
+    def coeffs(self) -> Tuple[float, ...]:
+        if self._coeffs is None:
+            l, c, d = self.lattice
+            if (c, d) in ((1.0, 0.0), (0.0, 1.0)):  # one seed: each rounded once from int / int
+                out = _seed_coefficients(l, c == 1.0, operator.truediv)
+            else:  # c * (first seed) + d * (second seed), without z**l when c = 0
+                out = [0.0 + c * v for v in build_eigenfunction(l, Family.FIRST).poly.coeffs]
+                for k, v in enumerate(build_eigenfunction(l - 1, Family.SECOND).poly.coeffs):
+                    out[k] += d * v
+                del out[l + (c != 0.0):]
+            object.__setattr__(self, "_coeffs", tuple(out))
+        return self._coeffs
+
+    @property
+    def exact(self) -> Optional[Tuple[Fraction, ...]]:
+        if isinstance(self._exact, Family):
+            from fractions import Fraction
+            out = _seed_coefficients(self.lattice[0], self._exact is Family.FIRST, Fraction)
+            object.__setattr__(self, "_exact", tuple(out))
+        return self._exact
 
     def _key(self) -> tuple:
         return self.coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        if self._coeffs is None:  # l, or l - 1 without a first-family part
+            return self.lattice[0] - (self.lattice[1] == 0.0)
+        return len(self._coeffs) - 1
 
     def __call__(self, z):
         if self.lattice is None:
@@ -94,27 +132,44 @@ class Polynomial(Record):
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
             return Polynomial((0.0,))
-        d = tuple(k * c for k, c in enumerate(self.coeffs))[1:]
-        return Polynomial(d if d[-1] != 0.0 else _trim(d))
+        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
+
+
+def _lattice_polynomial(lattice: Tuple[int, float, float], exact=None) -> Polynomial:
+    """The pencil polynomial of this lattice with no float coefficient
+    formed: a seed when ``exact`` is its family (or its rationals), a
+    ``combine`` result when it is None."""
+    poly = object.__new__(Polynomial)
+    for name, value in zip(Polynomial.__slots__, (None, exact, lattice)):
+        object.__setattr__(poly, name, value)
+    return poly
+
+
+def _seed_coefficients(e: int, first: bool, over) -> List:
+    """The coefficients, ascending, of the seed with exponent e, each formed
+    as ``over(numerator, denominator)`` from integers: at z**(d - 2m),
+    (-1)**m C(e, d - 2m) over 1 for the first family (d = e), over e for
+    the second (d = e - 1); 0 elsewhere.  Each binomial is the one before
+    it times k (k - 1) / ((e - k + 1) (e - k + 2)), exactly."""
+    degree, denom = (e, 1) if first else (e - 1, e)
+    out = [over(0, denom)] * (degree + 1)
+    b = 1 if first else e  # C(e, degree)
+    for k in range(degree, -1, -2):
+        out[k] = over(b, denom)
+        b = -(b * (k * (k - 1)) // ((e - k + 1) * (e - k + 2)))
+    return out
 
 
 def _lattice_value(l: int, c: float, d: float, w):
     """c Re w**l + d Im w**l / l (c at l = 0) for a complex scalar or array w,
-    from one complex power.  A scalar power can overflow to inf or nan
-    without raising, so a scalar value that is not finite raises
+    from one complex power.  A power can overflow to inf or nan without
+    raising, so a value with an entry that is not finite raises
     OverflowError."""
     p = w ** l
-    value = c * p.real + d * p.imag / max(l, 1)
-    if isinstance(value, float) and not math.isfinite(value):
+    value = c * p.real + d * p.imag / max(l, 1)  # a float, or an array
+    if not math.isfinite(value if isinstance(value, float) else abs(value).max(initial=0.0)):
         raise OverflowError(f"|w|**{l} is past the double range at w = {w!r}")
     return value
-
-
-def _trim(coeffs: Sequence[float]) -> Tuple[float, ...]:
-    out = list(coeffs)
-    while len(out) > 1 and out[-1] == 0.0:
-        out.pop()
-    return tuple(out)
 
 
 class PencilEigenpair(NamedTuple):
@@ -139,30 +194,15 @@ class NodalSet(Record):
         return all(self.transversal)
 
 
-def _seed_lattice(degree: int, family: Family) -> Tuple[int, float, float]:
-    """The lattice (e, c, d) of ``build_eigenfunction(degree, family)``; lam = -e."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    return (degree, 1.0, 0.0) if family is Family.FIRST else (degree + 1, 0.0, 1.0)
-
-
 @lru_cache(maxsize=1024)
 def build_eigenfunction(degree: int, family: Family) -> PencilEigenpair:
-    """Construct the monic degree-``degree`` eigenfunction of ``family``.
-
-    The first family is Re (z + i)**d, the second Im (z + i)**(d + 1) / (d + 1).
-    With e the exponent, the coefficient of z**(d - 2m) is (-1)**m C(e, d - 2m),
-    over d + 1 for the second family; coefficients of the other parity vanish.
-    """
-    from fractions import Fraction
-    lattice = _seed_lattice(degree, family)
-    e, denom = lattice[0], (1 if family is Family.FIRST else lattice[0])
-    exact = [Fraction(0)] * (degree + 1)
-    for m in range(degree // 2 + 1):
-        exact[degree - 2 * m] = Fraction((-1) ** m * math.comb(e, degree - 2 * m), denom)
-    exact = tuple(exact)
-    poly = Polynomial(tuple(float(c) for c in exact), exact=exact, lattice=lattice)
-    return PencilEigenpair(degree, family, float(-e), poly)
+    """The monic degree-``degree`` eigenfunction of ``family``: Re (z + i)**d
+    for the first family, Im (z + i)**(d + 1) / (d + 1) for the second.
+    Its coefficients are formed when first read (see ``Polynomial``)."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    lattice = (degree, 1.0, 0.0) if family is Family.FIRST else (degree + 1, 0.0, 1.0)
+    return PencilEigenpair(degree, family, float(-lattice[0]), _lattice_polynomial(lattice, family))
 
 
 def _lattice_points(l: int, p) -> range:
@@ -205,18 +245,14 @@ def nodal_set(poly: Polynomial, tol: float = DEFAULT_TRANSVERSALITY_TOL) -> Noda
     """Sorted zeros of a pencil eigenfunction or combination, read off its
     lattice, each annotated with |poly'| = hypot(l c, d) |sin theta|**(2 - l).
 
-    There are l zeros, l - 1 without a first-family part.  A polynomial
-    that carries no lattice raises ValueError.
+    There are l zeros, l - 1 without a first-family part.  No coefficient
+    is formed, so this works at any l.  A polynomial that carries no
+    lattice raises ValueError.
     """
     if poly.lattice is None:
         raise ValueError("nodal_set needs a pencil eigenfunction or a combine() result; "
                          "this polynomial carries no nodal lattice")
-    return _nodal_set(*poly.lattice, tol)
-
-
-def _nodal_set(l: int, c: float, d: float, tol: float = DEFAULT_TRANSVERSALITY_TOL) -> NodalSet:
-    """``nodal_set`` of c Re (z + i)**l + d Im (z + i)**l / l, from the
-    lattice alone, so no coefficient is formed at any l."""
+    l, c, d = poly.lattice
     if math.copysign(1.0, d) < 0.0:
         c, d = -c, -d
     # with d >= 0 the phase is p = -atan2(|c| l, d) / pi in [-1/2, 1/2], and
@@ -236,33 +272,20 @@ def _nodal_set(l: int, c: float, d: float, tol: float = DEFAULT_TRANSVERSALITY_T
     return NodalSet(tuple(zeros), tuple(dmags), tuple(m > tol for m in dmags), tol)
 
 
-def _check_combination(c: float, d: float, l: int) -> None:
-    """Raise ValueError unless (c, d, l) is a combination: l >= 1 and finite
-    weights, not both 0."""
+def combine(c: float, d: float, l: int) -> Polynomial:
+    """c * (first family, degree l) + d * (second family, degree l-1).
+
+    Both constituents share the eigenvalue -l, so any such combination
+    solves the same pencil ODE; its zeros are candidate crack slopes.
+    Only the lattice (l, c, d) is stored (see ``Polynomial``).
+    """
     if l < 1:
         raise ValueError("l must be >= 1")
     if c == 0.0 and d == 0.0:
         raise ValueError("combination requires c^2 + d^2 != 0")
     if not (math.isfinite(c) and math.isfinite(d)):
         raise ValueError("combination weights must be finite")
-
-
-def combine(c: float, d: float, l: int) -> Polynomial:
-    """c * (first family, degree l) + d * (second family, degree l-1).
-
-    Both constituents share the eigenvalue -l, so any such combination
-    solves the same pencil ODE; its zeros are candidate crack slopes.
-    """
-    _check_combination(c, d, l)
-    p1 = build_eigenfunction(l, Family.FIRST).poly
-    p2 = build_eigenfunction(l - 1, Family.SECOND).poly
-    n = max(len(p1.coeffs), len(p2.coeffs))
-    out = [0.0] * n
-    for k, v in enumerate(p1.coeffs):
-        out[k] += c * v
-    for k, v in enumerate(p2.coeffs):
-        out[k] += d * v
-    return Polynomial(_trim(out), lattice=(l, c, d))
+    return _lattice_polynomial((l, c, d))
 
 
 def evaluate_expansion(terms: Sequence[Tuple[int, float, float]], z: float, tau: float) -> float:

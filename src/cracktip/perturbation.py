@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from .characteristic import _integer_parts
 from .errors import NumericsError
-from .pencil import Family, _seed_lattice
+from .pencil import Family, build_eigenfunction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -118,7 +118,7 @@ def mu_via_quadrature(l: int, family: Family) -> Tuple[float, QuadratureDiagnost
     ``divergent_tail`` is set.  A vanishing I_mu sum (l = 1, first family)
     raises NumericsError.
     """
-    seed = _seed_lattice(l, family)
+    seed = build_eigenfunction(l, family).poly.lattice
     num_nodes = max(1, 2 * seed[0] - 1)
     rest, coef = [], []
     for k in range(num_nodes):
@@ -196,7 +196,7 @@ def solve_correction(
 
     if num_points < 9:
         raise ValueError("num_points too small for the boundary stencils")
-    seed = _seed_lattice(l, family)
+    seed = build_eigenfunction(l, family).poly.lattice
     lam = -float(seed[0])
     z = np.linspace(-z_cut, z_cut, num_points)
     dz = z[1] - z[0]

@@ -174,6 +174,18 @@ def pencil_pair_exact(l):
     return [Fraction(r) for r, _ in p], [Fraction(i, l) for _, i in p]
 
 
+def combine_coeffs(c, d, l):
+    """The float coefficients of c Re (z+i)^l + d Im (z+i)^l / l, ascending,
+    as the seeds' rounded coefficients weigh in: (0.0 + c re_k) + d im_k,
+    each seed coefficient rounded once from its exact value, then trailing
+    zeros dropped."""
+    re, im = pencil_pair_exact(l)
+    out = [(0.0 + c * float(a)) + d * float(b) for a, b in zip(re, im)]
+    while len(out) > 1 and out[-1] == 0.0:
+        out.pop()
+    return tuple(out)
+
+
 def pencil_ode_residual_exact(coeffs, lam):
     """Descending exact coefficients of (1+z^2) psi'' + 2(lam+1) z psi'
     + lam(lam+1) psi, for the descending exact coefficients of psi."""

@@ -526,17 +526,18 @@ def test_records_load_no_dataclasses():
 
 def test_commands_load_only_their_layer():
     # import cracktip loads none of its modules; fold, branch and char-scan
-    # load only the quartic and continuation layers; and no command but
-    # pencil, which writes exact coefficients, loads fractions (and the
-    # decimal module that it pulls in)
+    # load only the quartic and continuation layers; and no command loads
+    # fractions or the decimal module that it pulls in: pencil forms its
+    # float coefficients from integers
     quartic = [argv for argv in NUMPY_FREE_COMMANDS if argv[0] in {"fold", "branch", "char-scan"}]
-    others = [argv for argv in NUMPY_FREE_COMMANDS if argv not in quartic and argv[0] != "pencil"]
-    unused = ["fractions"] + [f"cracktip.{m}" for m in
-                              ("pencil", "crack", "shooting", "perturbation", "_dopri")]
+    others = [argv for argv in NUMPY_FREE_COMMANDS if argv not in quartic]
+    unused = ["fractions", "decimal"] + [f"cracktip.{m}" for m in
+                                         ("pencil", "crack", "shooting", "perturbation", "_dopri")]
     run_fresh(
         "import sys\n"
         "import cracktip\n"
-        "own = sorted(m for m in sys.modules if m.startswith('cracktip.') or m == 'fractions')\n"
+        "own = sorted(m for m in sys.modules\n"
+        "             if m.startswith('cracktip.') or m in ('fractions', 'decimal'))\n"
         "assert not own, own\n"
         "from cracktip.cli import run\n"
         "loaded = lambda names: sorted(set(names).intersection(sys.modules))\n"
@@ -545,7 +546,7 @@ def test_commands_load_only_their_layer():
         f"    assert not loaded({unused!r}), (argv, loaded({unused!r}))\n"
         f"for argv in {others!r}:\n"
         "    assert run(argv) == 0, argv\n"
-        "    assert not loaded(['fractions']), argv\n"
+        "    assert not loaded(['fractions', 'decimal']), argv\n"
     )
 
 

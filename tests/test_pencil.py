@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -7,10 +9,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cracktip import Family, build_eigenfunction, combine, evaluate_expansion, nodal_set
+from cracktip import (
+    CrackSpec, Family, build_eigenfunction, check_linear, combine, evaluate_expansion, nodal_set,
+)
 from cracktip.pencil import Polynomial
 from oracles import (
-    combination_exact, pencil_ode_residual_exact, pencil_pair_exact, sign_at, slope_at, value_at,
+    combination_exact, combine_coeffs, pencil_ode_residual_exact, pencil_pair_exact, sign_at,
+    slope_at, value_at,
 )
 
 F = Fraction
@@ -49,6 +54,74 @@ def test_exact_table_at_every_degree(degree):
     assert list(second.exact) + [0] == im
     assert first.coeffs == tuple(float(c) for c in re)
     assert second.coeffs == tuple(float(c) for c in im[:-1])
+
+
+# the first degree whose largest binomial coefficient passes the largest double
+OVERFLOW_DEGREE = {Family.FIRST: 1030, Family.SECOND: 1039}
+
+
+@pytest.mark.parametrize("family", [Family.FIRST, Family.SECOND])
+def test_coefficients_are_the_exact_ones_rounded_once(family):
+    # every degree below the overflow, bit for bit; the cache is cleared as
+    # it goes, so the formed coefficients of a thousand seeds are not kept
+    try:
+        for degree in range(OVERFLOW_DEGREE[family]):
+            poly = build_eigenfunction(degree, family).poly
+            got, want = [c.hex() for c in poly.coeffs], [float(q).hex() for q in poly.exact]
+            assert got == want, degree
+            build_eigenfunction.cache_clear()
+    finally:
+        build_eigenfunction.cache_clear()
+
+
+@pytest.mark.parametrize("family", [Family.FIRST, Family.SECOND])
+def test_coefficients_past_the_double_range_raise_only_when_read(family):
+    degree = OVERFLOW_DEGREE[family]
+    poly = build_eigenfunction(degree, family).poly
+    assert poly.degree == degree and poly.lattice[0] == degree + (family is Family.SECOND)
+    with pytest.raises(OverflowError):
+        poly.coeffs
+    assert len(poly.exact) == degree + 1  # the rationals are exact at any degree
+    with pytest.raises(OverflowError):
+        combine(1.0, 0.5, 1030).coeffs
+    assert build_eigenfunction(1100, Family.FIRST).degree == 1100
+    assert build_eigenfunction(1100, Family.FIRST).poly.degree == 1100
+    assert combine(1.0, 0.5, 1030).degree == 1030 and combine(0.0, 1.0, 1100).degree == 1099
+    # a combination that is one seed forms that seed's coefficients
+    assert combine(0.0, 1.0, 1038).coeffs == build_eigenfunction(1037, Family.SECOND).poly.coeffs
+
+
+@pytest.mark.parametrize("make", [lambda: build_eigenfunction(1100, Family.FIRST).poly,
+                                  lambda: build_eigenfunction(1100, Family.SECOND).poly,
+                                  lambda: combine(1.0, 0.5, 1100)],
+                         ids=["first", "second", "combine"])
+def test_copy_and_pickle_past_the_double_range(make):
+    # a polynomial whose coefficients are not formed is rebuilt from its
+    # lattice, so it copies and pickles at any l
+    poly = make()
+    for again in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+        assert type(again) is Polynomial and again.lattice == poly.lattice
+        assert again.degree == poly.degree
+        assert nodal_set(again).zeros == nodal_set(poly).zeros
+        assert again(0.25) == poly(0.25)
+        with pytest.raises(OverflowError):
+            again.coeffs
+        assert (again.exact is None) is (poly.exact is None)
+
+
+def _any_weight():
+    return st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=st.integers(1, 300), c=_any_weight(), d=_any_weight())
+@example(l=1029, c=1.0, d=0.5)  # the last index whose first seed is in range
+@example(l=3, c=1e308, d=-1e308)  # products past the double range, inf and nan
+def test_combine_coefficients_are_the_weighted_rounded_seeds(l, c, d):
+    assume(c != 0.0 or d != 0.0)
+    got = [v.hex() for v in combine(c, d, l).coeffs]
+    assert got == [v.hex() for v in combine_coeffs(c, d, l)]
 
 
 @pytest.mark.parametrize("family", [Family.FIRST, Family.SECOND])
@@ -174,6 +247,16 @@ def test_nodal_set_at_high_degree_returns_every_zero(l):
             assert sign_at(exact, z - 4 * math.ulp(z)) * sign_at(exact, z + 4 * math.ulp(z)) <= 0
 
 
+@pytest.mark.parametrize("l", [1100, 3000])
+def test_nodal_set_past_the_coefficient_range(l):
+    # from l = 1030 the coefficients pass the largest double; the nodal set
+    # reads the lattice alone, and the linear check accepts it at that l
+    zeros = nodal_set(combine(1.0, 0.5, l)).zeros
+    assert len(zeros) == l
+    report = check_linear(CrackSpec(zeros), l_max=l)
+    assert report.admissible and report.decay_exponent == l
+
+
 def test_nodal_set_needs_a_lattice():
     with pytest.raises(ValueError, match="no nodal lattice"):
         nodal_set(Polynomial((1.0, 2.0, 3.0)))
@@ -217,9 +300,12 @@ def test_lattice_evaluation_matches_the_exact_coefficients(l, kind, c, d, z):
         assert abs(F(float(value)) - value_at(exact, x)) <= bound, (x, value)
 
 
-@pytest.mark.parametrize("l,z", [(20, 1e30), (20, -1e30), (700, 3.0)])
+@pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")  # numpy's, for an array
+@pytest.mark.parametrize("l,z", [(20, 1e30), (20, -1e30), (700, 3.0), (20, np.array([1e30, 1.0])),
+                                 (700, np.array([1.0, 3.0]))])
 def test_lattice_evaluation_past_the_double_range_raises(l, z):
     # (1e30 + 1j)**20 is nan + nan j without an error; (3 + 1j)**700 raises
+    # for a scalar, and is inf - inf j in an array
     for poly in (build_eigenfunction(l, Family.FIRST).poly,
                  build_eigenfunction(l - 1, Family.SECOND).poly, combine(1.0, 0.5, l)):
         with pytest.raises(OverflowError):
