@@ -46,3 +46,16 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
         return f"{type(self).__name__}({fields})"
+
+
+class NodalSet(Record):
+    """Sorted real zeros with transversality annotations, here so that a shot loads no pencil."""
+
+    __slots__ = _fields = ("zeros", "derivative_magnitudes", "transversal", "tol")
+
+    def __len__(self) -> int:
+        return len(self.zeros)
+
+    @property
+    def all_transversal(self) -> bool:
+        return all(self.transversal)

@@ -314,7 +314,7 @@ _COMMANDS = {
 _SWITCH_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cracktip",
         description="Crack-tip pencil spectra, eigenvalue branches, and admissibility checks.",
@@ -323,11 +323,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, formats, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag, kwargs in options:
-            p.add_argument(flag, **kwargs)
-        p.add_argument("--format", choices=formats)
-        p.add_argument("--output", help="output path (default: stdout)")
-        p.set_defaults(_parser=p)
+        if name in argv:  # argparse matches a command name whole, so the invoked one is here
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            p.add_argument("--format", choices=formats)
+            p.add_argument("--output", help="output path (default: stdout)")
+            p.set_defaults(_parser=p)
     return parser
 
 
@@ -402,7 +403,7 @@ def _join_list_values(argv: Sequence[str]) -> list:
 def run(argv: Optional[Sequence[str]] = None) -> int:
     argv = _join_list_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     driver, _, formats, _ = _COMMANDS[args.command]

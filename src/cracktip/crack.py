@@ -26,10 +26,8 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .continuation import BranchFamily, _eigenvalue, _meeting_point
 from .errors import NoRealEigenvalueError
 from .pencil import _lattice, _lattice_points, combine, nodal_set
-from .shooting import _trajectory
 
 DEFAULT_TOL = 1e-8
 # check_nonlinear matches a slope to a profile zero within max(this, 10 tol)
@@ -177,8 +175,8 @@ def roundtrip_generate(l: int, c: float, d: float) -> CrackSpec:
 
 
 def _upper_eigenvalue(l: int, n: float) -> float:
-    """Continued upper-branch eigenvalue at exponent n; raises
-    NoRealEigenvalueError past the fold."""
+    """Continued upper-branch eigenvalue at exponent n; NoRealEigenvalueError past the fold."""
+    from .continuation import BranchFamily, _eigenvalue, _meeting_point  # check_linear needs none
     return _eigenvalue(_meeting_point(l), BranchFamily.UPPER, n)
 
 
@@ -205,6 +203,7 @@ def check_nonlinear(
     experimental: the one-parameter family is an extrapolation of the
     n = 0 structure.
     """
+    from .shooting import _trajectory  # loaded here, so check_linear loads no ODE layer
     if not n >= 0.0:
         raise ValueError("n must be >= 0")
     if not tol > 0.0:

@@ -31,8 +31,7 @@ import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ._record import Record
-from .characteristic import _polyval
+from ._record import NodalSet, Record
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -69,11 +68,11 @@ class Polynomial(Record):
     lattice, and Horner's rule over ``coeffs`` only when there is none.
     Equality and the hash see ``coeffs`` only.
 
-    ``build_eigenfunction`` and ``combine`` store the lattice alone, and a
-    seed's family in place of ``exact``.  Their ``coeffs`` and ``exact``
-    are formed on first read and kept, and raise OverflowError past the
-    double range; a call, ``degree``, ``nodal_set``, copy and pickle form
-    neither, so they work at any l.
+    ``build_eigenfunction`` and ``combine`` store only the lattice, and a
+    seed's family for ``exact``; ``coeffs`` and ``exact`` are formed on
+    first read and kept.  Past the double range ``coeffs``, ``==`` and the
+    hash raise OverflowError, and ``repr`` shows the lattice alone.  A call,
+    ``degree``, ``nodal_set``, copy and pickle form neither: any l works.
     """
 
     __slots__ = ("_coeffs", "_exact", "lattice")
@@ -118,6 +117,12 @@ class Polynomial(Record):
     def _key(self) -> tuple:
         return self.coeffs
 
+    def __repr__(self):
+        try:
+            return super().__repr__()
+        except OverflowError:  # no float coefficients: the lattice alone
+            return f"Polynomial(lattice={self.lattice!r})"
+
     @property
     def degree(self) -> int:
         if self._coeffs is None:  # l, or l - 1 without a first-family part
@@ -126,6 +131,7 @@ class Polynomial(Record):
 
     def __call__(self, z):
         if self.lattice is None:
+            from .characteristic import _polyval  # a pencil polynomial has a lattice
             return _polyval(reversed(self.coeffs), z)
         return _lattice_value(*self.lattice, z + 1j)
 
@@ -179,19 +185,6 @@ class PencilEigenpair(NamedTuple):
     family: Family
     lam: float
     poly: Polynomial
-
-
-class NodalSet(Record):
-    """Sorted real zeros of a polynomial with transversality annotations."""
-
-    __slots__ = _fields = ("zeros", "derivative_magnitudes", "transversal", "tol")
-
-    def __len__(self) -> int:
-        return len(self.zeros)
-
-    @property
-    def all_transversal(self) -> bool:
-        return all(self.transversal)
 
 
 @lru_cache(maxsize=1024)

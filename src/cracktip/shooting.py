@@ -21,9 +21,8 @@ import math
 from functools import cached_property
 from typing import List, Tuple
 
-from ._record import Record
+from ._record import NodalSet, Record
 from .errors import QuasilinearDegeneracyError
-from .pencil import NodalSet
 
 DEFAULT_Z_MAX = 100.0
 DEFAULT_RTOL = 1e-10

@@ -16,6 +16,9 @@ from cracktip.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    _COMMANDS,
+    _build_parser,
+    _join_list_values,
     _json_dump,
     emit_figure,
     run,
@@ -317,6 +320,50 @@ def test_config_values_checked_like_flags(line, argv, message, tmp_path, capsys)
     assert out == "" and message in err
 
 
+def _parse(parser, argv, capsys):
+    """The options that parsing ``argv`` sets, or the exit code and the text
+    that help or a usage error writes."""
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+    return {k: v for k, v in vars(args).items() if k != "_parser"}
+
+
+# help, usage errors and good calls of every command, an unknown command,
+# and a --config value that is itself a command name
+PARSER_CASES = [
+    ["--help"], [], ["bogus-command"], ["--config"], ["--config", "fold"],
+    ["--config", "fold", "branch", "--l", "2"], ["fold", "--l"], ["fold", "--l", "two"],
+    *([command, "--help"] for command in CONFIGURED),
+    *([command, "--bogus"] for command in CONFIGURED),
+    *([command, *CONFIGURED[command][0], "--bogus", "1"] for command in CONFIGURED),
+    *([command, *CONFIGURED[command][0], "--format", "xml"] for command in CONFIGURED),
+    *([command, *CONFIGURED[command][0], "--output", "out"] for command in CONFIGURED),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_parser_parses_as_one_with_every_commands_options(argv, capsys):
+    # a call builds the options of only the commands its argv names; its
+    # help, usage errors and parsed options are those of the full parser
+    argv = _join_list_values(argv)
+    full = _parse(_build_parser(list(_COMMANDS)), argv, capsys)
+    assert _parse(_build_parser(argv), argv, capsys) == full
+
+
+def test_config_file_named_like_a_command(tmp_path, monkeypatch, capsys):
+    # a configuration file whose path is another command's name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fold").write_text("family=lower\nn-max=0.05\nformat=json\n")
+    by_file = run_capture(["--config", "fold", "branch", "--l", "2"], capsys)
+    flags = ["--family", "lower", "--n-max", "0.05", "--format", "json"]
+    assert by_file == run_capture(["branch", "--l", "2", *flags], capsys)
+    assert by_file[0] == EXIT_OK and json.loads(by_file[1])["family"] == "lower"
+    assert run_capture(["bogus-command", "--config", "fold"], capsys)[0] == EXIT_USAGE
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -423,12 +470,13 @@ def test_figure_ids_validated():
 
 def run_fresh(code):
     """Run ``code`` in a new interpreter that imports cracktip from this
-    checkout; its assertions fail the test."""
+    checkout and return what it prints; its assertions fail the test."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 # commands that load no numpy: every one but shoot's CSV
@@ -524,30 +572,46 @@ def test_records_load_no_dataclasses():
     )
 
 
+# the cracktip modules each command loads, besides cracktip, cli and errors
+COMMAND_MODULES = [
+    (["fold", "--l", "3"], "characteristic continuation"),
+    (["branch", "--l", "2"], "characteristic continuation"),
+    (["char-scan", "--figure", "2"], "characteristic"),
+    (["pencil", "--degree", "4"], "_record pencil"),
+    (["crack", "--alphas", "-1,1"], "_record pencil crack"),
+    (["mu", "--l", "3", "--family", "second"], "_record characteristic pencil perturbation"),
+    (["shoot", "--l", "3", "--n", "0.05", "--lambda", "-3.1", "--format", "json"],
+     "_record characteristic shooting _dopri"),
+    (["crack", "--alphas", "-1,1", "--n", "0.05", "--l-max", "2", "--tol", "0.3"],
+     "_record characteristic continuation crack pencil shooting _dopri"),
+]
+
+
 def test_commands_load_only_their_layer():
-    # import cracktip loads none of its modules; fold, branch and char-scan
-    # load only the quartic and continuation layers; and no command loads
-    # fractions or the decimal module that it pulls in: pencil forms its
-    # float coefficients from integers
-    quartic = [argv for argv in NUMPY_FREE_COMMANDS if argv[0] in {"fold", "branch", "char-scan"}]
-    others = [argv for argv in NUMPY_FREE_COMMANDS if argv not in quartic]
-    unused = ["fractions", "decimal"] + [f"cracktip.{m}" for m in
-                                         ("pencil", "crack", "shooting", "perturbation", "_dopri")]
+    # import cracktip loads none of its modules, and each command, alone in
+    # a fresh interpreter, loads exactly its layer: a linear crack check no
+    # continuation or ODE layer, a shot no pencil; no command loads
+    # fractions or the decimal module that it pulls in, since pencil forms
+    # its float coefficients from integers
     run_fresh(
-        "import sys\n"
-        "import cracktip\n"
+        "import sys, cracktip\n"
         "own = sorted(m for m in sys.modules\n"
         "             if m.startswith('cracktip.') or m in ('fractions', 'decimal'))\n"
         "assert not own, own\n"
-        "from cracktip.cli import run\n"
-        "loaded = lambda names: sorted(set(names).intersection(sys.modules))\n"
-        f"for argv in {quartic!r}:\n"
-        "    assert run(argv) == 0, argv\n"
-        f"    assert not loaded({unused!r}), (argv, loaded({unused!r}))\n"
-        f"for argv in {others!r}:\n"
-        "    assert run(argv) == 0, argv\n"
-        "    assert not loaded(['fractions', 'decimal']), argv\n"
     )
+    got, want = {}, {}
+    for argv, modules in COMMAND_MODULES:
+        got[" ".join(argv)] = run_fresh(
+            "import contextlib, io, sys\n"
+            "from cracktip.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = run({argv!r})\n"
+            "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'cracktip'\n"
+            "                    or m in ('fractions', 'decimal')))\n"
+        ).split()
+        want[" ".join(argv)] = ["0", *sorted({"cracktip", "cracktip.cli", "cracktip.errors",
+                                              *(f"cracktip.{m}" for m in modules.split())})]
+    assert got == want
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -19,7 +19,7 @@ from cracktip import (
     nodal_set,
     roundtrip_generate,
 )
-import cracktip.crack
+import cracktip.shooting
 from cracktip.crack import _upper_eigenvalue
 from oracles import initial_angle_exact, stable_residuals_sq
 
@@ -381,8 +381,8 @@ def test_nonlinear_solves_per_index(alpha1, solves, monkeypatch):
         calls.append(args)
         return trajectory(*args, **kwargs)
 
-    trajectory = cracktip.crack._trajectory
-    monkeypatch.setattr(cracktip.crack, "_trajectory", counting)
+    trajectory = cracktip.shooting._trajectory
+    monkeypatch.setattr(cracktip.shooting, "_trajectory", counting)
     report = check_nonlinear(CrackSpec((alpha1, alpha1 + 1.5)), 0.01, l_max=4, tol=0.05)
     assert len(calls) == solves * (3 - len(report.notes))
 

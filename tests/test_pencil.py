@@ -91,10 +91,14 @@ def test_coefficients_past_the_double_range_raise_only_when_read(family):
     assert combine(0.0, 1.0, 1038).coeffs == build_eigenfunction(1037, Family.SECOND).poly.coeffs
 
 
-@pytest.mark.parametrize("make", [lambda: build_eigenfunction(1100, Family.FIRST).poly,
-                                  lambda: build_eigenfunction(1100, Family.SECOND).poly,
-                                  lambda: combine(1.0, 0.5, 1100)],
-                         ids=["first", "second", "combine"])
+PAST_THE_DOUBLE_RANGE = pytest.mark.parametrize(
+    "make", [lambda: build_eigenfunction(1100, Family.FIRST).poly,
+             lambda: build_eigenfunction(1100, Family.SECOND).poly,
+             lambda: combine(1.0, 0.5, 1100)],
+    ids=["first", "second", "combine"])
+
+
+@PAST_THE_DOUBLE_RANGE
 def test_copy_and_pickle_past_the_double_range(make):
     # a polynomial whose coefficients are not formed is rebuilt from its
     # lattice, so it copies and pickles at any l
@@ -107,6 +111,27 @@ def test_copy_and_pickle_past_the_double_range(make):
         with pytest.raises(OverflowError):
             again.coeffs
         assert (again.exact is None) is (poly.exact is None)
+
+
+@PAST_THE_DOUBLE_RANGE
+def test_repr_past_the_double_range_shows_the_lattice(make):
+    # repr and str read the coefficients, which raise here, so they show
+    # the lattice; equality and the hash still see the coefficients only
+    poly = make()
+    assert repr(poly) == str(poly) == f"Polynomial(lattice={poly.lattice!r})"
+    with pytest.raises(OverflowError):
+        hash(poly)
+    with pytest.raises(OverflowError):
+        poly == make()
+
+
+def test_repr_within_the_double_range_shows_every_field():
+    assert repr(combine(1.0, 0.5, 3)) == (
+        "Polynomial(coeffs=(-0.16666666666666666, -3.0, 0.5, 1.0), exact=None, "
+        "lattice=(3, 1.0, 0.5))")
+    assert repr(build_eigenfunction(2, Family.FIRST).poly) == (
+        "Polynomial(coeffs=(-1.0, 0.0, 1.0), exact=(Fraction(-1, 1), Fraction(0, 1), "
+        "Fraction(1, 1)), lattice=(2, 1.0, 0.0))")
 
 
 def _any_weight():
