@@ -16,13 +16,14 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _MODULES = {
+    "_record": "NodalSet",
     "characteristic": "CharacteristicQuartic LimitQuartic build_quartic limit_polynomial real_roots",
     "continuation": "Branch BranchFamily FoldPoint continue_branch double_root_l1 find_fold",
     "crack": "AdmissibilityReport CrackMatch CrackSpec check_linear check_nonlinear "
              "roundtrip_generate",
     "errors": "NoFoldInBracketError NoRealEigenvalueError NumericsError "
               "QuasilinearDegeneracyError RootFindingError",
-    "pencil": "Family NodalSet PencilEigenpair Polynomial build_eigenfunction combine "
+    "pencil": "Family PencilEigenpair Polynomial build_eigenfunction combine "
               "evaluate_expansion nodal_set",
     "perturbation": "CorrectionSolution QuadratureDiagnostics mu_via_ift mu_via_quadrature "
                     "solve_correction",

@@ -64,9 +64,8 @@ class Polynomial(Record):
     it is None for generic combinations.  ``lattice`` is (l, c, d), the
     index and phase (c : d) of the nodal lattice, when the polynomial is
     c Re (z + i)**l + d Im (z + i)**l / l, and None otherwise.  A call at
-    a real z, scalar or array, evaluates that formula when there is a
-    lattice, and Horner's rule over ``coeffs`` only when there is none.
-    Equality and the hash see ``coeffs`` only.
+    a real z, scalar or array, evaluates that formula, or with no lattice
+    Horner's rule on ``coeffs``.  Equality and the hash see ``coeffs`` only.
 
     ``build_eigenfunction`` and ``combine`` store only the lattice, and a
     seed's family for ``exact``; ``coeffs`` and ``exact`` are formed on

@@ -479,15 +479,22 @@ def run_fresh(code):
     return proc.stdout
 
 
-# commands that load no numpy: every one but shoot's CSV
-NUMPY_FREE_COMMANDS = [
-    ["fold", "--l", "3"], ["pencil", "--degree", "4"],
-    ["char-scan", "--figure", "2"], ["char-scan", "--figure", "5"],
-    ["branch", "--l", "2"], ["crack", "--alphas", "-1,1"],
-    ["crack", "--alphas", "-1,1", "--n", "0.05", "--l-max", "2", "--tol", "0.3"],
-    ["mu", "--l", "3", "--family", "second"],
-    ["shoot", "--l", "3", "--n", "0.05", "--lambda", "-3.1", "--format", "json"],
+# the cracktip modules each command loads, besides cracktip, cli and errors
+COMMAND_MODULES = [
+    (["fold", "--l", "3"], "characteristic continuation"),
+    (["branch", "--l", "2"], "characteristic continuation"),
+    (["char-scan", "--figure", "2"], "characteristic"),
+    (["char-scan", "--figure", "5"], "characteristic"),
+    (["pencil", "--degree", "4"], "_record pencil"),
+    (["crack", "--alphas", "-1,1"], "_record pencil crack"),
+    (["mu", "--l", "3", "--family", "second"], "_record characteristic pencil perturbation"),
+    (["shoot", "--l", "3", "--n", "0.05", "--lambda", "-3.1", "--format", "json"],
+     "_record characteristic shooting _dopri"),
+    (["crack", "--alphas", "-1,1", "--n", "0.05", "--l-max", "2", "--tol", "0.3"],
+     "_record characteristic continuation crack pencil shooting _dopri"),
 ]
+# commands that load no numpy: every one but shoot's CSV
+NUMPY_FREE_COMMANDS = [argv for argv, _ in COMMAND_MODULES]
 
 
 def test_scipy_loads_on_first_use():
@@ -572,21 +579,6 @@ def test_records_load_no_dataclasses():
     )
 
 
-# the cracktip modules each command loads, besides cracktip, cli and errors
-COMMAND_MODULES = [
-    (["fold", "--l", "3"], "characteristic continuation"),
-    (["branch", "--l", "2"], "characteristic continuation"),
-    (["char-scan", "--figure", "2"], "characteristic"),
-    (["pencil", "--degree", "4"], "_record pencil"),
-    (["crack", "--alphas", "-1,1"], "_record pencil crack"),
-    (["mu", "--l", "3", "--family", "second"], "_record characteristic pencil perturbation"),
-    (["shoot", "--l", "3", "--n", "0.05", "--lambda", "-3.1", "--format", "json"],
-     "_record characteristic shooting _dopri"),
-    (["crack", "--alphas", "-1,1", "--n", "0.05", "--l-max", "2", "--tol", "0.3"],
-     "_record characteristic continuation crack pencil shooting _dopri"),
-]
-
-
 def test_commands_load_only_their_layer():
     # import cracktip loads none of its modules, and each command, alone in
     # a fresh interpreter, loads exactly its layer: a linear crack check no
@@ -595,9 +587,11 @@ def test_commands_load_only_their_layer():
     # its float coefficients from integers
     run_fresh(
         "import sys, cracktip\n"
-        "own = sorted(m for m in sys.modules\n"
-        "             if m.startswith('cracktip.') or m in ('fractions', 'decimal'))\n"
-        "assert not own, own\n"
+        "own = lambda: sorted(m for m in sys.modules\n"
+        "                     if m.startswith('cracktip.') or m in ('fractions', 'decimal'))\n"
+        "assert not own(), own()\n"
+        "assert cracktip.NodalSet.__module__ == 'cracktip._record'\n"
+        "assert own() == ['cracktip._record'], own()\n"
     )
     got, want = {}, {}
     for argv, modules in COMMAND_MODULES:
