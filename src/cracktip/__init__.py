@@ -27,8 +27,7 @@ _MODULES = {
               "evaluate_expansion nodal_set",
     "perturbation": "CorrectionSolution QuadratureDiagnostics mu_via_ift mu_via_quadrature "
                     "solve_correction",
-    "shooting": "Profile ShootingSolution closed_form_lambda0_derivative "
-                "isolate_second_derivative shoot two_sided_profile",
+    "shooting": "Profile ShootingSolution isolate_second_derivative shoot two_sided_profile",
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names.split()}
 __all__ = sorted(_HOME)

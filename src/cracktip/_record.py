@@ -2,10 +2,10 @@
 
 Most records are ``typing.NamedTuple``s.  The few that must not iterate as
 a tuple (``NodalSet``'s length is its number of zeros), carry private
-fields or compare on part of their fields derive from ``Record`` instead.
-Its fields, named in ``_fields``, are set once by position or keyword and
-read back by ``_asdict()`` as a NamedTuple's are; records of one type
-compare, hash and show by value.  Assigning to a field raises
+fields or keep output formed on first read derive from ``Record`` instead.
+Its fields, named in ``_fields``, are set once by position or keyword,
+checked by ``_check`` and read back by ``_asdict()``; records of one type
+compare, hash and show by their fields.  Assigning to a field raises
 AttributeError, as on a tuple.  Neither form generates and compiles
 methods when its class is defined, so importing the package stays cheap.
 """
@@ -21,6 +21,10 @@ class Record:
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
         for name in self._fields:
             object.__setattr__(self, name, values[name])
+        self._check()
+
+    def _check(self):
+        """Raise ValueError for field values the record does not take."""
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
@@ -33,15 +37,11 @@ class Record:
     def __reduce__(self):  # copy and pickle by the fields, not by setattr
         return type(self), tuple(self._asdict().values())
 
-    def _key(self) -> tuple:
-        """What equality and the hash see: every field."""
-        return tuple(self._asdict().values())
-
     def __eq__(self, other):
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+        return self._asdict() == other._asdict() if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(tuple(self._asdict().values()))
 
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())

@@ -132,8 +132,8 @@ class CharacteristicQuartic(NamedTuple):
 def build_quartic(l: int, n: float) -> CharacteristicQuartic:
     if l < 1:
         raise ValueError("l must be >= 1")
-    if n < 0.0:
-        raise ValueError("n must be >= 0")
+    if not 0.0 <= n < math.inf:
+        raise ValueError("n must be finite and >= 0")
     a4, a3, a2, a1, a0 = (a + float(n) * b for a, b in zip(*_integer_parts(l)))
     return CharacteristicQuartic(l=l, n=float(n), a4=a4, a3=a3, a2=a2, a1=a1, a0=a0)
 

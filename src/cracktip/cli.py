@@ -40,6 +40,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# what a JSON string escapes (RFC 8259): the quote, the backslash and U+0000-U+001F
+_JSON_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{k: f"\\u{k:04x}" for k in range(32)}}
+
+
 def _json_dump(obj, indent: int = 0) -> str:
     """Minimal deterministic JSON writer with 17-significant-digit floats."""
     pad = "  " * indent
@@ -68,7 +72,7 @@ def _json_dump(obj, indent: int = 0) -> str:
         if math.isinf(f):
             return '"inf"' if f > 0 else '"-inf"'
         return _fmt(f)
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + str(obj).translate(_JSON_ESCAPES) + '"'
 
 
 def _csv(header: str, rows: Iterable[Sequence[float]]) -> Iterable[str]:

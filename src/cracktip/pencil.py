@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._record import NodalSet, Record
@@ -58,96 +58,69 @@ class Family(enum.Enum):
 
 
 class Polynomial(Record):
-    """Dense real polynomial; ``coeffs[k]`` multiplies ``z**k``.
+    """c Re (z + i)**l + d Im (z + i)**l / l, the constant c at l = 0, stored
+    as its lattice (l, c, d): the index and phase (c : d) of its zeros.
+    From l = 1 on, c or d is nonzero.
 
-    ``exact`` carries the rational coefficients of a pencil eigenfunction;
-    it is None for generic combinations.  ``lattice`` is (l, c, d), the
-    index and phase (c : d) of the nodal lattice, when the polynomial is
-    c Re (z + i)**l + d Im (z + i)**l / l, and None otherwise.  A call at
-    a real z, scalar or array, evaluates that formula, or with no lattice
-    Horner's rule on ``coeffs``.  Equality and the hash see ``coeffs`` only.
-
-    ``build_eigenfunction`` and ``combine`` store only the lattice, and a
-    seed's family for ``exact``; ``coeffs`` and ``exact`` are formed on
-    first read and kept.  Past the double range ``coeffs``, ``==`` and the
-    hash raise OverflowError, and ``repr`` shows the lattice alone.  A call,
-    ``degree``, ``nodal_set``, copy and pickle form neither: any l works.
+    The lattice is the one field, so construction, ``==``, the hash,
+    ``repr``, copy and pickle see it alone, at any l.  Two lattices are one
+    polynomial only at degree 1 or less: (2, 0, c) and (1, c, 0) are both
+    c z, (1, 0, c) and (0, c, any) the constant c.  A call at a real z,
+    scalar or array, takes one complex power.  ``coeffs[k]`` multiplies
+    ``z**k``; ``exact`` holds the rationals of a seed, (l, 1, 0) or
+    (l, 0, 1), and is None otherwise.  Each is formed on first read and
+    kept; past the double range ``coeffs`` raises OverflowError.
     """
 
-    __slots__ = ("_coeffs", "_exact", "lattice")
-    _fields = ("coeffs", "exact", "lattice")
+    __slots__ = ("lattice", "__dict__")  # the dict keeps coeffs and exact once read
+    _fields = ("lattice",)
 
-    def __init__(self, coeffs: Tuple[float, ...], exact: Optional[Tuple[Fraction, ...]] = None,
-                 lattice: Optional[Tuple[int, float, float]] = None):
-        if len(coeffs) == 0:
-            raise ValueError("polynomial needs at least one coefficient")
-        if len(coeffs) > 1 and coeffs[-1] == 0.0:
-            raise ValueError("leading coefficient must be nonzero")
-        for name, value in zip(self.__slots__, (coeffs, exact, lattice)):
-            object.__setattr__(self, name, value)
-
-    def __reduce__(self):  # by the lattice while no coefficient is formed, so at any l
-        if self._coeffs is None:
-            return _lattice_polynomial, (self.lattice, self._exact)
-        return super().__reduce__()
+    def _check(self):  # c = d = 0 from l = 1 on would give the zero polynomial a degree and zeros
+        l, c, d = self.lattice
+        if not (isinstance(l, int) and l >= 0 and math.isfinite(c) and math.isfinite(d)
+                and (c or d or l == 0)):
+            raise ValueError(f"a lattice (l, c, d) needs an int l >= 0, finite c and d, and c or d "
+                             f"nonzero unless l = 0, not {self.lattice!r}")
 
     @property
+    def _seed(self) -> Optional[bool]:
+        """True for the first seed, False for the second (l >= 1), else None."""
+        l, c, d = self.lattice
+        return c == 1.0 if (c, d) == (1.0, 0.0) or (c, d) == (0.0, 1.0) and l > 0 else None
+
+    @cached_property
     def coeffs(self) -> Tuple[float, ...]:
-        if self._coeffs is None:
-            l, c, d = self.lattice
-            if (c, d) in ((1.0, 0.0), (0.0, 1.0)):  # one seed: each rounded once from int / int
-                out = _seed_coefficients(l, c == 1.0, operator.truediv)
-            else:  # c * (first seed) + d * (second seed), without z**l when c = 0
-                out = [0.0 + c * v for v in build_eigenfunction(l, Family.FIRST).poly.coeffs]
-                for k, v in enumerate(build_eigenfunction(l - 1, Family.SECOND).poly.coeffs):
-                    out[k] += d * v
-                del out[l + (c != 0.0):]
-            object.__setattr__(self, "_coeffs", tuple(out))
-        return self._coeffs
+        l, c, d = self.lattice
+        if self._seed is not None:  # each rounded once from int / int
+            return tuple(_seed_coefficients(l, self._seed, operator.truediv))
+        if l == 0:
+            return (0.0 + c,)
+        # c * (first seed) + d * (second seed), without z**l when c = 0
+        out = [0.0 + c * v for v in build_eigenfunction(l, Family.FIRST).poly.coeffs]
+        for k, v in enumerate(build_eigenfunction(l - 1, Family.SECOND).poly.coeffs):
+            out[k] += d * v
+        return tuple(out[:l + (c != 0.0)])
 
-    @property
+    @cached_property
     def exact(self) -> Optional[Tuple[Fraction, ...]]:
-        if isinstance(self._exact, Family):
-            from fractions import Fraction
-            out = _seed_coefficients(self.lattice[0], self._exact is Family.FIRST, Fraction)
-            object.__setattr__(self, "_exact", tuple(out))
-        return self._exact
-
-    def _key(self) -> tuple:
-        return self.coeffs
-
-    def __repr__(self):
-        try:
-            return super().__repr__()
-        except OverflowError:  # no float coefficients: the lattice alone
-            return f"Polynomial(lattice={self.lattice!r})"
+        if self._seed is None:
+            return None
+        from fractions import Fraction
+        return tuple(_seed_coefficients(self.lattice[0], self._seed, Fraction))
 
     @property
     def degree(self) -> int:
-        if self._coeffs is None:  # l, or l - 1 without a first-family part
-            return self.lattice[0] - (self.lattice[1] == 0.0)
-        return len(self._coeffs) - 1
+        l, c, _ = self.lattice  # l, or l - 1 without a first-family part
+        return max(l - (c == 0.0), 0)
 
     def __call__(self, z):
-        if self.lattice is None:
-            from .characteristic import _polyval  # a pencil polynomial has a lattice
-            return _polyval(reversed(self.coeffs), z)
         return _lattice_value(*self.lattice, z + 1j)
 
     def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
-
-
-def _lattice_polynomial(lattice: Tuple[int, float, float], exact=None) -> Polynomial:
-    """The pencil polynomial of this lattice with no float coefficient
-    formed: a seed when ``exact`` is its family (or its rationals), a
-    ``combine`` result when it is None."""
-    poly = object.__new__(Polynomial)
-    for name, value in zip(Polynomial.__slots__, (None, exact, lattice)):
-        object.__setattr__(poly, name, value)
-    return poly
+        """l c Re (z + i)**(l - 1) + d Im (z + i)**(l - 1): the lattice
+        (l - 1, l c, (l - 1) d), (0, c, 0) at l = 1 and 0 at l = 0."""
+        l, c, d = self.lattice
+        return Polynomial((l - 1, l * c, (l - 1) * d) if l else (0, 0.0, 0.0))
 
 
 def _seed_coefficients(e: int, first: bool, over) -> List:
@@ -194,7 +167,7 @@ def build_eigenfunction(degree: int, family: Family) -> PencilEigenpair:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     lattice = (degree, 1.0, 0.0) if family is Family.FIRST else (degree + 1, 0.0, 1.0)
-    return PencilEigenpair(degree, family, float(-lattice[0]), _lattice_polynomial(lattice, family))
+    return PencilEigenpair(degree, family, float(-lattice[0]), Polynomial(lattice))
 
 
 def _lattice_points(l: int, p) -> range:
@@ -238,12 +211,11 @@ def nodal_set(poly: Polynomial, tol: float = DEFAULT_TRANSVERSALITY_TOL) -> Noda
     lattice, each annotated with |poly'| = hypot(l c, d) |sin theta|**(2 - l).
 
     There are l zeros, l - 1 without a first-family part.  No coefficient
-    is formed, so this works at any l.  A polynomial that carries no
-    lattice raises ValueError.
+    is formed, so this works at any l.  A zero is transversal where its
+    slope is above ``tol``, which must be positive.
     """
-    if poly.lattice is None:
-        raise ValueError("nodal_set needs a pencil eigenfunction or a combine() result; "
-                         "this polynomial carries no nodal lattice")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     l, c, d = poly.lattice
     if math.copysign(1.0, d) < 0.0:
         c, d = -c, -d
@@ -273,11 +245,7 @@ def combine(c: float, d: float, l: int) -> Polynomial:
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    if c == 0.0 and d == 0.0:
-        raise ValueError("combination requires c^2 + d^2 != 0")
-    if not (math.isfinite(c) and math.isfinite(d)):
-        raise ValueError("combination weights must be finite")
-    return _lattice_polynomial((l, c, d))
+    return Polynomial((l, c, d))
 
 
 def evaluate_expansion(terms: Sequence[Tuple[int, float, float]], z: float, tau: float) -> float:

@@ -257,18 +257,3 @@ def two_sided_profile(
     neg = _trajectory(lam, n, 0.0, ic, -z_max, rtol, atol)
     return Profile(lam=lam, n=n, ic=tuple(ic), z_max=z_max, _pos=pos, _neg=neg,
                    nfev=pos.nfev + neg.nfev, steps=pos.steps + neg.steps)
-
-
-def closed_form_lambda0_derivative(n: float, z):
-    """Psi'(z) of the Lam = 0 equation, which integrates once in closed form:
-
-        Psi'(z) = (1+z^2)^(-1) exp(-(n/(1+n)) / (1+z^2)).
-
-    The resulting Psi tends to finite limits of opposite sign, so the mode
-    is excluded from the admissible family; it serves as an integration
-    oracle only.
-    """
-    import numpy as np
-    if n < 0.0:
-        raise ValueError("n must be >= 0")
-    return 1.0 / (1.0 + z * z) * np.exp(-(n / (1.0 + n)) / (1.0 + z * z))

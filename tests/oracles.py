@@ -379,3 +379,16 @@ def arctan_ode_residual(z):
 
 
 ARCTAN_EXAMPLE_ADMISSIBLE = False
+
+
+def closed_form_lambda0_derivative(n, z):
+    """Psi'(z) of the Lam = 0 equation, which integrates once in closed form:
+
+        Psi'(z) = (1+z^2)^(-1) exp(-(n/(1+n)) / (1+z^2)),
+
+    for a float or array z.  The resulting Psi tends to finite limits of
+    opposite sign, so the mode is excluded from the admissible family.
+    """
+    if n < 0.0:
+        raise ValueError("n must be >= 0")
+    return 1.0 / (1.0 + z * z) * np.exp(-(n / (1.0 + n)) / (1.0 + z * z))

@@ -34,10 +34,9 @@ from cracktip import (
     real_roots,
     roundtrip_generate,
     shoot,
-    closed_form_lambda0_derivative,
 )
 
-from oracles import exact_fold
+from oracles import closed_form_lambda0_derivative, exact_fold
 
 F = Fraction
 

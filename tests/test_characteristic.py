@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -267,5 +268,8 @@ def test_preconditions():
         build_quartic(0, 0.1)
     with pytest.raises(ValueError):
         build_quartic(2, -0.1)
+    for n in (math.nan, math.inf):  # would give NaN or infinite coefficients
+        with pytest.raises(ValueError, match="n must be finite and >= 0"):
+            build_quartic(2, n)
     with pytest.raises(ValueError):
         limit_polynomial(0)

@@ -395,12 +395,30 @@ def test_config_file_named_like_a_command(tmp_path, monkeypatch, capsys):
         (["crack", "--alphas", "-1,1", "--n", "nan"], "n must be"),
         (["crack", "--alphas", "-1,1", "--tol", "nan"], "tol must be positive"),
         (["crack", "--alphas", "-1,1", "--n", "0.01", "--tol", "-1"], "tol must be positive"),
+        (["char-scan", "--l", "2", "--n-list", "nan"], "n must be finite"),
+        (["char-scan", "--l", "2", "--n-list", "0,inf"], "n must be finite"),
     ],
 )
 def test_invalid_options_are_usage_errors(argv, message, capsys):
     code, out, err = run_capture(argv, capsys)
     assert code == EXIT_USAGE
     assert out == "" and message in err
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["crack", "--alphas", "-1,\t1"], "alphas", "-1,\t1"),
+    (["pencil", "--degree", "2", "--family", "first\n", "--format", "json"], "family", "first\n"),
+])
+def test_json_escapes_control_characters(argv, key, value, capsys):
+    # an echoed option string with a control character stays valid JSON
+    code, out, _ = run_capture(argv, capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["config"][key] == value
+
+
+def test_json_strings_round_trip():
+    text = "".join(map(chr, range(40))) + '"\\ \u00e9\u2028'
+    assert json.loads(_json_dump({"s": text})) == {"s": text}
 
 
 def test_figure_two_contains_published_minimum(capsys):

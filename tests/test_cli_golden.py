@@ -46,6 +46,8 @@ CASES = {
         ["crack", "--alphas", "-3,3", "--l-max", "2"], EXIT_INADMISSIBLE),
     "crack_nonlinear.json": (
         ["crack", "--alphas", "-1,1", "--n", "0.05", "--l-max", "4", "--tol", "0.3"], EXIT_OK),
+    "mu_2_second.json": (["mu", "--l", "2", "--family", "second"], EXIT_OK),
+    "mu_3_first.json": (["mu", "--l", "3", "--family", "first"], EXIT_OK),  # divergent: "nan"
     "shoot_3_nonlinear.json": (
         ["shoot", "--l", "3", "--n", "0.05", "--lambda", "-3.1", "--z-max", "30",
          "--format", "json"], EXIT_OK),

@@ -18,16 +18,16 @@ PUBLIC = [
     "LimitQuartic", "NoFoldInBracketError", "NoRealEigenvalueError", "NodalSet",
     "NumericsError", "PencilEigenpair", "Polynomial", "Profile", "QuadratureDiagnostics",
     "QuasilinearDegeneracyError", "RootFindingError", "ShootingSolution",
-    "build_eigenfunction", "build_quartic", "check_linear", "check_nonlinear",
-    "closed_form_lambda0_derivative", "combine", "continue_branch", "double_root_l1",
-    "evaluate_expansion", "find_fold", "isolate_second_derivative", "limit_polynomial",
-    "mu_via_ift", "mu_via_quadrature", "nodal_set", "real_roots", "roundtrip_generate",
-    "shoot", "solve_correction", "two_sided_profile",
+    "build_eigenfunction", "build_quartic", "check_linear", "check_nonlinear", "combine",
+    "continue_branch", "double_root_l1", "evaluate_expansion", "find_fold",
+    "isolate_second_derivative", "limit_polynomial", "mu_via_ift", "mu_via_quadrature",
+    "nodal_set", "real_roots", "roundtrip_generate", "shoot", "solve_correction",
+    "two_sided_profile",
 ]
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC) == 41
+    assert len(PUBLIC) == 40
     assert sorted(cracktip.__all__) == PUBLIC
     assert set(PUBLIC) <= set(dir(cracktip))
 

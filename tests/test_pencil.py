@@ -14,8 +14,8 @@ from cracktip import (
 )
 from cracktip.pencil import Polynomial
 from oracles import (
-    combination_exact, combine_coeffs, pencil_ode_residual_exact, pencil_pair_exact, sign_at,
-    slope_at, value_at,
+    _polyder, combination_exact, combine_coeffs, pencil_ode_residual_exact, pencil_pair_exact,
+    sign_at, slope_at, value_at,
 )
 
 F = Fraction
@@ -94,8 +94,10 @@ def test_coefficients_past_the_double_range_raise_only_when_read(family):
 PAST_THE_DOUBLE_RANGE = pytest.mark.parametrize(
     "make", [lambda: build_eigenfunction(1100, Family.FIRST).poly,
              lambda: build_eigenfunction(1100, Family.SECOND).poly,
-             lambda: combine(1.0, 0.5, 1100)],
-    ids=["first", "second", "combine"])
+             lambda: combine(1.0, 0.5, 1100),
+             lambda: build_eigenfunction(3000, Family.SECOND).poly,
+             lambda: combine(1.0, 0.5, 3000)],
+    ids=["first", "second", "combine", "second_3000", "combine_3000"])
 
 
 @PAST_THE_DOUBLE_RANGE
@@ -115,23 +117,44 @@ def test_copy_and_pickle_past_the_double_range(make):
 
 @PAST_THE_DOUBLE_RANGE
 def test_repr_past_the_double_range_shows_the_lattice(make):
-    # repr and str read the coefficients, which raise here, so they show
-    # the lattice; equality and the hash still see the coefficients only
+    # repr, str, equality, the hash and _asdict() see the lattice alone, so
+    # none of them forms a coefficient or raises at any l
     poly = make()
+    again = Polynomial(poly.lattice)
     assert repr(poly) == str(poly) == f"Polynomial(lattice={poly.lattice!r})"
+    assert poly == again and hash(poly) == hash(again)
+    assert poly != combine(1.0, 0.25, poly.lattice[0])
+    assert poly._asdict() == {"lattice": poly.lattice}
     with pytest.raises(OverflowError):
-        hash(poly)
-    with pytest.raises(OverflowError):
-        poly == make()
+        poly.coeffs
 
 
 def test_repr_within_the_double_range_shows_every_field():
-    assert repr(combine(1.0, 0.5, 3)) == (
-        "Polynomial(coeffs=(-0.16666666666666666, -3.0, 0.5, 1.0), exact=None, "
-        "lattice=(3, 1.0, 0.5))")
-    assert repr(build_eigenfunction(2, Family.FIRST).poly) == (
-        "Polynomial(coeffs=(-1.0, 0.0, 1.0), exact=(Fraction(-1, 1), Fraction(0, 1), "
-        "Fraction(1, 1)), lattice=(2, 1.0, 0.0))")
+    # the lattice is the one field; formed coefficients do not show
+    poly = combine(1.0, 0.5, 3)
+    assert poly.coeffs == (-0.16666666666666666, -3.0, 0.5, 1.0)
+    assert repr(poly) == "Polynomial(lattice=(3, 1.0, 0.5))"
+    assert repr(build_eigenfunction(2, Family.FIRST).poly) == "Polynomial(lattice=(2, 1.0, 0.0))"
+
+
+@pytest.mark.parametrize("l", [1, 2, 7, 64])
+def test_a_seed_lattice_carries_the_seed_rationals(l):
+    # the rationals belong to the lattice, however it was made
+    first, second = (build_eigenfunction(l, Family.FIRST).poly,
+                     build_eigenfunction(l - 1, Family.SECOND).poly)
+    assert combine(1.0, 0.0, l).exact == first.exact and first.exact is not None
+    assert combine(0.0, 1.0, l).exact == second.exact and second.exact is not None
+    assert combine(1.0, 0.5, l).exact is None and combine(2.0, 0.0, l).exact is None
+
+
+def test_low_degree_lattices_that_are_one_polynomial():
+    # two lattices are one polynomial only at degree 1 or less: c z, and
+    # the constant c (at l = 0 whatever d is)
+    for a, b in (((2, 0.0, 3.0), (1, 3.0, 0.0)), ((1, 0.0, 3.0), (0, 3.0, 0.0)),
+                 ((0, 3.0, 0.0), (0, 3.0, 5.0))):
+        p, q = Polynomial(a), Polynomial(b)
+        assert p.coeffs == q.coeffs and p.degree == q.degree and p(0.5) == q(0.5)
+        assert p != q
 
 
 def _any_weight():
@@ -226,6 +249,24 @@ def _weights(smallest):
     return st.one_of(st.just(0.0), mag, mag.map(lambda v: -v))
 
 
+@settings(max_examples=200, deadline=None)
+@given(l=st.integers(2, 300), c=_weights(1e-3), d=_weights(1e-3),
+       dl=st.sampled_from([-1, 0, 1]), c2=st.sampled_from(["c", "d", "zero", "other"]),
+       d2=st.sampled_from(["c", "d", "zero", "other"]), other=_weights(1e-3))
+def test_polynomials_are_equal_exactly_when_their_coefficients_are(l, c, d, dl, c2, d2, other):
+    # from l = 2 on, within the double range, a lattice is determined by
+    # its coefficients; the second lattice reuses the first one's index and
+    # weights, so that near-coincidences such as (l, c, 0) against
+    # (l + 1, 0, c) are drawn
+    pick = {"c": c, "d": d, "zero": 0.0, "other": other}
+    assume((c or d) and (pick[c2] or pick[d2]))
+    p = Polynomial((l, c, d))
+    q = Polynomial((max(l + dl, 2), pick[c2], pick[d2]))
+    assert (p == q) is (p.coeffs == q.coeffs)
+    if p == q:
+        assert hash(p) == hash(q)
+
+
 @settings(max_examples=100, deadline=None)
 @given(l=st.integers(1, 1000), c=_weights(1e-3), d=_weights(1e-3),
        scale=st.floats(1e-3, 1e3), sign=st.sampled_from([1.0, -1.0]))
@@ -283,10 +324,21 @@ def test_nodal_set_past_the_coefficient_range(l):
 
 
 def test_nodal_set_needs_a_lattice():
-    with pytest.raises(ValueError, match="no nodal lattice"):
+    # every Polynomial is a lattice: coefficients alone make none, and a
+    # derivative is a pencil function with a nodal set of its own
+    with pytest.raises(ValueError, match="lattice"):
         nodal_set(Polynomial((1.0, 2.0, 3.0)))
-    with pytest.raises(ValueError, match="no nodal lattice"):
-        nodal_set(build_eigenfunction(4, Family.FIRST).poly.derivative())
+    ns = nodal_set(build_eigenfunction(4, Family.FIRST).poly.derivative())  # 4 z^3 - 12 z
+    r3 = math.sqrt(3.0)
+    assert ns.zeros == pytest.approx((-r3, 0.0, r3), abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_nodal_set_rejects_a_tol_that_is_not_positive(tol):
+    # a nan tol would mark every zero non-transversal, a negative one every
+    # zero transversal
+    with pytest.raises(ValueError, match="tol must be positive"):
+        nodal_set(combine(1.0, 0.5, 3), tol)
 
 
 # A complex power w**l in floats is within about 5 l eps |w|**l of the
@@ -335,6 +387,43 @@ def test_lattice_evaluation_past_the_double_range_raises(l, z):
                  build_eigenfunction(l - 1, Family.SECOND).poly, combine(1.0, 0.5, l)):
         with pytest.raises(OverflowError):
             poly(z)
+
+
+def _exact(poly):
+    """Descending exact coefficients of a polynomial's lattice."""
+    l, c, d = poly.lattice
+    return combination_exact(l, c, d) if l else [F(c)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(l=st.integers(0, 40), kind=st.sampled_from(["first", "second", "combine"]),
+       c=_weights(1e-3), d=_weights(1e-3), z=st.floats(-3.0, 3.0))
+@example(l=1, kind="second", c=0.0, d=0.0, z=1.0)  # the constant 1
+def test_derivative_is_the_coefficient_derivative(l, kind, c, d, z):
+    # each derivative down to the zero polynomial is the pencil function
+    # whose degree and coefficients are those of k c_k, to rounding, and
+    # whose value is the exact derivative's; the first one's zeros are
+    # sign changes of its exact polynomial
+    assume(l >= 1 or kind == "first")
+    if kind == "combine":
+        assume(c != 0.0 or d != 0.0)
+        poly = combine(c, d, l)
+    else:
+        poly = build_eigenfunction(l if kind == "first" else l - 1, Family(kind)).poly
+    for step in range(poly.degree + 2):
+        der = poly.derivative()
+        want = [k * v for k, v in enumerate(poly.coeffs)][1:] or [0.0]
+        assert der.degree == len(der.coeffs) - 1 == len(want) - 1
+        assert der.coeffs == pytest.approx(want, rel=1e-14, abs=0.0)
+        bound = _evaluation_bound(*der.lattice, abs(complex(z, 1.0)))
+        assert abs(F(der(z)) - value_at(_polyder(_exact(poly)) or [F(0)], z)) <= bound
+        zeros = nodal_set(der).zeros
+        assert len(zeros) == der.degree
+        for x in zeros if step == 0 else ():
+            exact = _exact(der)
+            assert sign_at(exact, x - 4 * math.ulp(x)) * sign_at(exact, x + 4 * math.ulp(x)) <= 0
+        poly = der
+    assert poly.lattice == (0, 0.0, 0.0) and poly.coeffs == (0.0,) and poly.degree == 0
 
 
 def test_expansion_single_terms():

@@ -8,7 +8,6 @@ that must not behave as tuples derive from ``cracktip._record.Record``.
 
 import copy
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -54,7 +53,7 @@ RECORDS = {
     "AdmissibilityReport": (lambda: check_linear(CrackSpec((-1.0, 1.0))), (
         "admissible", "matches", "decay_exponent", "mode", "n", "experimental", "notes",
     )),
-    "Polynomial": (lambda: combine(1.0, 0.5, 3), ("coeffs", "exact", "lattice")),
+    "Polynomial": (lambda: combine(1.0, 0.5, 3), ("lattice",)),
     "PencilEigenpair": (lambda: build_eigenfunction(3, Family.FIRST), ("degree", "family", "lam", "poly")),
     "NodalSet": (lambda: nodal_set(combine(1.0, 0.5, 3)), (
         "zeros", "derivative_magnitudes", "transversal", "tol",
@@ -104,18 +103,34 @@ def test_record_defaults():
     assert (report.mode, report.n, report.experimental, report.notes) == ("linear", 0.0, False, ())
 
 
-def test_polynomial_compares_on_coefficients_only():
-    plain = Polynomial((1.0, 2.0))
-    tagged = Polynomial((1.0, 2.0), exact=(Fraction(1), Fraction(2)), lattice=(1, 2.0, 1.0))
-    assert plain == tagged and hash(plain) == hash(tagged)
-    assert plain != Polynomial((1.0, 3.0))
-    assert plain.exact is None and plain.lattice is None
+def test_polynomial_compares_on_its_lattice():
+    poly = combine(1.0, 2.0, 3)
+    poly.coeffs  # formed output is not a field
+    assert poly == Polynomial((3, 1.0, 2.0)) and hash(poly) == hash(Polynomial((3, 1.0, 2.0)))
+    assert poly != combine(1.0, 3.0, 3) and poly != combine(1.0, 2.0, 4)
+    assert combine(1.0, 0.0, 3) == build_eigenfunction(3, Family.FIRST).poly  # one seed
+    assert poly._asdict() == {"lattice": (3, 1.0, 2.0)}
 
 
-@pytest.mark.parametrize("coeffs", [(), (1.0, 0.0)])
+@pytest.mark.parametrize("coeffs", [(), (1.0, 0.0), (1.0, 2.0, 3.0)])
 def test_polynomial_rejects_bad_coefficients(coeffs):
+    # a polynomial is defined by its lattice (l, c, d), never by coefficients
     with pytest.raises(ValueError):
         Polynomial(coeffs)
+
+
+@pytest.mark.parametrize("lattice", [
+    (-1, 1.0, 0.0), (2.0, 1.0, 0.0), ("2", 1.0, 0.0), (None, 1.0, 0.0),
+    (2, math.nan, 0.0), (2, 1.0, math.inf), (2, -math.inf, 1.0), (0, 1.0, math.nan),
+    (3, 0.0, 0.0), (1, -0.0, 0.0),
+])
+def test_polynomial_rejects_a_bad_lattice(lattice):
+    # l a nonnegative int, c and d finite, and not both zero from l = 1 on:
+    # the zero polynomial is (0, 0, 0), with no zeros of its own
+    with pytest.raises(ValueError, match="lattice"):
+        Polynomial(lattice)
+    with pytest.raises(ValueError, match="lattice"):
+        Polynomial(lattice=lattice)
 
 
 @pytest.mark.parametrize("alphas", [(), (0.0, math.nan), (1.0, 1.0), (2.0, 1.0)])

@@ -13,14 +13,15 @@ from cracktip import (
     NumericsError,
     QuasilinearDegeneracyError,
     build_eigenfunction,
-    closed_form_lambda0_derivative,
     isolate_second_derivative,
     shoot,
     two_sided_profile,
 )
 from cracktip.shooting import _tip_kernel, _trajectory
 from cracktip._dopri import _dense, _interpolate, _powers, _step_zero, integrate
-from oracles import ARCTAN_EXAMPLE_ADMISSIBLE, arctan_example, arctan_ode_residual
+from oracles import (
+    ARCTAN_EXAMPLE_ADMISSIBLE, arctan_example, arctan_ode_residual, closed_form_lambda0_derivative,
+)
 
 
 def test_reduction_at_n_zero():
