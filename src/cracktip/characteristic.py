@@ -29,9 +29,9 @@ from .errors import RootFindingError
 
 
 def _integer_parts(l: int) -> Tuple[List[int], List[int]]:
-    """Exact integer lists A, B (descending powers) with Phi = A + n*B."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
+    """Exact integer lists A, B (descending powers) with Phi = A + n*B, for an int l >= 1."""
+    if not (isinstance(l, int) and l >= 1):
+        raise ValueError(f"l must be an int >= 1, got {l!r}")
     A = [1, 4 * l + 1, l * (7 * l + 3), l * l * (6 * l + 4), l ** 3 * (2 * l + 2)]
     B = [1, 4 * l + 1, l * (6 * l + 5), l * l * (6 * l + 3), l ** 3 * (4 * l - 2)]
     return A, B
@@ -130,8 +130,6 @@ class CharacteristicQuartic(NamedTuple):
 
 
 def build_quartic(l: int, n: float) -> CharacteristicQuartic:
-    if l < 1:
-        raise ValueError("l must be >= 1")
     if not 0.0 <= n < math.inf:
         raise ValueError("n must be finite and >= 0")
     a4, a3, a2, a1, a0 = (a + float(n) * b for a, b in zip(*_integer_parts(l)))
@@ -178,8 +176,7 @@ def limit_polynomial(l: int) -> LimitQuartic:
     from l = 15 on (checked to 3000): B_15(-26) = -160, and past the fold
     such an l grows a second pair of real roots where B < 0.
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
+    B = _integer_parts(l)[1]
     if l == 2:
         return LimitQuartic(l=2, coeffs=_PUBLISHED_LIMIT_L2)
-    return LimitQuartic(l=l, coeffs=tuple(float(b) for b in _integer_parts(l)[1]))
+    return LimitQuartic(l=l, coeffs=tuple(map(float, B)))

@@ -194,8 +194,8 @@ def _cmd_char_scan(args):
 
 
 def _cmd_fold(args):
-    from .continuation import _meeting_point
-    return _meeting_point(args.l)._asdict(), None, EXIT_OK
+    from .continuation import find_fold
+    return find_fold(args.l)._asdict(), None, EXIT_OK
 
 
 def _cmd_branch(args):
@@ -286,7 +286,7 @@ _COMMANDS = {
         ("--lambda-max", dict(type=float)),
         ("--lambda-step", dict(type=float)),
     )),
-    "fold": (_cmd_fold, "saddle-node point of one index", ("json",), (
+    "fold": (_cmd_fold, "meeting point of one index: a fold, or the l = 1 crossing", ("json",), (
         ("--l", dict(type=int, required=True)),
     )),
     "branch": (_cmd_branch, "continue one eigenvalue branch in n", ("csv", "json"), (

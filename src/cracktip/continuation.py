@@ -23,7 +23,7 @@ import math
 from typing import List, NamedTuple, Optional, Tuple
 
 from .characteristic import _integer_parts, _polyder, _polyval, _root
-from .errors import NoFoldInBracketError, NoRealEigenvalueError, NumericsError
+from .errors import NoRealEigenvalueError, NumericsError
 
 _BRANCH_INTERVALS = 20  # a branch is sampled at this many + 1 values of Lam
 
@@ -76,11 +76,6 @@ def _shifted_parts(l: int) -> Tuple[List[int], List[int]]:
     return parts[0], parts[1]
 
 
-def _meeting_point(l: int) -> FoldPoint:
-    """Where the two branches of index l meet: the fold, or for l = 1 the crossing."""
-    return double_root_l1() if l == 1 else find_fold(l)
-
-
 def _eigenvalue(meet: FoldPoint, family: BranchFamily, n: float) -> float:
     """Lam on ``family``'s branch at exponent n, the root of A + n B on the
     branch's side of the meeting point of index ``meet.l``."""
@@ -106,11 +101,9 @@ def continue_branch(l: int, family: BranchFamily, n_max: float) -> Branch:
     from the seed to the meeting point, or to the root at n_max below it.
     For l = 1 the upper branch is the persistent root Lam = -1, which the
     lower one meets at the crossing and follows on to n_max."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
     if not n_max > 0.0:
         raise ValueError("n_max must be positive")
-    meet = _meeting_point(l)
+    meet = find_fold(l)
     crossing = meet.kind == "crossing"
     if crossing and math.isinf(n_max):
         raise ValueError(f"n_max must be finite for l={l}, whose branches never end")
@@ -149,16 +142,14 @@ def _fold_point(l: int, n: float, x: float, kind: str) -> FoldPoint:
 
 
 def find_fold(l: int) -> FoldPoint:
-    """The fold of index l >= 2: the peak x* of n = -A/B on (-1, 0).
-
-    x* is the root of W = A'B - AB', which is negative at x = -1 and
-    positive at x = 0.
-    """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if l == 1:
-        raise NoFoldInBracketError("l = 1 has no fold: Lam = -1 is a root for every n")
+    """Where the two branches of index l meet.  For l >= 2 the fold, the peak
+    x* of n = -A/B on (-1, 0): the root of W = A'B - AB', negative at x = -1
+    and positive at x = 0.  For l = 1 the crossing, of kind "crossing": the
+    second branch meets the persistent root Lam = -1 at n = 1/2, where the
+    deflated A + n B vanishes at x = 0, and real roots survive on both sides."""
     A, B = _shifted_parts(l)
+    if l == 1:
+        return _fold_point(1, -A[-1] / B[-1], 0.0, "crossing")
     dA, dB = [0] + _polyder(A), [0] + _polyder(B)  # aligned with A and B
     W = [0] * (2 * len(A) - 1)  # in exact integers, rounded once below
     for i in range(len(A)):
@@ -170,12 +161,3 @@ def find_fold(l: int) -> FoldPoint:
     if fold.second_derivative == 0.0:
         raise NumericsError(f"fold for l={l} is not quadratic (Phi_LamLam = 0)")
     return fold
-
-
-def double_root_l1() -> FoldPoint:
-    """The l = 1 double root: Lam = -1 is persistent, and the second branch
-    crosses it at n = 1/2, where the deflated A + n B vanishes at x = 0.
-    Real roots survive on both sides, so the point is reported as a
-    crossing rather than a fold."""
-    A, B = _shifted_parts(1)
-    return _fold_point(1, -A[-1] / B[-1], 0.0, "crossing")

@@ -174,12 +174,6 @@ def roundtrip_generate(l: int, c: float, d: float) -> CrackSpec:
     return CrackSpec(alphas=zeros)
 
 
-def _upper_eigenvalue(l: int, n: float) -> float:
-    """Continued upper-branch eigenvalue at exponent n; NoRealEigenvalueError past the fold."""
-    from .continuation import BranchFamily, _eigenvalue, _meeting_point  # check_linear needs none
-    return _eigenvalue(_meeting_point(l), BranchFamily.UPPER, n)
-
-
 def check_nonlinear(
     spec: CrackSpec,
     n: float,
@@ -203,6 +197,7 @@ def check_nonlinear(
     experimental: the one-parameter family is an extrapolation of the
     n = 0 structure.
     """
+    from .continuation import BranchFamily, _eigenvalue, find_fold  # check_linear needs none
     from .shooting import _trajectory  # loaded here, so check_linear loads no ODE layer
     if not n >= 0.0:
         raise ValueError("n must be >= 0")
@@ -213,7 +208,7 @@ def check_nonlinear(
     usable: List[Tuple[int, float]] = []
     for l in scan:
         try:
-            usable.append((l, _upper_eigenvalue(l, n)))
+            usable.append((l, _eigenvalue(find_fold(l), BranchFamily.UPPER, n)))
         except NoRealEigenvalueError as exc:
             notes.append(f"l={l}: {exc}")
     if not usable:

@@ -23,9 +23,5 @@ class QuasilinearDegeneracyError(NumericsError):
         self.z = z
 
 
-class NoFoldInBracketError(NumericsError):
-    """The index has no fold: l = 1, where Lam = -1 is a root for every n."""
-
-
 class NoRealEigenvalueError(NumericsError):
     """Requested an eigenvalue past its fold, where no real one exists."""

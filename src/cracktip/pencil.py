@@ -118,9 +118,13 @@ class Polynomial(Record):
 
     def derivative(self) -> "Polynomial":
         """l c Re (z + i)**(l - 1) + d Im (z + i)**(l - 1): the lattice
-        (l - 1, l c, (l - 1) d), (0, c, 0) at l = 1 and 0 at l = 0."""
+        (l - 1, l c, (l - 1) d), (0, c, 0) at l = 1 and 0 at l = 0.
+        OverflowError where l c or (l - 1) d is past the double range."""
         l, c, d = self.lattice
-        return Polynomial((l - 1, l * c, (l - 1) * d) if l else (0, 0.0, 0.0))
+        lattice = (l - 1, l * c, (l - 1) * d) if l else (0, 0.0, 0.0)
+        if not (math.isfinite(lattice[1]) and math.isfinite(lattice[2])):
+            raise OverflowError(f"the derivative of {self!r} is past the double range")
+        return Polynomial(lattice)
 
 
 def _seed_coefficients(e: int, first: bool, over) -> List:

@@ -118,6 +118,7 @@ def mu_via_quadrature(l: int, family: Family) -> Tuple[float, QuadratureDiagnost
     ``divergent_tail`` is set.  A vanishing I_mu sum (l = 1, first family)
     raises NumericsError.
     """
+    _integer_parts(l)  # the index rule of the quartic: an int l >= 1
     seed = build_eigenfunction(l, family).poly.lattice
     num_nodes = max(1, 2 * seed[0] - 1)
     rest, coef = [], []
@@ -196,6 +197,9 @@ def solve_correction(
 
     if num_points < 9:
         raise ValueError("num_points too small for the boundary stencils")
+    if not 0.0 < z_cut < math.inf:
+        raise ValueError(f"z_cut must be positive and finite, got {z_cut!r}")
+    _integer_parts(l)  # the index rule of the quartic: an int l >= 1
     seed = build_eigenfunction(l, family).poly.lattice
     lam = -float(seed[0])
     z = np.linspace(-z_cut, z_cut, num_points)

@@ -186,8 +186,8 @@ def shoot(
     right-hand-side calls made here, the interpolants of the crossings and
     of those samples included; later reads build more that it does not count.
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
+    if not (isinstance(l, int) and l >= 1):
+        raise ValueError(f"l must be an int >= 1, got {l!r}")
     if not 0.0 < z_max < math.inf:
         raise ValueError("z_max must be positive and finite")
     if not transversality_tol > 0.0:

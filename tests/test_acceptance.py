@@ -25,7 +25,6 @@ from cracktip import (
     check_nonlinear,
     combine,
     continue_branch,
-    double_root_l1,
     find_fold,
     limit_polynomial,
     mu_via_ift,
@@ -85,7 +84,7 @@ def test_criterion_03_persistent_eigenvalue():
 
 
 def test_criterion_04_double_root():
-    fp = double_root_l1()
+    fp = find_fold(1)
     assert abs(fp.n_star - 0.5) <= 1e-10
     assert abs(fp.lambda_star + 1.0) <= 1e-10
     assert fp.kind == "crossing"

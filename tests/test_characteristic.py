@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cracktip import build_quartic, double_root_l1, find_fold, limit_polynomial, real_roots
+from cracktip import build_quartic, find_fold, limit_polynomial, real_roots
 from cracktip.characteristic import CharacteristicQuartic, _integer_parts, _polyder, _polyval
 
 from oracles import (
@@ -114,7 +114,7 @@ def test_real_roots_resolve_a_close_pair_at_large_l():
 @st.composite
 def _index_and_exponent(draw):
     l = draw(st.integers(1, 200))
-    star = double_root_l1().n_star if l == 1 else find_fold(l).n_star
+    star = find_fold(l).n_star
     lo, hi = draw(st.sampled_from([(0.0, 3.0 * star), (0.98 * star, 1.02 * star), (1.0, 100.0)]))
     return l, draw(st.floats(lo, hi))
 
@@ -261,6 +261,15 @@ def test_horner_matches_numpy_bit_for_bit(coeffs, x):
         want, dwant = np.polyval(coeffs, x), np.polyder(np.array(coeffs))
     assert _polyval(coeffs, x).hex() == float(want).hex()
     assert [c.hex() for c in _polyder(coeffs)] == [float(c).hex() for c in dwant]
+
+
+@pytest.mark.parametrize("l", [2.5, 2.0, np.int64(2)], ids=["2.5", "2.0", "int64"])
+def test_index_must_be_an_int(l):
+    # the index rule of a lattice: an int l >= 1, so 2.0 and a numpy integer are none
+    with pytest.raises(ValueError, match="l must be an int >= 1"):
+        build_quartic(l, 0.1)
+    with pytest.raises(ValueError, match="l must be an int >= 1"):
+        limit_polynomial(l)  # checked before the shortcut to the published l = 2 curve
 
 
 def test_preconditions():

@@ -397,6 +397,13 @@ def test_config_file_named_like_a_command(tmp_path, monkeypatch, capsys):
         (["crack", "--alphas", "-1,1", "--n", "0.01", "--tol", "-1"], "tol must be positive"),
         (["char-scan", "--l", "2", "--n-list", "nan"], "n must be finite"),
         (["char-scan", "--l", "2", "--n-list", "0,inf"], "n must be finite"),
+        (["branch", "--l", "2", "--family", "sideways"], "unknown branch family"),
+        (["mu", "--l", "2", "--method", "xyz"], "--method must be"),
+        # every perturbation route takes the quartic's index, an int l >= 1
+        (["mu", "--l", "0", "--family", "second", "--method", "quad"], "l must be an int >= 1"),
+        (["mu", "--l", "0", "--family", "second"], "l must be an int >= 1"),
+        (["fold", "--l", "0"], "l must be an int >= 1"),
+        (["shoot", "--l", "0", "--n", "0", "--lambda", "-2"], "l must be an int >= 1"),
     ],
 )
 def test_invalid_options_are_usage_errors(argv, message, capsys):

@@ -37,6 +37,9 @@ CASES = {
     "fold_2.json": (["fold", "--l", "2"], EXIT_OK),
     "fold_200.json": (["fold", "--l", "200"], EXIT_OK),
     "fold_3000.json": (["fold", "--l", "3000"], EXIT_OK),
+    "fold_1.json": (["fold", "--l", "1"], EXIT_OK),  # the crossing
+    "branch_1_lower.json": (  # through the crossing and on along Lam = -1
+        ["branch", "--l", "1", "--family", "lower", "--n-max", "1", "--format", "json"], EXIT_OK),
     "branch_10.json": (["branch", "--l", "10", "--format", "json"], EXIT_OK),
     "branch_3_lower.json": (
         ["branch", "--l", "3", "--family", "lower", "--format", "json"], EXIT_OK),

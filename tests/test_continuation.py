@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from cracktip import (
     BranchFamily,
-    NoFoldInBracketError,
+    FoldPoint,
     NoRealEigenvalueError,
     build_quartic,
     continue_branch,
-    double_root_l1,
     find_fold,
     mu_via_ift,
     real_roots,
@@ -133,7 +132,7 @@ def test_branch_l1_lower_crosses_persistent_root():
 
 
 def test_double_root_l1():
-    fp = double_root_l1()
+    fp = find_fold(1)
     assert fp.kind == "crossing"
     assert fp.n_star == 0.5
     assert fp.lambda_star == -1.0
@@ -148,8 +147,20 @@ def test_double_root_l1():
 
 
 def test_no_fold_for_l1():
-    with pytest.raises(NoFoldInBracketError):
-        find_fold(1)
+    # l = 1 has no fold: its branches meet at the crossing, every field to the bit
+    fp = find_fold(1)
+    assert type(fp) is FoldPoint and fp.kind == "crossing"
+    assert repr(tuple(fp)) == repr((1, 0.5, -1.0, 0.0, 0.0, 4.0, "crossing"))
+
+
+@pytest.mark.parametrize("l", [2.5, 2.0, np.int64(2)], ids=["2.5", "2.0", "int64"])
+def test_index_must_be_an_int(l):
+    # the index rule of the quartic: an int l >= 1, so 2.0 and a numpy integer are none
+    with pytest.raises(ValueError, match="l must be an int >= 1"):
+        find_fold(l)
+    for family in BranchFamily:
+        with pytest.raises(ValueError, match="l must be an int >= 1"):
+            continue_branch(l, family, 0.01)
 
 
 @settings(max_examples=150, deadline=None)
@@ -193,7 +204,7 @@ def test_branches_split_one_ulp_below_the_fold(l):
 @settings(max_examples=100, deadline=None)
 @given(n=st.floats(min_value=0.0, max_value=10.0))
 def test_l1_lower_branch_reaches_persistent_root(n):
-    crossing = double_root_l1()
+    crossing = find_fold(1)
     assert _eigenvalue(crossing, BranchFamily.UPPER, n) == -1.0
     lower = _eigenvalue(crossing, BranchFamily.LOWER, n)
     if n >= 0.5:
@@ -217,7 +228,7 @@ def test_branches_are_the_graph(l, family, r):
     # 21 samples equally spaced in Lam from the seed to the meeting point,
     # or to the root at n_max below it, each on the quartic, n rising; at
     # l = 1 the persistent root Lam = -1 carries a branch on to n_max
-    meet = double_root_l1() if l == 1 else find_fold(l)
+    meet = find_fold(l)
     n_max = r * meet.n_star
     br = continue_branch(l, family, n_max)
     seed = float(-l - (family is BranchFamily.LOWER))
@@ -262,3 +273,7 @@ def test_preconditions():
             continue_branch(2, BranchFamily.UPPER, n_max)
     with pytest.raises(ValueError):
         continue_branch(1, BranchFamily.LOWER, math.inf)
+    with pytest.raises(ValueError):
+        find_fold(0)
+    with pytest.raises(ValueError, match="unknown branch family"):
+        BranchFamily.parse("sideways")

@@ -15,12 +15,14 @@ from cracktip import (
     check_linear,
     check_nonlinear,
     combine,
+    find_fold,
     isolate_second_derivative,
     nodal_set,
     roundtrip_generate,
 )
 import cracktip.shooting
-from cracktip.crack import _upper_eigenvalue
+from cracktip.continuation import BranchFamily, _eigenvalue
+from cracktip.crack import _match_alphas_to_zeros
 from oracles import initial_angle_exact, stable_residuals_sq
 
 
@@ -369,6 +371,23 @@ def test_tolerance_and_exponent_checked():
             check_nonlinear(spec, n, l_max=3)
     with pytest.raises(NoRealEigenvalueError):
         check_nonlinear(spec, math.inf, l_max=3)
+    for check in (check_linear, lambda spec, l_max: check_nonlinear(spec, 0.01, l_max=l_max)):
+        with pytest.raises(ValueError, match="l_max must be at least"):
+            check(spec, l_max=2)
+
+
+def test_match_rejects_what_no_zero_carries():
+    # None for fewer zeros than slopes, two slopes on one zero or out of
+    # order, or a slope farther than dist_tol (1 + |alpha|) from its zero
+    zeros = [-1.0, 0.0, 1.0]
+    assert _match_alphas_to_zeros([-1.0, 0.0, 1.0], zeros, True, 1e-6) == (0, 1, 2)
+    assert _match_alphas_to_zeros([-1.0, 0.0, 1.0, 2.0], zeros, False, 1e-6) is None
+    assert _match_alphas_to_zeros([0.9, 1.1], zeros, False, 1.0) is None  # one zero, two slopes
+    assert _match_alphas_to_zeros([-1.0, 1.0], [1.0, -1.0], False, 1e-6) is None  # reversed
+    assert _match_alphas_to_zeros([-1.0, 0.4], zeros, False, 0.2) is None  # 0.4 > 0.2 (1.4)
+    assert _match_alphas_to_zeros([-1.0, 0.4], zeros, False, 0.3) == (0, 1)
+    assert _match_alphas_to_zeros([-1.0, 1.0], zeros, True, 1e-6) is None  # not consecutive
+    assert _match_alphas_to_zeros([-1.0, 1.0], zeros, False, 1e-6) == (0, 2)
 
 
 @pytest.mark.parametrize("alpha1, solves", [(-1.0, 1), (0.0, 1), (0.7, 2)])
@@ -458,7 +477,7 @@ def test_ratio_is_a_root_of_the_per_angle_scan(alphas, n, kwargs):
     thetas = np.linspace(-math.pi / 2, math.pi / 2, 61)
     alpha1 = alphas[0]
     for l in range(spec.m, kwargs["l_max"] + 1):
-        lam = _upper_eigenvalue(l, n)
+        lam = _eigenvalue(find_fold(l), BranchFamily.UPPER, n)
         scalar = [_scalar_alpha1_value(lam, n, t, alpha1) for t in thetas]
         roots = [
             brentq(lambda t: _scalar_alpha1_value(lam, n, t, alpha1), a, b, xtol=1e-12)

@@ -15,11 +15,11 @@ import cracktip
 PUBLIC = [
     "AdmissibilityReport", "Branch", "BranchFamily", "CharacteristicQuartic",
     "CorrectionSolution", "CrackMatch", "CrackSpec", "Family", "FoldPoint",
-    "LimitQuartic", "NoFoldInBracketError", "NoRealEigenvalueError", "NodalSet",
+    "LimitQuartic", "NoRealEigenvalueError", "NodalSet",
     "NumericsError", "PencilEigenpair", "Polynomial", "Profile", "QuadratureDiagnostics",
     "QuasilinearDegeneracyError", "RootFindingError", "ShootingSolution",
     "build_eigenfunction", "build_quartic", "check_linear", "check_nonlinear", "combine",
-    "continue_branch", "double_root_l1", "evaluate_expansion", "find_fold",
+    "continue_branch", "evaluate_expansion", "find_fold",
     "isolate_second_derivative", "limit_polynomial", "mu_via_ift", "mu_via_quadrature",
     "nodal_set", "real_roots", "roundtrip_generate", "shoot", "solve_correction",
     "two_sided_profile",
@@ -27,7 +27,7 @@ PUBLIC = [
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC) == 40
+    assert len(PUBLIC) == 38
     assert sorted(cracktip.__all__) == PUBLIC
     assert set(PUBLIC) <= set(dir(cracktip))
 

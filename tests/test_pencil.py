@@ -233,6 +233,19 @@ def test_combine_examples():
             combine(bad, 1.0, 3)
         with pytest.raises(ValueError):
             combine(1.0, bad, 3)
+    with pytest.raises(ValueError, match="l must be >= 1"):
+        combine(1.0, 0.5, 0)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        build_eigenfunction(-1, Family.SECOND)
+
+
+def test_derivative_past_the_double_range_overflows():
+    # l c or (l - 1) d past the largest double raises OverflowError, as
+    # coeffs and a call do, not the lattice check's ValueError
+    for poly in (combine(1e308, 1.0, 3), combine(1.0, 1e308, 3), combine(-1e308, 1e308, 2)):
+        with pytest.raises(OverflowError, match="past the double range"):
+            poly.derivative()
+    assert combine(1e308, 1e308, 1).derivative().lattice == (0, 1e308, 0.0)
 
 
 @pytest.mark.parametrize("scale", [3.0, -0.25, 1e6])

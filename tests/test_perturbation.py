@@ -17,6 +17,7 @@ from cracktip import (
     solve_correction,
 )
 from cracktip.characteristic import _integer_parts
+from cracktip.errors import NumericsError
 from cracktip.perturbation import _source_terms
 
 from oracles import correction_system, integral_over_reals, phi1, phi2, source_h_exact
@@ -239,6 +240,31 @@ def test_degenerate_seed_rejected():
     # seed -1 is simple, so no error -- build an artificial degenerate call
     with pytest.raises(ValueError):
         mu_via_ift(0, Family.FIRST)
+
+
+@pytest.mark.parametrize("l", [0, -1, 2.5, 2.0, np.int64(2)], ids=["0", "-1", "2.5", "2.0", "int64"])
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_routes_share_the_index_domain(l, family):
+    # every route takes the quartic's index, an int l >= 1; the quadrature
+    # once gave mu = 0, converged, for l = 0 and the second family
+    with pytest.raises(ValueError, match="l must be an int >= 1"):
+        mu_via_ift(l, family)
+    with pytest.raises(ValueError, match="l must be an int >= 1"):
+        mu_via_quadrature(l, family)
+    with pytest.raises(ValueError, match="l must be an int >= 1"):
+        solve_correction(l, family, 0.5, z_cut=10.0, num_points=101)
+
+
+def test_correction_preconditions():
+    # a z_cut that is not positive and finite once gave a reversed grid
+    # (-5) or numpy warnings before a NumericsError (0, inf)
+    for z_cut in (-5.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="z_cut must be positive and finite"):
+            solve_correction(2, Family.SECOND, 0.5, z_cut=z_cut)
+    with pytest.raises(ValueError, match="num_points"):
+        solve_correction(2, Family.SECOND, 0.5, num_points=8)
+    with pytest.raises(NumericsError, match="non-finite"):
+        solve_correction(2, Family.SECOND, math.nan, z_cut=10.0, num_points=101)
 
 
 def test_correction_zero_source_gives_zero():

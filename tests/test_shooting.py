@@ -366,6 +366,9 @@ def test_growth_exponent_integer_window_near_zero():
 def test_preconditions():
     with pytest.raises(ValueError):
         shoot(0, 0.0, -1.0)
+    for l in (2.5, 2.0, np.int64(2)):  # the index rule of the quartic: an int l >= 1
+        with pytest.raises(ValueError, match="l must be an int >= 1"):
+            shoot(l, 0.0, -2.0)
     for n, lam in ((-0.5, -2.0), (math.nan, -2.0), (math.inf, -2.0), (0.0, math.nan),
                    (0.0, math.inf)):
         with pytest.raises(ValueError):
