@@ -4,10 +4,10 @@
 initial-step rule, error norm and step controller, so it reproduces that
 integrator's solutions to rounding without importing scipy.  F returns
 Psi'' alone: the Psi' stages are the arguments the stepper forms anyway.
-``Trajectory.sol`` gives (Psi, Psi') at one float z.  A step's 7th-order
-interpolant costs three more calls of F and is built on first use, by a
-Psi = 0 crossing or by ``sol``; the crossing is a root of it by
-``characteristic._root``.  ``shooting`` loads this on first use.
+``Trajectory.sol`` gives (Psi, Psi') at one float z of its span.  A
+step's 7th-order interpolant costs three more calls of F and is built on
+first use, by a Psi = 0 crossing or by ``sol``; the crossing is a root of
+it by ``characteristic._root``.  ``shooting`` loads this on first use.
 """
 
 from __future__ import annotations
@@ -165,9 +165,12 @@ class Trajectory:
 
     def sol(self, z):
         """(Psi, Psi') at the float z on the interpolant of the step holding it
-        (at a step end the earlier step; past the span the end step,
-        extrapolated)."""
-        i = min(max(bisect_left(self._keys, self._sign * z) - 1, 0), len(self._stages) - 1)
+        (at a step end the earlier step).  A z past the span, or nan, raises
+        ValueError."""
+        key = self._sign * z
+        if not self._keys[0] <= key <= self._keys[-1]:
+            raise ValueError(f"z={z!r} past the integrated span {self._zs[0]!r}..{self._zs[-1]!r}")
+        i = max(bisect_left(self._keys, key) - 1, 0)
         x = (z - self._zs[i]) / (self._zs[i + 1] - self._zs[i])
         return tuple(map(_interpolate, (x, x), self._states[i], self._interpolant(i)))
 

@@ -16,11 +16,11 @@ class Record:
     _fields: tuple = ()
 
     def __init__(self, *args, **kwargs):
-        values = dict(zip(self._fields, args), **kwargs)
-        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+        values = args + tuple(kwargs.pop(k) for k in self._fields[len(args):] if k in kwargs)
+        if kwargs or len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
-        for name in self._fields:
-            object.__setattr__(self, name, values[name])
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
         self._check()
 
     def _check(self):

@@ -25,21 +25,20 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
-from .errors import RootFindingError
+from .errors import RootFindingError, _check_index
 
 
 def _integer_parts(l: int) -> Tuple[List[int], List[int]]:
     """Exact integer lists A, B (descending powers) with Phi = A + n*B, for an int l >= 1."""
-    if not (isinstance(l, int) and l >= 1):
-        raise ValueError(f"l must be an int >= 1, got {l!r}")
+    _check_index(l)
     A = [1, 4 * l + 1, l * (7 * l + 3), l * l * (6 * l + 4), l ** 3 * (2 * l + 2)]
     B = [1, 4 * l + 1, l * (6 * l + 5), l * l * (6 * l + 3), l ** 3 * (4 * l - 2)]
     return A, B
 
 
 def _polyval(coeffs: Iterable[float], x: float) -> float:
-    """Horner's rule over descending coefficients, starting from 0.0."""
-    y = 0.0
+    """Horner's rule over descending coefficients from the int 0: exact on ints, 0.0 on floats."""
+    y = 0
     for c in coeffs:
         y = y * x + c
     return y

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import NoRealEigenvalueError
+from .errors import NoRealEigenvalueError, _check_index
 from .pencil import _lattice, _lattice_points, combine, nodal_set
 
 DEFAULT_TOL = 1e-8
@@ -110,15 +110,13 @@ def check_linear(
     (the strict reading) they must be 0, 1, ..., m - 1; pass False for
     the looser any-subset reading.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     halfturns = [math.atan2(1.0, a) / math.pi for a in spec.alphas]  # theta_j / pi
     # theta_1 / pi measured from the nearer end of (0, 1), so that a steep
     # first slope keeps its precision
     a1 = spec.alphas[0]
     tau = math.atan2(1.0, abs(a1)) / math.pi
     matches: List[CrackMatch] = []
-    for l in _index_range(spec, l_max):
+    for l in _index_range(spec, l_max, tol):
         u = l * tau
         r = round(u)
         # the first slope sits at lattice point K with phase p; lattice
@@ -151,12 +149,12 @@ def check_linear(
     return _report(matches, mode="linear", n=0.0)
 
 
-def _index_range(spec: CrackSpec, l_max: Optional[int]) -> range:
-    """Indices l = m .. l_max scanned for m slopes (l_max defaults to m + 10)."""
-    if l_max is None:
-        l_max = spec.m + 10
-    if l_max < spec.m:
-        raise ValueError("l_max must be at least the number of slopes")
+def _index_range(spec: CrackSpec, l_max: Optional[int], tol: float) -> range:
+    """Indices m .. l_max (default m + 10) for m slopes, and the check of both scans' tol."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    l_max = spec.m + 10 if l_max is None else l_max
+    _check_index(l_max, spec.m, "l_max")
     return range(spec.m, l_max + 1)
 
 
@@ -199,11 +197,9 @@ def check_nonlinear(
     """
     from .continuation import BranchFamily, _eigenvalue, find_fold  # check_linear needs none
     from .shooting import _trajectory  # loaded here, so check_linear loads no ODE layer
-    if not n >= 0.0:
-        raise ValueError("n must be >= 0")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    scan = _index_range(spec, l_max)
+    if not 0.0 <= n < math.inf:
+        raise ValueError("n must be finite and >= 0")
+    scan = _index_range(spec, l_max, tol)
     notes: List[str] = []
     usable: List[Tuple[int, float]] = []
     for l in scan:

@@ -1,4 +1,4 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and its one index check.
 
 ValueError is reserved for violated preconditions (bad arguments); the
 classes below mark genuine numerical failures so the CLI can map them to
@@ -25,3 +25,10 @@ class QuasilinearDegeneracyError(NumericsError):
 
 class NoRealEigenvalueError(NumericsError):
     """Requested an eigenvalue past its fold, where no real one exists."""
+
+
+def _check_index(value, least: int = 1, name: str = "l") -> None:
+    """The one index rule: an int of at least ``least``, so that a float
+    (2.0 included) or a numpy integer raises ValueError naming ``name``."""
+    if not (isinstance(value, int) and value >= least):
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")

@@ -28,10 +28,11 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._record import NodalSet, Record
+from .errors import _check_index
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -77,10 +78,10 @@ class Polynomial(Record):
 
     def _check(self):  # c = d = 0 from l = 1 on would give the zero polynomial a degree and zeros
         l, c, d = self.lattice
-        if not (isinstance(l, int) and l >= 0 and math.isfinite(c) and math.isfinite(d)
-                and (c or d or l == 0)):
-            raise ValueError(f"a lattice (l, c, d) needs an int l >= 0, finite c and d, and c or d "
-                             f"nonzero unless l = 0, not {self.lattice!r}")
+        _check_index(l, 0, "the lattice's l")
+        if not (math.isfinite(c) and math.isfinite(d) and (c or d or l == 0)):
+            raise ValueError(f"a lattice (l, c, d) needs finite c and d, and c or d nonzero "
+                             f"unless l = 0, not {self.lattice!r}")
 
     @property
     def _seed(self) -> Optional[bool]:
@@ -96,8 +97,8 @@ class Polynomial(Record):
         if l == 0:
             return (0.0 + c,)
         # c * (first seed) + d * (second seed), without z**l when c = 0
-        out = [0.0 + c * v for v in build_eigenfunction(l, Family.FIRST).poly.coeffs]
-        for k, v in enumerate(build_eigenfunction(l - 1, Family.SECOND).poly.coeffs):
+        out = [0.0 + c * v for v in _seed_coefficients(l, True, operator.truediv)]
+        for k, v in enumerate(_seed_coefficients(l, False, operator.truediv)):
             out[k] += d * v
         return tuple(out[:l + (c != 0.0)])
 
@@ -163,13 +164,11 @@ class PencilEigenpair(NamedTuple):
     poly: Polynomial
 
 
-@lru_cache(maxsize=1024)
 def build_eigenfunction(degree: int, family: Family) -> PencilEigenpair:
     """The monic degree-``degree`` eigenfunction of ``family``: Re (z + i)**d
     for the first family, Im (z + i)**(d + 1) / (d + 1) for the second.
     Its coefficients are formed when first read (see ``Polynomial``)."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    _check_index(degree, 0, "degree")
     lattice = (degree, 1.0, 0.0) if family is Family.FIRST else (degree + 1, 0.0, 1.0)
     return PencilEigenpair(degree, family, float(-lattice[0]), Polynomial(lattice))
 
@@ -247,8 +246,7 @@ def combine(c: float, d: float, l: int) -> Polynomial:
     solves the same pencil ODE; its zeros are candidate crack slopes.
     Only the lattice (l, c, d) is stored (see ``Polynomial``).
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
+    _check_index(l)
     return Polynomial((l, c, d))
 
 
@@ -261,7 +259,6 @@ def evaluate_expansion(terms: Sequence[Tuple[int, float, float]], z: float, tau:
     w = (z + 1j) * math.exp(-tau)
     total = 0.0
     for k, ck, dk in terms:
-        if k < 1:
-            raise ValueError("expansion indices must satisfy k >= 1")
+        _check_index(k, name="k")
         total += _lattice_value(k, ck, dk, w)
     return total

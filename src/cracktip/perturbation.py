@@ -38,8 +38,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple, Tuple
 
-from .characteristic import _integer_parts
-from .errors import NumericsError
+from .characteristic import _integer_parts, _polyder, _polyval
+from .errors import NumericsError, _check_index
 from .pencil import Family, build_eigenfunction
 
 if TYPE_CHECKING:
@@ -79,9 +79,7 @@ def mu_via_ift(l: int, family: Family) -> float:
     """
     A, B = _integer_parts(l)
     lam = -l if family is Family.FIRST else -l - 1
-    b = sum(c * lam ** (4 - i) for i, c in enumerate(B))
-    da = sum((4 - i) * c * lam ** (3 - i) for i, c in enumerate(A[:-1]))
-    return -b / da  # int / int rounds the exact quotient once
+    return -_polyval(B, lam) / _polyval(_polyder(A), lam)  # int / int rounds once
 
 
 class QuadratureDiagnostics(NamedTuple):
@@ -118,7 +116,7 @@ def mu_via_quadrature(l: int, family: Family) -> Tuple[float, QuadratureDiagnost
     ``divergent_tail`` is set.  A vanishing I_mu sum (l = 1, first family)
     raises NumericsError.
     """
-    _integer_parts(l)  # the index rule of the quartic: an int l >= 1
+    _check_index(l)
     seed = build_eigenfunction(l, family).poly.lattice
     num_nodes = max(1, 2 * seed[0] - 1)
     rest, coef = [], []
@@ -199,7 +197,7 @@ def solve_correction(
         raise ValueError("num_points too small for the boundary stencils")
     if not 0.0 < z_cut < math.inf:
         raise ValueError(f"z_cut must be positive and finite, got {z_cut!r}")
-    _integer_parts(l)  # the index rule of the quartic: an int l >= 1
+    _check_index(l)
     seed = build_eigenfunction(l, family).poly.lattice
     lam = -float(seed[0])
     z = np.linspace(-z_cut, z_cut, num_points)

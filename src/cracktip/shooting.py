@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import List, Tuple
 
 from ._record import NodalSet, Record
-from .errors import QuasilinearDegeneracyError
+from .errors import QuasilinearDegeneracyError, _check_index
 
 DEFAULT_Z_MAX = 100.0
 DEFAULT_RTOL = 1e-10
@@ -111,9 +111,6 @@ class ShootingSolution(Record):
 
     def _state(self, z: float) -> Tuple[float, float]:
         """(Psi, Psi') at the float z, |z| <= z_max, parity-mirrored."""
-        z_max = self._traj._zs[-1]
-        if not abs(z) <= z_max:
-            raise ValueError(f"z={z!r} past the integrated span |z| <= {z_max!r}")
         psi, dpsi = self._traj.sol(abs(z))
         if z >= 0.0:
             return psi, dpsi
@@ -186,8 +183,7 @@ def shoot(
     right-hand-side calls made here, the interpolants of the crossings and
     of those samples included; later reads build more that it does not count.
     """
-    if not (isinstance(l, int) and l >= 1):
-        raise ValueError(f"l must be an int >= 1, got {l!r}")
+    _check_index(l)
     if not 0.0 < z_max < math.inf:
         raise ValueError("z_max must be positive and finite")
     if not transversality_tol > 0.0:
@@ -228,8 +224,6 @@ class Profile(Record):
     __slots__ = _fields = ("lam", "n", "ic", "z_max", "_pos", "_neg", "nfev", "steps")
 
     def _state(self, z: float) -> Tuple[float, float]:
-        if not abs(z) <= self.z_max:
-            raise ValueError(f"z={z!r} past the integrated span |z| <= {self.z_max!r}")
         return (self._pos if z >= 0.0 else self._neg).sol(float(z))
 
     def psi(self, z: float) -> float:

@@ -404,6 +404,8 @@ def test_config_file_named_like_a_command(tmp_path, monkeypatch, capsys):
         (["mu", "--l", "0", "--family", "second"], "l must be an int >= 1"),
         (["fold", "--l", "0"], "l must be an int >= 1"),
         (["shoot", "--l", "0", "--n", "0", "--lambda", "-2"], "l must be an int >= 1"),
+        # check_nonlinear takes build_quartic's rule for n: finite and >= 0
+        (["crack", "--alphas", "-1,1", "--n", "inf"], "n must be finite"),
     ],
 )
 def test_invalid_options_are_usage_errors(argv, message, capsys):

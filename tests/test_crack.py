@@ -366,14 +366,23 @@ def test_tolerance_and_exponent_checked():
             check_linear(spec, l_max=3, tol=tol)
         with pytest.raises(ValueError, match="tol"):
             check_nonlinear(spec, 0.01, l_max=3, tol=tol)
-    for n in (-0.5, math.nan):
+    for n in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="n must be"):
             check_nonlinear(spec, n, l_max=3)
-    with pytest.raises(NoRealEigenvalueError):
-        check_nonlinear(spec, math.inf, l_max=3)
     for check in (check_linear, lambda spec, l_max: check_nonlinear(spec, 0.01, l_max=l_max)):
-        with pytest.raises(ValueError, match="l_max must be at least"):
+        with pytest.raises(ValueError, match="l_max must be an int >= 3"):
             check(spec, l_max=2)
+
+
+def test_both_scans_take_the_index_and_exponent_rules():
+    # l_max is an index, so a float is a ValueError in both scans, not a
+    # TypeError from range; n takes build_quartic's rule, finite and >= 0
+    spec = CrackSpec((-1.0, 1.0))
+    for check in (check_linear, lambda spec, l_max: check_nonlinear(spec, 0.01, l_max=l_max)):
+        with pytest.raises(ValueError, match="l_max must be an int >= 2, got 3.5"):
+            check(spec, l_max=3.5)
+    with pytest.raises(ValueError, match="n must be finite"):
+        check_nonlinear(spec, math.inf)
 
 
 def test_match_rejects_what_no_zero_carries():

@@ -62,16 +62,11 @@ OVERFLOW_DEGREE = {Family.FIRST: 1030, Family.SECOND: 1039}
 
 @pytest.mark.parametrize("family", [Family.FIRST, Family.SECOND])
 def test_coefficients_are_the_exact_ones_rounded_once(family):
-    # every degree below the overflow, bit for bit; the cache is cleared as
-    # it goes, so the formed coefficients of a thousand seeds are not kept
-    try:
-        for degree in range(OVERFLOW_DEGREE[family]):
-            poly = build_eigenfunction(degree, family).poly
-            got, want = [c.hex() for c in poly.coeffs], [float(q).hex() for q in poly.exact]
-            assert got == want, degree
-            build_eigenfunction.cache_clear()
-    finally:
-        build_eigenfunction.cache_clear()
+    # every degree below the overflow, bit for bit
+    for degree in range(OVERFLOW_DEGREE[family]):
+        poly = build_eigenfunction(degree, family).poly
+        got, want = [c.hex() for c in poly.coeffs], [float(q).hex() for q in poly.exact]
+        assert got == want, degree
 
 
 @pytest.mark.parametrize("family", [Family.FIRST, Family.SECOND])
@@ -233,10 +228,20 @@ def test_combine_examples():
             combine(bad, 1.0, 3)
         with pytest.raises(ValueError):
             combine(1.0, bad, 3)
-    with pytest.raises(ValueError, match="l must be >= 1"):
+    with pytest.raises(ValueError, match="l must be an int >= 1"):
         combine(1.0, 0.5, 0)
-    with pytest.raises(ValueError, match="degree must be nonnegative"):
+    with pytest.raises(ValueError, match="degree must be an int >= 0"):
         build_eigenfunction(-1, Family.SECOND)
+
+
+@pytest.mark.parametrize("degree", [2.0, np.int64(3)], ids=["2.0", "int64"])
+def test_degree_must_be_an_int_whatever_was_built_before(degree):
+    # a float or numpy degree is rejected even once the int degree's record
+    # exists, so the answer does not depend on what the process asked before
+    assert build_eigenfunction(int(degree), Family.FIRST).degree == int(degree)
+    for family in Family:
+        with pytest.raises(ValueError, match="degree must be an int >= 0"):
+            build_eigenfunction(degree, family)
 
 
 def test_derivative_past_the_double_range_overflows():
@@ -459,6 +464,14 @@ def test_expansion_additivity():
 def test_expansion_rejects_bad_index():
     with pytest.raises(ValueError):
         evaluate_expansion([(0, 1.0, 0.0)], 0.0, 0.0)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0])
+def test_expansion_index_must_be_an_int(k):
+    # a float index is no lattice, 2.0 included: it raises, where 2.5 once
+    # summed a non-polynomial term
+    with pytest.raises(ValueError, match="k must be an int >= 1"):
+        evaluate_expansion([(1, 1.0, 0.0), (k, 1.0, 0.0)], 0.3, 0.0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -250,6 +250,17 @@ def test_evaluation_past_the_span_raises():
             prof.dpsi(z)
 
 
+@pytest.mark.parametrize("z0, z_end", [(0.0, 5.0), (1.0, -2.0)])
+def test_trajectory_reads_only_its_span(z0, z_end):
+    # both ends read, and the next double past either end or nan raises,
+    # where the end step's interpolant was once extrapolated
+    traj = _trajectory(-2.0, 0.0, z0, (1.0, 0.0), z_end, 1e-10, 1e-10)
+    assert traj.sol(z0) == (1.0, 0.0) and traj.sol(z_end) == pytest.approx(traj.end, rel=1e-12)
+    for z in (math.nextafter(z0, 2 * z0 - z_end), math.nextafter(z_end, 2 * z_end - z0), math.nan):
+        with pytest.raises(ValueError, match="span"):
+            traj.sol(z)
+
+
 @pytest.mark.parametrize("family", [Family.FIRST, Family.SECOND])
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
 def test_linear_shot_reproduces_eigenfunctions(l, family):
