@@ -107,7 +107,10 @@ def _lambda_grid(lo: float, hi: float, step: float = 0.01) -> Tuple[float, ...]:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"lambda range [{lo!r}, {hi!r}] is not a finite interval")
     count = int(round((hi - lo) / step)) + 1
-    return tuple(round(lo + k * step, 10) for k in range(count))
+    grid = tuple(round(lo + k * step, 10) for k in range(count))
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"lambda step {step!r} is lost in the grid's rounding to 10 decimals")
+    return grid
 
 
 def _quartic_dataset(
@@ -157,7 +160,7 @@ def _set(args, *names):
 
 def _cmd_pencil(args):
     from .pencil import Family, build_eigenfunction
-    family = Family.parse(args.family or "first")
+    family = Family(args.family or "first")
     pair = build_eigenfunction(args.degree, family)
     fields = {
         "degree": pair.degree,
@@ -200,7 +203,7 @@ def _cmd_fold(args):
 
 def _cmd_branch(args):
     from .continuation import BranchFamily, continue_branch
-    family = BranchFamily.parse(args.family or "upper")
+    family = BranchFamily(args.family or "upper")
     n_max = args.n_max if args.n_max is not None else 1.0
     br = continue_branch(args.l, family, n_max)
     fields = {
@@ -216,10 +219,8 @@ def _cmd_branch(args):
 def _cmd_mu(args):
     from .pencil import Family
     from .perturbation import mu_via_ift, mu_via_quadrature
-    family = Family.parse(args.family or "first")
-    method = (args.method or "both").lower()
-    if method not in {"ift", "quad", "both"}:
-        raise ValueError("--method must be ift, quad, or both")
+    family = Family(args.family or "first")
+    method = args.method or "both"
     fields = {"l": args.l, "family": family.value}
     if method in {"ift", "both"}:
         fields["mu_ift"] = mu_via_ift(args.l, family)
@@ -276,7 +277,7 @@ def _cmd_crack(args):
 _COMMANDS = {
     "pencil": (_cmd_pencil, "pencil eigenfunction coefficients", ("csv", "json"), (
         ("--degree", dict(type=int, required=True)),
-        ("--family", dict()),
+        ("--family", dict(type=str.lower, choices=("first", "second"))),
     )),
     "char-scan": (_cmd_char_scan, "characteristic polynomial grids", ("csv", "json"), (
         ("--l", dict(type=int)),
@@ -291,13 +292,13 @@ _COMMANDS = {
     )),
     "branch": (_cmd_branch, "continue one eigenvalue branch in n", ("csv", "json"), (
         ("--l", dict(type=int, required=True)),
-        ("--family", dict(help="upper|lower")),
+        ("--family", dict(type=str.lower, choices=("upper", "lower"))),
         ("--n-max", dict(type=float)),
     )),
     "mu": (_cmd_mu, "branch slope at n = 0 by both methods", ("json",), (
         ("--l", dict(type=int, required=True)),
-        ("--family", dict(help="first|second")),
-        ("--method", dict(help="ift|quad|both")),
+        ("--family", dict(type=str.lower, choices=("first", "second"))),
+        ("--method", dict(type=str.lower, choices=("ift", "quad", "both"))),
     )),
     "shoot": (_cmd_shoot, "integrate the tip eigenfunction ODE", ("csv", "json"), (
         ("--l", dict(type=int, required=True)),

@@ -32,13 +32,6 @@ class BranchFamily(enum.Enum):
     UPPER = "upper"   # seeded at -l
     LOWER = "lower"   # seeded at -l - 1
 
-    @classmethod
-    def parse(cls, text: str) -> "BranchFamily":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown branch family {text!r}; expected 'upper' or 'lower'")
-
 
 class FoldPoint(NamedTuple):
     """A parameter value where two real eigenvalues merge.

@@ -58,6 +58,11 @@ class CrackSpec(NamedTuple("CrackSpec", [("alphas", Tuple[float, ...])])):
 
 
 class CrackMatch(NamedTuple):
+    """Slopes carried by the zeros of index ``l``.  ``ratio`` is the
+    combination's (c, d), the larger entry scaled to 1, in linear mode, and
+    the initial data (Psi(0), Psi'(0)) at unit length with Psi(0) >= 0 in
+    nonlinear mode."""
+
     l: int
     ratio: Tuple[float, float]
     zero_indices: Tuple[int, ...]
@@ -235,7 +240,7 @@ def check_nonlinear(
         worst = max(abs(p) for p, _ in at) / scale
         if worst > tol:
             continue
-        zeros = sorted({a1}.union(prof.zeros))
+        zeros = sorted(set(prof.zeros))  # a1 is the first, where Psi starts at 0
         idx = _match_alphas_to_zeros(spec.alphas, zeros, consecutive, dist_tol)
         if idx is not None:
             matches.append(CrackMatch(l, ratio, idx, worst, tuple(zeros)))

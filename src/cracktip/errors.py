@@ -29,6 +29,6 @@ class NoRealEigenvalueError(NumericsError):
 
 def _check_index(value, least: int = 1, name: str = "l") -> None:
     """The one index rule: an int of at least ``least``, so that a float
-    (2.0 included) or a numpy integer raises ValueError naming ``name``."""
-    if not (isinstance(value, int) and value >= least):
+    (2.0 included), a bool or a numpy integer raises ValueError naming ``name``."""
+    if not (type(value) is int and value >= least):
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")

@@ -50,13 +50,6 @@ class Family(enum.Enum):
     FIRST = "first"
     SECOND = "second"
 
-    @classmethod
-    def parse(cls, text: str) -> "Family":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown family {text!r}; expected 'first' or 'second'")
-
 
 class Polynomial(Record):
     """c Re (z + i)**l + d Im (z + i)**l / l, the constant c at l = 0, stored

@@ -188,12 +188,11 @@ def shoot(
         raise ValueError("z_max must be positive and finite")
     if not transversality_tol > 0.0:
         raise ValueError("transversality_tol must be positive")
-    even = l % 2 == 0
-    ic = (1.0, 0.0) if even else (0.0, 1.0)
+    ic = (1.0, 0.0) if l % 2 == 0 else (0.0, 1.0)
     traj = _trajectory(lam, n, 0.0, ic, z_max, rtol, atol)
 
-    pos_zeros = [t for t in traj.zeros if t > 1e-13]
-    zeros = sorted({-t for t in pos_zeros} | set(pos_zeros) | ({0.0} if not even else set()))
+    # an odd l's trajectory meets 0.0 first, and the set keeps 0.0, not -0.0
+    zeros = sorted(set(traj.zeros) | {-t for t in traj.zeros})
     dmags = [abs(traj.sol(abs(t))[1]) for t in zeros]
     window = max(1.0, (abs(zeros[-1]) + 1.0) if zeros else 1.0)
     scale = max(abs(traj.sol(z)[0]) for z in _half_grid(z_max) if z <= window)

@@ -263,9 +263,11 @@ def test_horner_matches_numpy_bit_for_bit(coeffs, x):
     assert [c.hex() for c in _polyder(coeffs)] == [float(c).hex() for c in dwant]
 
 
-@pytest.mark.parametrize("l", [2.5, 2.0, np.int64(2)], ids=["2.5", "2.0", "int64"])
+@pytest.mark.parametrize(
+    "l", [2.5, 2.0, np.int64(2), True, False], ids=["2.5", "2.0", "int64", "True", "False"]
+)
 def test_index_must_be_an_int(l):
-    # the index rule of a lattice: an int l >= 1, so 2.0 and a numpy integer are none
+    # the index rule of a lattice: an int l >= 1, so 2.0, a bool and a numpy integer are none
     with pytest.raises(ValueError, match="l must be an int >= 1"):
         build_quartic(l, 0.1)
     with pytest.raises(ValueError, match="l must be an int >= 1"):

@@ -381,6 +381,8 @@ def test_both_scans_take_the_index_and_exponent_rules():
     for check in (check_linear, lambda spec, l_max: check_nonlinear(spec, 0.01, l_max=l_max)):
         with pytest.raises(ValueError, match="l_max must be an int >= 2, got 3.5"):
             check(spec, l_max=3.5)
+        with pytest.raises(ValueError, match="l_max must be an int >= 1, got True"):
+            check(CrackSpec((0.5,)), l_max=True)  # a bool is no index
     with pytest.raises(ValueError, match="n must be finite"):
         check_nonlinear(spec, math.inf)
 

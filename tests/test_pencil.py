@@ -228,16 +228,21 @@ def test_combine_examples():
             combine(bad, 1.0, 3)
         with pytest.raises(ValueError):
             combine(1.0, bad, 3)
-    with pytest.raises(ValueError, match="l must be an int >= 1"):
-        combine(1.0, 0.5, 0)
+    for l in (0, True, False):  # a bool is no index
+        with pytest.raises(ValueError, match="l must be an int >= 1"):
+            combine(1.0, 0.5, l)
+    with pytest.raises(ValueError, match="lattice's l must be an int >= 0, got True"):
+        Polynomial((True, 1.0, 0.0))
     with pytest.raises(ValueError, match="degree must be an int >= 0"):
         build_eigenfunction(-1, Family.SECOND)
 
 
-@pytest.mark.parametrize("degree", [2.0, np.int64(3)], ids=["2.0", "int64"])
+@pytest.mark.parametrize(
+    "degree", [2.0, np.int64(3), True, False], ids=["2.0", "int64", "True", "False"]
+)
 def test_degree_must_be_an_int_whatever_was_built_before(degree):
-    # a float or numpy degree is rejected even once the int degree's record
-    # exists, so the answer does not depend on what the process asked before
+    # a float, numpy or bool degree is rejected even once the int degree's
+    # record exists, so the answer does not depend on what the process asked before
     assert build_eigenfunction(int(degree), Family.FIRST).degree == int(degree)
     for family in Family:
         with pytest.raises(ValueError, match="degree must be an int >= 0"):
@@ -466,10 +471,10 @@ def test_expansion_rejects_bad_index():
         evaluate_expansion([(0, 1.0, 0.0)], 0.0, 0.0)
 
 
-@pytest.mark.parametrize("k", [2.5, 2.0])
+@pytest.mark.parametrize("k", [2.5, 2.0, True, False])
 def test_expansion_index_must_be_an_int(k):
-    # a float index is no lattice, 2.0 included: it raises, where 2.5 once
-    # summed a non-polynomial term
+    # a float or bool index is no lattice, 2.0 included: it raises, where 2.5
+    # once summed a non-polynomial term
     with pytest.raises(ValueError, match="k must be an int >= 1"):
         evaluate_expansion([(1, 1.0, 0.0), (k, 1.0, 0.0)], 0.3, 0.0)
 

@@ -242,7 +242,10 @@ def test_degenerate_seed_rejected():
         mu_via_ift(0, Family.FIRST)
 
 
-@pytest.mark.parametrize("l", [0, -1, 2.5, 2.0, np.int64(2)], ids=["0", "-1", "2.5", "2.0", "int64"])
+@pytest.mark.parametrize(
+    "l", [0, -1, 2.5, 2.0, np.int64(2), True, False],
+    ids=["0", "-1", "2.5", "2.0", "int64", "True", "False"],
+)
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 def test_routes_share_the_index_domain(l, family):
     # every route takes the quartic's index, an int l >= 1; the quadrature

@@ -374,10 +374,21 @@ def test_growth_exponent_integer_window_near_zero():
     assert 1.9 <= sol.growth_exponent <= 2.1
 
 
+def test_shoot_keeps_zeros_near_the_origin():
+    # at n = 0 and lambda = -L the zeros are the lattice tan((k + 1/2) pi / L);
+    # for L = 1e14 six of them lie below 1e-13, which shoot once dropped
+    sol = shoot(2, 0.0, -1e14, z_max=1e-12)
+    zeros = sol.zeros.zeros
+    assert len(zeros) == len(two_sided_profile(0.0, -1e14, (1.0, 0.0), 1e-12).zeros()) == 64
+    small = [z for z in zeros if abs(z) < 1e-13]
+    want = sorted(s * math.tan((k + 0.5) * math.pi / 1e14) for k in range(3) for s in (-1, 1))
+    assert small == pytest.approx(want, rel=1e-9)
+
+
 def test_preconditions():
     with pytest.raises(ValueError):
         shoot(0, 0.0, -1.0)
-    for l in (2.5, 2.0, np.int64(2)):  # the index rule of the quartic: an int l >= 1
+    for l in (2.5, 2.0, np.int64(2), True, False):  # the index rule of the quartic: an int l >= 1
         with pytest.raises(ValueError, match="l must be an int >= 1"):
             shoot(l, 0.0, -2.0)
     for n, lam in ((-0.5, -2.0), (math.nan, -2.0), (math.inf, -2.0), (0.0, math.nan),
