@@ -209,7 +209,9 @@ def integrate(F, z0, y0, z_end, rtol, atol) -> Trajectory:
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     gp = dpsi + h0 * sign * fd
     gd = F(z + h0 * sign, psi + h0 * sign * dpsi, gp)
-    d2 = math.hypot((gp - dpsi) / s0, (gd - fd) / s1) * _RMS / h0
+    # h0 is 0 where Psi'' is so large that 0.01 d0/d1 underflows; d2 is then
+    # inf, as numpy's division gives it in scipy, and the first step fails
+    d2 = math.hypot((gp - dpsi) / s0, (gd - fd) / s1) * _RMS / h0 if h0 else math.inf
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100.0 * h0, h1, span)
 

@@ -244,7 +244,7 @@ def _cmd_shoot(args):
         "growth_exponent": sol.growth_exponent,
     }
 
-    def rows():  # the samples, and numpy with them, are formed only for CSV
+    def rows():  # the samples are formed only for CSV
         yield from zip(sol.z, sol.psi, sol.dpsi)
     return fields, _csv("z,psi,dpsi", rows()), EXIT_OK
 

@@ -116,10 +116,10 @@ def continue_branch(l: int, family: BranchFamily, n_max: float) -> Branch:
     return Branch(l, family, (*samples, end, *tail), fold, reached_n_max=fold is None)
 
 
-def _fold_point(l: int, n: float, x: float, kind: str) -> FoldPoint:
+def _fold_point(l: int, A: List[int], B: List[int], n: float, x: float, kind: str) -> FoldPoint:
     """The meeting point at exponent n and x = Lam + l, with Phi and its
-    Lam-derivatives (d/dLam = d/dx) evaluated from the shifted parts."""
-    phi = [a + n * b for a, b in zip(*_shifted_parts(l))]
+    Lam-derivatives (d/dLam = d/dx) evaluated from the shifted parts A, B."""
+    phi = [a + n * b for a, b in zip(A, B)]
     if l == 1:
         phi.append(0.0)  # restore the divided-out factor x
     d1 = _polyder(phi)
@@ -142,7 +142,7 @@ def find_fold(l: int) -> FoldPoint:
     deflated A + n B vanishes at x = 0, and real roots survive on both sides."""
     A, B = _shifted_parts(l)
     if l == 1:
-        return _fold_point(1, -A[-1] / B[-1], 0.0, "crossing")
+        return _fold_point(1, A, B, -A[-1] / B[-1], 0.0, "crossing")
     dA, dB = [0] + _polyder(A), [0] + _polyder(B)  # aligned with A and B
     W = [0] * (2 * len(A) - 1)  # in exact integers, rounded once below
     for i in range(len(A)):
@@ -150,7 +150,7 @@ def find_fold(l: int) -> FoldPoint:
             W[i + j] += dA[i] * B[j] - A[i] * dB[j]
     x = _root([float(w) for w in W[1:]], 0.0, -1.0)
     n = -_polyval(A, x) / _polyval(B, x)
-    fold = _fold_point(l, n, x, "fold")
+    fold = _fold_point(l, A, B, n, x, "fold")
     if fold.second_derivative == 0.0:
         raise NumericsError(f"fold for l={l} is not quadratic (Phi_LamLam = 0)")
     return fold

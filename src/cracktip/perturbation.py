@@ -83,7 +83,8 @@ def mu_via_ift(l: int, family: Family) -> float:
 
 
 class QuadratureDiagnostics(NamedTuple):
-    """The midpoint rule's largest |z|, cot(pi / 2N), and its mu, one each."""
+    """The midpoint rule's largest |z|, cot(pi / 2N), and its mu (nan where
+    the integral diverges), one each."""
 
     windows: Tuple[float, ...]
     mu_values: Tuple[float, ...]
@@ -112,9 +113,9 @@ def mu_via_quadrature(l: int, family: Family) -> Tuple[float, QuadratureDiagnost
     3, 7 and 20).
 
     First-family seeds have lam = -e, so the I_mu integrand tends to the
-    constant 1 - e and the integrals diverge: mu is nan and
-    ``divergent_tail`` is set.  A vanishing I_mu sum (l = 1, first family)
-    raises NumericsError.
+    constant 1 - e and the integrals diverge: mu, and its entry in
+    ``mu_values``, is nan and ``divergent_tail`` is set.  A vanishing I_mu
+    sum (l = 1, first family) raises NumericsError.
     """
     _check_index(l)
     seed = build_eigenfunction(l, family).poly.lattice
@@ -131,9 +132,9 @@ def mu_via_quadrature(l: int, family: Family) -> Tuple[float, QuadratureDiagnost
     if i_mu == 0.0:
         raise NumericsError("orthogonality degenerate: the mu-coefficient integral vanishes")
     divergent = family is Family.FIRST
-    mu, window = -i_rest / i_mu, 1.0 / math.tan(0.5 * (math.pi / num_nodes))
-    diag = QuadratureDiagnostics((window,), (mu,), divergent, not divergent)
-    return (math.nan if divergent else mu), diag
+    mu = math.nan if divergent else -i_rest / i_mu
+    window = 1.0 / math.tan(0.5 * (math.pi / num_nodes))
+    return mu, QuadratureDiagnostics((window,), (mu,), divergent, not divergent)
 
 
 class CorrectionSolution(NamedTuple):

@@ -104,38 +104,26 @@ class ShootingSolution(Record):
     ``steps`` counting the calls ``shoot`` made and its accepted steps.
     ``evaluate`` reads (Psi, Psi') off the trajectory anywhere on the span;
     ``z``, ``psi`` and ``dpsi`` are its samples at 2001 equally spaced points
-    of [0, z_max] and their mirror images, formed on first read."""
+    of [0, z_max] and their mirror images, tuples of floats formed on first
+    read."""
 
     # no __slots__: the cached samples need an instance __dict__
     _fields = ("l", "n", "lam", "zeros", "growth_exponent", "scale", "nfev", "steps", "_traj")
 
-    def _state(self, z: float) -> Tuple[float, float]:
-        """(Psi, Psi') at the float z, |z| <= z_max, parity-mirrored."""
+    def evaluate(self, z) -> Tuple[float, float]:
+        """(Psi, Psi') at the number z, |z| <= z_max, parity-mirrored; past
+        the integrated span, or at nan, it raises ValueError."""
+        z = float(z)
         psi, dpsi = self._traj.sol(abs(z))
         if z >= 0.0:
             return psi, dpsi
         return (psi, -dpsi) if self.l % 2 == 0 else (-psi, dpsi)
 
-    def evaluate(self, z):
-        """(psi, psi') at a float z, or two arrays of z's shape; past the
-        integrated span it raises ValueError."""
-        if isinstance(z, (int, float)) or getattr(z, "ndim", None) == 0:
-            return self._state(float(z))
-        import numpy as np
-        zz = np.asarray(z, dtype=float)
-        out = np.array([self._state(v) for v in zz.ravel().tolist()]).reshape(zz.shape + (2,))
-        return out[..., 0], out[..., 1]
-
-    def __call__(self, z):
-        out = self.evaluate(z)
-        return out[0]
-
     @cached_property
     def _samples(self):
-        import numpy as np
         half = _half_grid(self._traj._zs[-1])
-        z = np.array([-v for v in reversed(half[1:])] + half)
-        return (z, *self.evaluate(z))
+        z = tuple(-v for v in reversed(half[1:])) + tuple(half)
+        return (z, *zip(*map(self.evaluate, z)))
 
     z = property(lambda self: self._samples[0])
     psi = property(lambda self: self._samples[1])
@@ -222,14 +210,11 @@ class Profile(Record):
 
     __slots__ = _fields = ("lam", "n", "ic", "z_max", "_pos", "_neg", "nfev", "steps")
 
-    def _state(self, z: float) -> Tuple[float, float]:
-        return (self._pos if z >= 0.0 else self._neg).sol(float(z))
-
-    def psi(self, z: float) -> float:
-        return self._state(z)[0]
-
-    def dpsi(self, z: float) -> float:
-        return self._state(z)[1]
+    def evaluate(self, z) -> Tuple[float, float]:
+        """(Psi, Psi') at the number z, |z| <= z_max; past the integrated
+        span, or at nan, it raises ValueError."""
+        z = float(z)
+        return (self._pos if z >= 0.0 else self._neg).sol(z)
 
     def zeros(self) -> List[float]:
         return sorted(set(self._pos.zeros + self._neg.zeros))

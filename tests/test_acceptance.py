@@ -219,7 +219,7 @@ def test_criterion_09_linear_shooting_oracle():
         for family in (Family.FIRST, Family.SECOND):
             pair = build_eigenfunction(l, family)
             sol = shoot(l, 0.0, pair.lam, z_max=6.0, rtol=1e-12, atol=1e-13)
-            shot, _ = sol.evaluate(zs)
+            shot = np.array([sol.evaluate(z)[0] for z in zs])
             norm = pair.poly(0.0) if l % 2 == 0 else pair.poly.derivative()(0.0)
             assert np.max(np.abs(norm * shot - pair.poly(zs))) <= 1e-6, (l, family)
 
@@ -230,7 +230,7 @@ def test_criterion_09_linear_shooting_oracle():
 def test_criterion_10_closed_form_oracle():
     sol = shoot(1, 1.0, 0.0, z_max=10.5, rtol=1e-12, atol=1e-13)
     zs = np.linspace(0.0, 10.0, 201)
-    _, dpsi = sol.evaluate(zs)
+    dpsi = np.array([sol.evaluate(z)[1] for z in zs])
     want = closed_form_lambda0_derivative(1.0, zs) / closed_form_lambda0_derivative(1.0, 0.0)
     assert np.max(np.abs(dpsi - want)) <= 1e-8
 

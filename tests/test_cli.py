@@ -211,6 +211,14 @@ def test_mu_past_the_coefficient_range(capsys):
                                             1100 ** 2 + 1))
 
 
+def test_shoot_initial_step_underflow_is_numerical_failure(capsys):
+    # Psi'' of 1e300 at z = 0 rounds the initial step 0.01 d0/d1 to 0
+    code, out, err = run_capture(
+        ["shoot", "--l", "2", "--n", "1e300", "--lambda", "-2", "--format", "json"], capsys)
+    assert code == EXIT_NUMERICAL
+    assert out == "" and "numerical failure" in err
+
+
 def test_pencil_past_double_range_is_numerical_failure(capsys):
     # the exact coefficients of degree 1100 exceed the largest double
     code, out, err = run_capture(["pencil", "--degree", "1100", "--family", "first"], capsys)
@@ -553,8 +561,9 @@ COMMAND_MODULES = [
     (["crack", "--alphas", "-1,1", "--n", "0.05", "--l-max", "2", "--tol", "0.3"],
      "_record characteristic continuation crack pencil shooting _dopri"),
 ]
-# commands that load no numpy: every one but shoot's CSV
-NUMPY_FREE_COMMANDS = [argv for argv, _ in COMMAND_MODULES]
+# commands that load no numpy: every one, shoot's CSV included
+NUMPY_FREE_COMMANDS = [argv for argv, _ in COMMAND_MODULES] + [
+    ["shoot", "--l", "3", "--n", "0.01", "--lambda", "-3"]]
 
 
 def test_scipy_loads_on_first_use():
@@ -596,11 +605,11 @@ def test_correction_solve_loads_no_scipy_sparse():
     run_fresh(code)
 
 
-def test_numpy_loads_on_first_use():
+def test_no_command_loads_numpy():
     # the polynomial and scalar layers run on Python floats, quartic roots
-    # and folds included, and so do a shot's zeros, growth exponent and
-    # scale and its JSON record: only a shot's samples, which CSV writes,
-    # load numpy
+    # and folds included, and so does a shot: its zeros, growth exponent,
+    # scale and samples, which CSV writes, are floats; only solve_correction
+    # loads numpy
     code = (
         "import sys, cracktip, cracktip.cli\n"
         "from cracktip.cli import run\n"
@@ -615,9 +624,9 @@ def test_numpy_loads_on_first_use():
         "    assert not loaded(), (argv, loaded())\n"
         "sol = cracktip.shoot(3, 0.05, -3.1)\n"
         "assert sol.zeros.zeros and sol.growth_exponent > 0.0 and sol.scale >= 1.0\n"
+        "assert len(sol.z) == len(sol.psi) == len(sol.dpsi) == 4001\n"
+        "assert all(type(v) is float for v in sol.z + sol.psi + sol.dpsi)\n"
         "assert not loaded(), loaded()\n"
-        "assert sol.z.size == 4001 and loaded()\n"
-        "assert run(['shoot', '--l', '3', '--n', '0.01', '--lambda', '-3']) == 0\n"
     )
     run_fresh(code)
 

@@ -1,9 +1,9 @@
 """Byte-for-byte regression of CLI output against recorded files.
 
-None of these invocations uses scipy: the nonlinear crack check and
-``shoot`` run the in-module DOP853 stepper on Python floats.  Only
-``shoot``'s CSV loads numpy, for the samples it writes; its JSON record
-does not.  After a deliberate change to the output, see what it moves with
+None of these invocations uses scipy or numpy: the nonlinear crack check
+and ``shoot`` run the in-module DOP853 stepper on Python floats, and the
+samples that ``shoot``'s CSV writes are tuples of floats.  After a
+deliberate change to the output, see what it moves with
 
     PYTHONPATH=src python tests/test_cli_golden.py --diff
 

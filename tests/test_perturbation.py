@@ -213,6 +213,7 @@ def test_quadrature_first_family_flags_divergent_tail(l):
     assert diag.divergent_tail
     assert not diag.converged
     assert math.isnan(mu)
+    assert math.isnan(diag.mu_values[0])
 
 
 @pytest.mark.parametrize("l", [2, 3])

@@ -238,16 +238,42 @@ def test_shot_past_the_product_overflow():
 def test_evaluation_past_the_span_raises():
     sol = shoot(3, 0.0, -3.0, z_max=10.0)
     assert sol.evaluate(-10.0) == pytest.approx((-sol.evaluate(10.0)[0], sol.evaluate(10.0)[1]))
-    for z in (50.0, -10.5, np.array([1.0, 50.0]), math.nan):
+    for z in (50.0, -10.5, math.nan):
         with pytest.raises(ValueError, match="span"):
             sol.evaluate(z)
+    with pytest.raises(TypeError):
+        sol.evaluate(np.array([1.0, 50.0]))
     prof = two_sided_profile(0.0, -3.0, (0.0, 1.0), 5.0)
-    assert math.isfinite(prof.psi(5.0)) and math.isfinite(prof.dpsi(-5.0))
+    assert math.isfinite(prof.evaluate(5.0)[0]) and math.isfinite(prof.evaluate(-5.0)[1])
     for z in (40.0, -5.5, math.nan):
         with pytest.raises(ValueError, match="span"):
-            prof.psi(z)
-        with pytest.raises(ValueError, match="span"):
-            prof.dpsi(z)
+            prof.evaluate(z)
+
+
+# (Psi, Psi') of shoot(3, 0.05, -3.1, z_max=10) and of
+# two_sided_profile(0.05, -3.1, (1.0, 0.5), 5.0), recorded from the shot's
+# evaluate and the profile's psi and dpsi before these became one evaluate
+SHOT_STATES = {2: (-1.354813819967961, -3.955956587299164),
+               -1.5: (-0.06205435650009248, -1.8145012599443537),
+               -4: (22.453148289535605, -18.855987157536727), 0.0: (0.0, 1.0)}
+PROFILE_STATES = {2: (-12.175391611196186, -13.492930210884651),
+                  -1.5: (-6.308501071317656, 8.230055376172437),
+                  -4: (-28.439475451407922, 6.247928720661649), 0.0: (1.0, 0.5)}
+
+
+def test_evaluate_reads_one_number():
+    # an int and a numpy float read as the float they equal; an array is
+    # no number, and float() rejects it
+    sol = shoot(3, 0.05, -3.1, z_max=10.0)
+    prof = two_sided_profile(0.05, -3.1, (1.0, 0.5), 5.0)
+    for record, states in ((sol, SHOT_STATES), (prof, PROFILE_STATES)):
+        for z, want in states.items():
+            for arg in (z, np.float64(z)):
+                got = record.evaluate(arg)
+                assert got == want and all(type(v) is float for v in got), (record, arg)
+        for z in (np.array([1.0, 2.0]), np.zeros((2, 2)), [1.0]):
+            with pytest.raises(TypeError):
+                record.evaluate(z)
 
 
 @pytest.mark.parametrize("z0, z_end", [(0.0, 5.0), (1.0, -2.0)])
@@ -279,7 +305,8 @@ def test_sample_parity_matches_index(l, n):
     lam = max(r for r in real_roots(build_quartic(l, n)) if r > -l - 2.0)
     sol = shoot(l, n, lam, z_max=20.0)
     sign = 1.0 if l % 2 == 0 else -1.0
-    assert np.max(np.abs(sol.psi - sign * sol.psi[::-1])) == 0.0
+    psi = np.array(sol.psi)
+    assert np.max(np.abs(psi - sign * psi[::-1])) == 0.0
 
 
 def test_shot_zero_structure_degree_three():
@@ -294,7 +321,8 @@ def test_affine_solution_is_exact():
     # lam = -1 with odd data gives Psi = z for every n; on a moderate
     # window the integrator tracks it to full precision
     sol = shoot(1, 5.0, -1.0, z_max=10.0, rtol=1e-12, atol=1e-14)
-    rel = np.abs(sol.psi - sol.z) / (1.0 + np.abs(sol.z))
+    z, psi = np.array(sol.z), np.array(sol.psi)
+    rel = np.abs(psi - z) / (1.0 + np.abs(z))
     assert np.max(rel) <= 1e-12
     assert sol.zeros.zeros == pytest.approx((0.0,), abs=1e-14)
 
@@ -307,7 +335,8 @@ def test_closed_form_values():
 def test_closed_form_matches_integration():
     prof = two_sided_profile(1.0, 0.0, (0.0, math.exp(-0.5)), 10.5, rtol=1e-12, atol=1e-13)
     for z in np.linspace(0.0, 10.0, 41):
-        assert prof.dpsi(z) == pytest.approx(closed_form_lambda0_derivative(1.0, z), abs=1e-8)
+        assert prof.evaluate(z)[1] == pytest.approx(closed_form_lambda0_derivative(1.0, z),
+                                                    abs=1e-8)
 
 
 def test_arctan_solution():
@@ -322,7 +351,7 @@ def test_two_sided_profile_even_combination():
     # at n = 0, lam = -2 the even profile is proportional to z^2 - 1
     prof = two_sided_profile(0.0, -2.0, (1.0, 0.0), 5.0)
     assert sorted(prof.zeros()) == pytest.approx([-1.0, 1.0], abs=1e-10)
-    assert prof.psi(2.0) == pytest.approx(-3.0 * prof.psi(0.0), rel=1e-9)
+    assert prof.evaluate(2.0)[0] == pytest.approx(-3.0 * prof.evaluate(0.0)[0], rel=1e-9)
 
 
 def test_shot_growth_tracks_eigenvalue():
@@ -509,6 +538,12 @@ def test_trajectory_failures_raise():
     with pytest.raises(NumericsError, match="non-finite dense output"):
         _dense(lambda z, psi, dpsi: math.nan, 0.0, 1.0, (0.0, 1.0), (1.0, 1.0), 0.0,
                (0.0,) * 8, (0.0,) * 8)
+    # Psi'' so large that the initial step 0.01 d0/d1 underflows to 0, where
+    # its second estimate once divided by it
+    with pytest.raises(NumericsError):
+        integrate(lambda z, psi, dpsi: -1e300 * psi, 0.0, (1.0, 0.0), 1.0, 1e-10, 1e-10)
+    with pytest.raises(NumericsError):
+        shoot(2, 0.0, 1e300)
 
 
 def test_integrate_rejects_bad_tolerances_and_spans():
@@ -605,7 +640,7 @@ def test_shoot_needs_two_samples():
     sol = shoot(2, 0.0, -2.0)
     assert 0.525 not in sol.z
     assert sol.evaluate(0.525) == pytest.approx((1.0 - 0.525 ** 2, -1.05), rel=1e-9)
-    assert sol(0.525) == sol.evaluate(0.525)[0]
+    assert sol.evaluate(0.525) == sol._traj.sol(0.525)
 
 
 @pytest.mark.parametrize("l, n, lam", [(1, 0.0, -1.0), (3, 0.05, -3.1), (2, 0.0, -100.0)])
@@ -618,7 +653,7 @@ def test_work_counters(l, n, lam):
     assert (sol.nfev - 2) % 3 == 0 and sol.nfev >= 12 * sol.steps + 2 and sol.steps > 0
     window = max(1.0, abs(sol.zeros.zeros[-1]) + 1.0)
     assert sol._traj.nfev == sol.nfev and max(sol._traj._zs[i] for i in sol._traj._dense) < window
-    assert sol.psi.size == 4001 and sol._traj.nfev > sol.nfev
+    assert len(sol.psi) == 4001 and sol._traj.nfev > sol.nfev
     prof = two_sided_profile(n, lam, (1.0, 0.5), 20.0)
     pos, neg = prof._pos, prof._neg
     assert (prof.nfev, prof.steps) == (pos.nfev + neg.nfev, pos.steps + neg.steps)
