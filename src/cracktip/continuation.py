@@ -69,15 +69,15 @@ def _shifted_parts(l: int) -> Tuple[List[int], List[int]]:
     return parts[0], parts[1]
 
 
-def _eigenvalue(meet: FoldPoint, family: BranchFamily, n: float) -> float:
-    """Lam on ``family``'s branch at exponent n, the root of A + n B on the
-    branch's side of the meeting point of index ``meet.l``."""
+def _eigenvalue(meet: FoldPoint, family: BranchFamily, n: float, parts=None) -> float:
+    """Lam on ``family``'s branch at exponent n, the root of A + n B (``parts``, else
+    formed here) on the branch's side of the meeting point of index ``meet.l``."""
     l = meet.l
     if meet.kind == "crossing" and (family is BranchFamily.UPPER or n >= meet.n_star):
         return -1.0  # the persistent root
     if meet.kind == "fold" and n >= meet.n_star:
         raise NoRealEigenvalueError(f"past fold (n >= {meet.n_star:.8g}), no real eigenvalue")
-    A, B = _shifted_parts(l)
+    A, B = parts or _shifted_parts(l)
     seed = 0.0 if family is BranchFamily.UPPER else -1.0
     x_star, p = meet.lambda_star + l, [a + n * b for a, b in zip(A, B)]
     # below a fold A + n B = B(x*) (n - n*) < 0 at x*; so near the fold that
@@ -103,10 +103,10 @@ def continue_branch(l: int, family: BranchFamily, n_max: float) -> Branch:
     seed = float(-l - (family is BranchFamily.LOWER))
     if crossing and family is BranchFamily.UPPER:
         return Branch(l, family, ((0.0, seed), (n_max, seed)), None, reached_n_max=True)
+    parts = A, B = _shifted_parts(l)
     reached = n_max < meet.n_star
-    end = ((n_max, _eigenvalue(meet, family, n_max)) if reached
+    end = ((n_max, _eigenvalue(meet, family, n_max, parts)) if reached
            else (meet.n_star, meet.lambda_star))
-    A, B = _shifted_parts(l)
     samples = [(0.0, seed)]
     for k in range(1, _BRANCH_INTERVALS):
         lam = seed + k * (end[1] - seed) / _BRANCH_INTERVALS  # in [-l-1, -l]: lam + l is exact

@@ -24,8 +24,10 @@ first slope; this extrapolation is flagged experimental in its output.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from ._record import Record
 from .errors import NoRealEigenvalueError, _check_index
 from .pencil import _lattice, _lattice_points, combine, nodal_set
 
@@ -57,17 +59,28 @@ class CrackSpec(NamedTuple("CrackSpec", [("alphas", Tuple[float, ...])])):
         return len(self.alphas)
 
 
-class CrackMatch(NamedTuple):
+class CrackMatch(Record):
     """Slopes carried by the zeros of index ``l``.  ``ratio`` is the
     combination's (c, d), the larger entry scaled to 1, in linear mode, and
     the initial data (Psi(0), Psi'(0)) at unit length with Psi(0) >= 0 in
-    nonlinear mode."""
+    nonlinear mode.  A linear match keeps its lattice phase, not a field,
+    and forms ``zeros`` from it on first read."""
 
-    l: int
-    ratio: Tuple[float, float]
-    zero_indices: Tuple[int, ...]
-    max_residual: float
-    zeros: Tuple[float, ...]
+    __slots__ = ("l", "ratio", "zero_indices", "max_residual", "_phase", "__dict__")
+    _fields = ("l", "ratio", "zero_indices", "max_residual", "zeros")
+
+    @classmethod
+    def _on_lattice(cls, l, ratio, zero_indices, max_residual, phase) -> CrackMatch:
+        self = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, (l, ratio, zero_indices, max_residual, phase)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @cached_property
+    def zeros(self) -> Tuple[float, ...]:
+        # p - copysign(1/2, p) is exact wherever it is the smaller offset
+        p = self._phase
+        return tuple(z for z, _ in _lattice(self.l, p, p - math.copysign(0.5, p)))
 
 
 class AdmissibilityReport(NamedTuple):
@@ -148,9 +161,7 @@ def check_linear(
             c, d = -math.sin(math.pi * p), l * math.sin(math.pi * (0.5 - abs(p)))
             big = c if abs(c) >= abs(d) else d
             ratio = (c / big + 0.0, d / big + 0.0)
-            # p - copysign(1/2, p) is exact wherever it is the smaller offset
-            zeros = tuple(z for z, _ in _lattice(l, p, p - math.copysign(0.5, p)))
-            matches.append(CrackMatch(l, ratio, tuple(idx), worst, zeros))
+            matches.append(CrackMatch._on_lattice(l, ratio, tuple(idx), worst, p))
     return _report(matches, mode="linear", n=0.0)
 
 

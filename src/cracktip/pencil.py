@@ -183,16 +183,17 @@ def _lattice(l: int, p, q) -> Iterator[Tuple[float, float]]:
     b2, s = (0, p) if abs(p) <= abs(q) else ((1 if p > 0 else -1), q)  # p = b2 / 2 + s
     sn, sd = s.as_integer_ratio()
     pi_num, pi_den = _PI
-    den = pi_den * 2 * l * sd
-    for j in _lattice_points(l, p):
-        t = (2 * j + b2) * sd + 2 * sn  # 2 (j + p) sd
-        h = l * sd - t  # the angle from pi / 2 in units of pi / (2 l sd)
-        if 2 * abs(h) <= l * sd:
+    points, ls, step, den = _lattice_points(l, p), l * sd, 2 * sd, pi_den * 2 * l * sd
+    # l sd - 2 (j + p) sd, the angle from pi / 2 in units of pi / (2 l sd), at each j in turn
+    h = ls - (2 * points.start + b2) * sd - 2 * sn
+    for _ in points:
+        if 2 * abs(h) <= ls:
             x = pi_num * h / den
             yield math.tan(x), math.cos(x)
-        else:
-            x = pi_num * (t if h > 0 else t - 2 * l * sd) / den
+        else:  # from the end nearer theta: theta or theta - pi
+            x = pi_num * ((ls if h > 0 else -ls) - h) / den
             yield 1.0 / math.tan(x), abs(math.sin(x))
+        h += step
 
 
 def _over_pi(x: float) -> Fraction:

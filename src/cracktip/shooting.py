@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import List, Tuple
+from itertools import chain, takewhile
+from typing import Iterator, List, Tuple
 
 from ._record import NodalSet, Record
 from .errors import QuasilinearDegeneracyError, _check_index
@@ -121,7 +122,7 @@ class ShootingSolution(Record):
 
     @cached_property
     def _samples(self):
-        half = _half_grid(self._traj._zs[-1])
+        half = list(_half_grid(self._traj._zs[-1]))
         z = tuple(-v for v in reversed(half[1:])) + tuple(half)
         return (z, *zip(*map(self.evaluate, z)))
 
@@ -130,9 +131,10 @@ class ShootingSolution(Record):
     dpsi = property(lambda self: self._samples[2])
 
 
-def _half_grid(z_max: float) -> List[float]:
-    """The 2001 points k z_max/2000 of [0, z_max], as np.linspace forms them."""
-    return [k * (z_max / 2000) for k in range(2000)] + [z_max]
+def _half_grid(z_max: float) -> Iterator[float]:
+    """The 2001 points k z_max/2000 of [0, z_max], ascending, as np.linspace forms them."""
+    step = z_max / 2000
+    return chain((k * step for k in range(2000)), (z_max,))
 
 
 def _trajectory(
@@ -183,7 +185,7 @@ def shoot(
     zeros = sorted(set(traj.zeros) | {-t for t in traj.zeros})
     dmags = [abs(traj.sol(abs(t))[1]) for t in zeros]
     window = max(1.0, (abs(zeros[-1]) + 1.0) if zeros else 1.0)
-    scale = max(abs(traj.sol(z)[0]) for z in _half_grid(z_max) if z <= window)
+    scale = max(abs(traj.sol(z)[0]) for z in takewhile(window.__ge__, _half_grid(z_max)))
     flags = tuple(m > transversality_tol * scale for m in dmags)
     nodal = NodalSet(tuple(zeros), tuple(dmags), flags, transversality_tol * scale)
 

@@ -311,6 +311,30 @@ def slope_at(coeffs, x):
         return float("inf")
 
 
+PI_40 = Fraction(31415926535897932384626433832795028841972, 10 ** 40)  # pi to 40 decimals
+
+
+def lattice_exact(l, p):
+    """(cot theta, |sin theta|) at the nodal angles theta = pi_40 (j + p) / l
+    of index l and exact phase p in [-1/2, 1/2], for j from l (p < 0) or
+    l - 1 down to 0 (p > 0) or 1, which is ascending cot.  With
+    u = (j + p) / l, each angle is formed exactly in rationals and rounded
+    once with float(): from pi / 2 where |1/2 - u| <= 1/4, as
+    x = pi_40 (1/2 - u), giving (tan x, cos x); from the nearer end
+    otherwise, as x = pi_40 u or pi_40 (u - 1), giving (1 / tan x, |sin x|).
+    A generator: where an end angle rounds to 0, its pair raises
+    ZeroDivisionError when reached."""
+    p, half = Fraction(p), Fraction(1, 2)
+    for j in range(l if p < 0 else l - 1, -1 if p > 0 else 0, -1):
+        u = (j + p) / l
+        if abs(half - u) <= half / 2:
+            x = float(PI_40 * (half - u))
+            yield math.tan(x), math.cos(x)
+        else:
+            x = float(PI_40 * (u if u < half else u - 1))
+            yield 1.0 / math.tan(x), abs(math.sin(x))
+
+
 def initial_angle_exact(l, alpha):
     """The angle t in [-pi/2, pi/2) of the data (cos t, sin t) at z = 0 whose
     solution of the linear pencil at lam = -l vanishes at the float alpha.

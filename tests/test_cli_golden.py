@@ -45,6 +45,9 @@ CASES = {
         ["branch", "--l", "3", "--family", "lower", "--format", "json"], EXIT_OK),
     "branch_3000.json": (["branch", "--l", "3000", "--format", "json"], EXIT_OK),
     "crack_admissible.json": (["crack", "--alphas", "-1,1"], EXIT_OK),
+    "crack_lattice_any_subset.json": (  # 14 matches, each at a generic phase
+        ["crack", "--alphas", "0.22571761784552116,0.7935511478423171", "--any-subset",
+         "--l-max", "100"], EXIT_OK),
     "crack_inadmissible.json": (
         ["crack", "--alphas", "-3,3", "--l-max", "2"], EXIT_INADMISSIBLE),
     "crack_nonlinear.json": (

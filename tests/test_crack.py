@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from cracktip import (
+    CrackMatch,
     CrackSpec,
     Family,
     NoRealEigenvalueError,
@@ -299,6 +302,22 @@ def test_pure_second_family_has_l_minus_one_zeros(l):
         (match,) = check_linear(CrackSpec((0.0,)), l_max=l).matches[l - 1:]
         assert match.ratio == (0.0, 1.0)
         assert match.zeros == pytest.approx(second, abs=1e-12)
+
+
+def test_linear_match_forms_its_zeros_on_first_read():
+    # 14 matches at l = 7, 14, ..., 98, each at a generic phase
+    spec = CrackSpec((0.22571761784552116, 0.7935511478423171))
+    report = check_linear(spec, l_max=100, consecutive=False)
+    assert [mm.l for mm in report.matches] == list(range(7, 99, 7))
+    assert all("zeros" not in mm.__dict__ for mm in report.matches)
+    for mm in report.matches:
+        zeros = mm.zeros
+        assert mm.__dict__ == {"zeros": zeros} and mm.zeros is zeros
+        assert len(zeros) == mm.l and all(a < b for a, b in zip(zeros, zeros[1:]))
+        assert [zeros[i] for i in mm.zero_indices] == pytest.approx(spec.alphas, rel=1e-12)
+        for again in (CrackMatch(**mm._asdict()), copy.copy(mm), pickle.loads(pickle.dumps(mm))):
+            assert "zeros" in again.__dict__  # given, not formed
+            assert again == mm and hash(again) == hash(mm) and repr(again) == repr(mm)
 
 
 def test_residual_is_the_stable_form_value():

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from cracktip import (
     CrackSpec, Family, build_eigenfunction, check_linear, combine, evaluate_expansion, nodal_set,
 )
-from cracktip.pencil import Polynomial
+from cracktip.pencil import Polynomial, _lattice, _over_pi
 from oracles import (
-    _polyder, combination_exact, combine_coeffs, pencil_ode_residual_exact, pencil_pair_exact,
-    sign_at, slope_at, value_at,
+    _polyder, combination_exact, combine_coeffs, lattice_exact, pencil_ode_residual_exact,
+    pencil_pair_exact, sign_at, slope_at, value_at,
 )
 
 F = Fraction
@@ -323,6 +323,35 @@ def test_nodal_set_brackets_exact_sign_changes(l, c, d):
     for (lo, hi), z, m in zip(brackets, ns.zeros, ns.derivative_magnitudes):
         assert sign_at(exact, lo) * sign_at(exact, hi) <= 0
         assert m == pytest.approx(slope_at(exact, z), rel=1e-12)
+
+
+def _phases():
+    """Lattice phases p in [-1/2, 1/2]: floats, with 0, the quarters, the
+    ends and subnormals among them, and the rationals x / pi that
+    ``nodal_set`` forms with ``_over_pi``."""
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 5e-324, -5e-324, 2.0 ** -1022]),
+        st.floats(-0.5, 0.5),
+        st.floats(-math.pi / 2, math.pi / 2).map(_over_pi),
+    )
+
+
+def _hex_pairs(pairs):
+    """float.hex of each (cot, |sin|) pair, or ZeroDivisionError where an
+    end angle rounds to 0 and its cotangent is 1 / 0."""
+    try:
+        return [(a.hex(), b.hex()) for a, b in pairs]
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=400, deadline=None)
+@given(l=st.integers(1, 300), p=_phases())
+def test_lattice_rounds_each_exact_angle_once(l, p):
+    # the offset from the nearer half-integer, exact for a rational phase
+    # and, for a float, as check_linear forms it: exact wherever it is used
+    q = p - type(p)(math.copysign(0.5, p))
+    assert _hex_pairs(_lattice(l, p, q)) == _hex_pairs(lattice_exact(l, p))
 
 
 @pytest.mark.parametrize("l", [90, 120, 150])

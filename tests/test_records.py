@@ -2,7 +2,7 @@
 construction, immutability and validation.
 
 The CLI writes records through ``_asdict()``, so their field names and
-order are JSON keys.  Eleven records are ``typing.NamedTuple``s; the four
+order are JSON keys.  Ten records are ``typing.NamedTuple``s; the five
 that must not behave as tuples derive from ``cracktip._record.Record``.
 """
 
@@ -34,7 +34,7 @@ from cracktip import (
 )
 from cracktip.cli import emit_figure
 
-NOT_TUPLES = {"Polynomial", "NodalSet", "ShootingSolution", "Profile"}
+NOT_TUPLES = {"Polynomial", "NodalSet", "ShootingSolution", "Profile", "CrackMatch"}
 
 # record name -> (how to make one, its fields in order)
 RECORDS = {
