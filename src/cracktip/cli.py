@@ -101,13 +101,19 @@ _FIGURES: Dict[int, Tuple[int, Tuple[float, ...]]] = {
 }
 
 
+_MAX_LAMBDA_POINTS = 100_000  # a default grid has 100 (l + 3.5) + 1, so up to l = 996
+
+
 def _lambda_grid(lo: float, hi: float, step: float = 0.01) -> Tuple[float, ...]:
     if not step > 0.0:
         raise ValueError(f"lambda step must be positive, got {step!r}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"lambda range [{lo!r}, {hi!r}] is not a finite interval")
-    count = int(round((hi - lo) / step)) + 1
-    grid = tuple(round(lo + k * step, 10) for k in range(count))
+    steps = (hi - lo) / step
+    if not steps < _MAX_LAMBDA_POINTS - 0.5:  # then round(steps) + 1 points are at most the cap
+        raise ValueError(f"lambda grid [{lo!r}, {hi!r}] by {step!r} has more than "
+                         f"{_MAX_LAMBDA_POINTS} points")
+    grid = tuple(round(lo + k * step, 10) for k in range(round(steps) + 1))
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"lambda step {step!r} is lost in the grid's rounding to 10 decimals")
     return grid

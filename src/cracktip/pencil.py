@@ -192,7 +192,11 @@ def _lattice(l: int, p, q) -> Iterator[Tuple[float, float]]:
             yield math.tan(x), math.cos(x)
         else:  # from the end nearer theta: theta or theta - pi
             x = pi_num * ((ls if h > 0 else -ls) - h) / den
-            yield 1.0 / math.tan(x), abs(math.sin(x))
+            try:
+                cot = 1.0 / math.tan(x)
+            except ZeroDivisionError:  # x rounds to 0, signed as the exact angle
+                cot = math.copysign(math.inf, x)
+            yield cot, abs(math.sin(x))
         h += step
 
 
@@ -228,7 +232,7 @@ def nodal_set(poly: Polynomial, tol: float = DEFAULT_TRANSVERSALITY_TOL) -> Noda
         zeros.append(z)
         try:
             dmags.append(scale * sine ** (2 - l))
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # |sin theta| rounds to 0 for l > 2
             dmags.append(math.inf)
     return NodalSet(tuple(zeros), tuple(dmags), tuple(m > tol for m in dmags), tol)
 

@@ -35,7 +35,7 @@ def isolate_second_derivative(z: float, psi: float, dpsi: float, lam: float, n: 
     return _tip_kernel(float(lam), float(n))(float(z), float(psi), float(dpsi))
 
 
-def _tip_kernel(lam: float, n: float):
+def _tip_kernel(lam, n):
     """Psi'' of the tip equation at fixed lam and n, as psi2(z, psi, dpsi)
     for ``_dopri.integrate``.  Collecting the Psi''-linear terms gives
 
@@ -46,26 +46,28 @@ def _tip_kernel(lam: float, n: float):
     Psi'' = -P0 / (1 + z^2).  For n >= 0 the divisor is a sum of
     nonnegative terms, at least 1 + z^2.  phi1, psi' g/den and w^2/den are
     of degree 0 in the state and are formed as ratios, from the gradient
-    (psi', g) scaled to unit size by a power of two where den lies outside
-    (2^-900, inf); 2 n lam psi'^2 g/den is formed from the smaller of g and
-    psi', as g (1 - phi1) or psi' (psi' g/den).  Float arithmetic, with
-    lam + 1 and 2 n lam bound once.  A vanishing gradient raises.  Where
-    the quotient or its divisor is not finite, or that last term is
-    subnormal and not 0, Psi'' is taken in rationals as
-    -[P0 (den + n g^2) + 2 n lam psi'^2 g] / [(1 + z^2) den + n w^2], rounded
-    once: +-inf past the double range, nan for a non-finite state.  n < 0
-    or a non-finite lam or n raises ValueError.
+    (psi', g) scaled to unit size by a power of two where a float den lies
+    outside (2^-900, inf); 2 n lam psi'^2 g/den is formed from the smaller
+    of g and psi', as g (1 - phi1) or psi' (psi' g/den).  The arithmetic
+    is that of lam's type, with 1, lam + 1 and 2 n lam bound in it once:
+    floats, or Fractions, which give the exact Psi''.  A vanishing
+    gradient raises.  Where the float quotient or its divisor is not
+    finite, or that last term is subnormal and not 0, the same formula is
+    taken in Fractions and rounded once: +-inf past the double range, nan
+    for a non-finite state.  n < 0 or a non-finite lam or n raises
+    ValueError.
     """
     if not (0.0 <= n < math.inf and math.isfinite(lam)):
         raise ValueError(f"n must be finite and >= 0 and lambda finite, got {n}, {lam}")
-    lam1, n_lam_2 = lam + 1.0, 2.0 * n * lam
+    one = type(lam)(1)
+    lam1, n_lam_2 = lam + one, 2 * n * lam
 
     def psi2(z, psi, dpsi):
         zd = z * dpsi
         g = lam * psi + zd
         a, b = dpsi, g
         den = a * a + b * b
-        if not 2.0 ** -900 < den < math.inf:
+        if not 2.0 ** -900 < den < math.inf and type(den) is float:
             e = -math.frexp(max(abs(a), abs(b)))[1]
             a, b = math.ldexp(a, e), math.ldexp(b, e)
             den = a * a + b * b
@@ -73,31 +75,22 @@ def _tip_kernel(lam: float, n: float):
                 raise QuasilinearDegeneracyError(z)
         phi1 = b * (b / den)
         w = z * b + a
-        t = g * (1.0 - phi1) if phi1 <= 0.5 else dpsi * (a * (b / den))
-        q = 1.0 + z * z + n * (w * (w / den))
-        d2 = -(lam1 * (g + zd) * (1.0 + n * phi1) + n_lam_2 * t) / q
+        t = g * (one - phi1) if phi1 <= 0.5 else dpsi * (a * (b / den))
+        q = one + z * z + n * (w * (w / den))
+        d2 = -(lam1 * (g + zd) * (one + n * phi1) + n_lam_2 * t) / q
         if -math.inf < d2 < math.inf and q < math.inf and not (
-                -2.0 ** -1022 < t < 2.0 ** -1022 and n_lam_2 and dpsi and g):
+                -2.0 ** -1022 < t < 2.0 ** -1022 and n_lam_2 and dpsi and g and type(t) is float):
             return d2
-        return _exact_psi2(z, psi, dpsi, lam, n)
+        if not (math.isfinite(z) and math.isfinite(psi) and math.isfinite(dpsi)):
+            return math.nan
+        from fractions import Fraction
+        r = _tip_kernel(Fraction(lam), Fraction(n))(Fraction(z), Fraction(psi), Fraction(dpsi))
+        try:
+            return float(r)
+        except OverflowError:
+            return math.inf if r > 0 else -math.inf
 
     return psi2
-
-
-def _exact_psi2(z, psi, dpsi, lam, n):
-    """``_tip_kernel``'s Psi'' over den in rational arithmetic, rounded once."""
-    if not (math.isfinite(z) and math.isfinite(psi) and math.isfinite(dpsi)):
-        return math.nan
-    from fractions import Fraction
-    z, psi, dpsi, lam, n = map(Fraction, (z, psi, dpsi, lam, n))
-    g = lam * psi + z * dpsi
-    den, w = dpsi * dpsi + g * g, z * g + dpsi
-    num = (lam + 1) * (g + z * dpsi) * (den + n * g * g) + 2 * n * lam * dpsi * dpsi * g
-    r = -num / ((1 + z * z) * den + n * w * w)
-    try:
-        return float(r)
-    except OverflowError:
-        return math.inf if r > 0 else -math.inf
 
 
 class ShootingSolution(Record):

@@ -321,9 +321,8 @@ def lattice_exact(l, p):
     u = (j + p) / l, each angle is formed exactly in rationals and rounded
     once with float(): from pi / 2 where |1/2 - u| <= 1/4, as
     x = pi_40 (1/2 - u), giving (tan x, cos x); from the nearer end
-    otherwise, as x = pi_40 u or pi_40 (u - 1), giving (1 / tan x, |sin x|).
-    A generator: where an end angle rounds to 0, its pair raises
-    ZeroDivisionError when reached."""
+    otherwise, as x = pi_40 u or pi_40 (u - 1), giving (1 / tan x, |sin x|);
+    where x rounds to 0 the cotangent is inf, signed as the exact angle."""
     p, half = Fraction(p), Fraction(1, 2)
     for j in range(l if p < 0 else l - 1, -1 if p > 0 else 0, -1):
         u = (j + p) / l
@@ -331,8 +330,10 @@ def lattice_exact(l, p):
             x = float(PI_40 * (half - u))
             yield math.tan(x), math.cos(x)
         else:
-            x = float(PI_40 * (u if u < half else u - 1))
-            yield 1.0 / math.tan(x), abs(math.sin(x))
+            exact = PI_40 * (u if u < half else u - 1)
+            x = float(exact)
+            cot = 1.0 / math.tan(x) if x else math.inf if exact > 0 else -math.inf
+            yield cot, abs(math.sin(x))
 
 
 def initial_angle_exact(l, alpha):

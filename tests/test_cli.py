@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cracktip.cli import (
     EXIT_INADMISSIBLE,
@@ -20,6 +25,7 @@ from cracktip.cli import (
     _build_parser,
     _join_list_values,
     _json_dump,
+    _lambda_grid,
     emit_figure,
     run,
 )
@@ -447,12 +453,28 @@ def test_config_file_named_like_a_command(tmp_path, monkeypatch, capsys):
         # a step below the grid's 10-decimal rounding once gave ten rows at -0
         (["char-scan", "--l", "2", "--n-list", "0", "--lambda-min", "-1e-12",
           "--lambda-max", "0", "--lambda-step", "1e-13"], "rounding"),
+        # grids of more than 10^5 points: the first once ran until stopped, the
+        # second is the default grid from l = 997, and the span of the third
+        # overflows
+        (["char-scan", "--l", "2", "--n-list", "0", "--lambda-min", "0",
+          "--lambda-max", "1e308", "--lambda-step", "1"], "more than 100000 points"),
+        (["char-scan", "--l", "997", "--n-list", "0"], "more than 100000 points"),
+        (["char-scan", "--l", "2", "--n-list", "0", "--lambda-min", "-1e308",
+          "--lambda-max", "1e308"], "more than 100000 points"),
     ],
 )
 def test_invalid_options_are_usage_errors(argv, message, capsys):
     code, out, err = run_capture(argv, capsys)
     assert code == EXIT_USAGE
     assert out == "" and message in err
+
+
+def test_lambda_grid_point_cap():
+    # 10^5 points at most: a step count that rounds to 99999 passes, one
+    # that rounds to 10^5 does not
+    assert len(_lambda_grid(0.0, 99999.4, 1.0)) == 100000
+    with pytest.raises(ValueError, match="more than 100000 points"):
+        _lambda_grid(0.0, 99999.5, 1.0)
 
 
 @pytest.mark.parametrize("argv, key, value", [
@@ -693,3 +715,93 @@ def test_readme_command_runs(line, capsys):
 def test_readme_library_example_runs():
     (example,) = re.findall(r"```python\n(.*?)```", README, re.S)
     exec(example, {})
+
+
+def _numbers():
+    """An option value: a small number, or one of the ends of the double
+    range, a signed zero, a subnormal, an infinity or nan."""
+    return st.one_of(st.floats(-10.0, 10.0), st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300, 1.7976931348623157e308, math.inf,
+         -math.inf, math.nan])).map(repr)
+
+
+def _argv(command, *options):
+    """argv strategy for a command from (flag, value strategy, required)
+    options, a value of None for a switch; an option that is not required
+    is present or not."""
+    def tokens(flag, value, required):
+        pair = value.map(lambda v: [flag] if v is None else [flag, v])
+        return pair if required else st.just([]) | pair
+    return st.tuples(*(tokens(*o) for o in options)).map(
+        lambda xs: [command, *(t for x in xs for t in x)])
+
+
+_INDEX = st.integers(-1, 8).map(str)
+_LIST = st.lists(_numbers(), min_size=1, max_size=4).map(",".join)
+# crack slopes: ascending, or any list of numbers
+_SLOPES = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4, unique=True).map(
+    lambda v: ",".join(map(repr, sorted(v)))) | _LIST
+_FORMAT = ("--format", st.sampled_from(["csv", "json", "xml"]), False)
+# a shot's span: past |z| = 1.3e154, z^2 overflows and every call of the
+# kernel takes the rational route, seconds per shot (README, shooting)
+_Z_MAX = st.one_of(st.floats(0.05, 1e3).map(repr), st.sampled_from(
+    ["0", "-0.0", "-1", "5e-324", "1e-300", "inf", "-inf", "nan"]))
+_ARGVS = st.one_of(
+    _argv("pencil", ("--degree", st.integers(-1, 60).map(str), True),
+          ("--family", st.sampled_from(["first", "second", "Second", "third"]), False), _FORMAT),
+    _argv("char-scan", ("--figure", st.integers(1, 7).map(str), True), _FORMAT),
+    _argv("char-scan", ("--l", _INDEX, True), ("--n-list", _LIST, True),
+          ("--lambda-min", _numbers(), False), ("--lambda-max", _numbers(), False),
+          ("--lambda-step", st.floats(0.05, 5.0).map(repr) | _numbers(), False), _FORMAT),
+    _argv("fold", ("--l", st.integers(-1, 3000).map(str), True)),
+    _argv("branch", ("--l", st.integers(-1, 20).map(str), True),
+          ("--family", st.sampled_from(["upper", "lower"]), False),
+          ("--n-max", _numbers(), False), _FORMAT),
+    _argv("mu", ("--l", st.integers(-1, 30).map(str), True),
+          ("--family", st.sampled_from(["first", "second"]), False),
+          ("--method", st.sampled_from(["ift", "quad", "both"]), False)),
+    _argv("shoot", ("--l", _INDEX, True), ("--n", _numbers(), True),
+          ("--lambda", _numbers(), True), ("--z-max", _Z_MAX, False),
+          ("--transversality-tol", _numbers(), False), _FORMAT),
+    _argv("crack", ("--alphas", _SLOPES, True), ("--n", _numbers(), False),
+          ("--l-max", st.integers(-1, 30).map(str), False), ("--tol", _numbers(), False),
+          ("--any-subset", st.none(), False)),
+)
+
+# the two inputs that once ran until stopped
+SHOOT_RUNAWAY = ["shoot", "--l", "1", "--n", "-0", "--lambda", "1e6", "--z-max", "10"]
+GRID_RUNAWAY = ["char-scan", "--l", "2", "--n-list", "0", "--lambda-min", "0",
+                "--lambda-max", "1e308", "--lambda-step", "1"]
+
+
+class Overtime(Exception):
+    """A command ran past its alarm."""
+
+
+def _overtime(signum, frame):
+    raise Overtime
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGVS)
+@example(SHOOT_RUNAWAY)
+@example(GRID_RUNAWAY)
+# both error estimates of a step vanish but for a subnormal n3: the error
+# norm once divided by 0 and exited 1 with a ZeroDivisionError
+@example(["shoot", "--l", "2", "--n", "0.0", "--lambda", "2.3164102042525366e-239",
+          "--z-max", "1e+300"])
+def test_any_argv_exits_with_a_documented_code(argv):
+    # every command, run in process on small grids and on values at the ends
+    # of the double range: an exit code of 0, 2, 3 or 4 within a 5 s alarm,
+    # and no exception out of run()
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    signal.alarm(5)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INADMISSIBLE, EXIT_NUMERICAL)
+    assert code == {tuple(SHOOT_RUNAWAY): EXIT_NUMERICAL,
+                    tuple(GRID_RUNAWAY): EXIT_USAGE}.get(tuple(argv), code)

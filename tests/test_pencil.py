@@ -337,21 +337,35 @@ def _phases():
 
 
 def _hex_pairs(pairs):
-    """float.hex of each (cot, |sin|) pair, or ZeroDivisionError where an
-    end angle rounds to 0 and its cotangent is 1 / 0."""
-    try:
-        return [(a.hex(), b.hex()) for a, b in pairs]
-    except ZeroDivisionError:
-        return ZeroDivisionError
+    """float.hex of each (cot, |sin|) pair."""
+    return [(a.hex(), b.hex()) for a, b in pairs]
 
 
 @settings(max_examples=400, deadline=None)
 @given(l=st.integers(1, 300), p=_phases())
+# an end angle rounds to 0, and its cotangent is -inf or inf: these once
+# raised ZeroDivisionError, the last two in nodal_set(combine(+-5e-324, 3.0, 3))
+@example(l=7, p=5e-324)
+@example(l=7, p=-5e-324)
+@example(l=3, p=_over_pi(-5e-324))
+@example(l=3, p=_over_pi(5e-324))
 def test_lattice_rounds_each_exact_angle_once(l, p):
     # the offset from the nearer half-integer, exact for a rational phase
     # and, for a float, as check_linear forms it: exact wherever it is used
     q = p - type(p)(math.copysign(0.5, p))
     assert _hex_pairs(_lattice(l, p, q)) == _hex_pairs(lattice_exact(l, p))
+
+
+@pytest.mark.parametrize("c, end", [(5e-324, 0), (-5e-324, -1)])
+def test_nodal_set_where_an_end_angle_rounds_to_zero(c, end):
+    # the zero near the end angle pi (c > 0) or 0 (c < 0) is past the double
+    # range, as combine(5e-324, 1.0, 50)'s is, with |poly'| = inf there; the
+    # others are the second family's.  It once raised ZeroDivisionError
+    ns = nodal_set(combine(c, 3.0, 3))
+    zeros, dmags = list(ns.zeros), list(ns.derivative_magnitudes)
+    assert zeros.pop(end) == -math.copysign(math.inf, c) and dmags.pop(end) == math.inf
+    inner = nodal_set(combine(0.0, 3.0, 3))
+    assert (tuple(zeros), tuple(dmags)) == (inner.zeros, inner.derivative_magnitudes)
 
 
 @pytest.mark.parametrize("l", [90, 120, 150])

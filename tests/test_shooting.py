@@ -1,6 +1,8 @@
 import math
+import pickle
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ from cracktip import (
     shoot,
     two_sided_profile,
 )
+from cracktip import shooting
 from cracktip.shooting import _tip_kernel, _trajectory
-from cracktip._dopri import _dense, _interpolate, _powers, _step_zero, integrate
+from cracktip._dopri import MAX_STEPS, _dense, _interpolate, _powers, _step_zero, integrate
 from oracles import (
     ARCTAN_EXAMPLE_ADMISSIBLE, arctan_example, arctan_ode_residual, closed_form_lambda0_derivative,
 )
@@ -199,6 +202,42 @@ def test_kernel_matches_the_exact_formula(z, psi, dpsi, lam, n):
                      lambda z, psi, dpsi, lam, n: _tip_kernel(lam, n)(z, psi, dpsi))
 
 
+# states whose float quotient or divisor is not finite, or whose last term is
+# subnormal and not 0, from the examples above: Psi'' is taken in Fractions
+RATIONAL_ROUTE = [
+    (1e6, 1e300, 1e300, -200.0, 0.0),
+    (1e160, 0.0, 0.75, -2.0, 0.0),
+    (0.0, 1e300, 0.0, -200.0, 1e20),
+    (9.999999999999925e+299, 1e19, 1e9, 0.0, 0.0),
+    (1e160, 1e300, 1e-50, 0.0, 0.0),
+    (0.0, 0.7, 1e-160, -1.0, 1e20),
+    (0.0, 1e9, 1e-160, -1.0, 1e20),
+    (-1e160, 0.0, 1e299, -1.0, 1e-10),
+    (-1e160, 0.0, 1e299, -1.0, 1e20),
+]
+
+
+@pytest.mark.parametrize("state", RATIONAL_ROUTE)
+def test_the_rational_route_rounds_once(state):
+    # the exact Psi'' rounded once, bit for bit, +-inf past the double
+    # range: a route that slipped back to floats would round each operation
+    kernel, kinds = _tip_kernel, []
+
+    def spy(lam, n):
+        kinds.append(type(lam))
+        return kernel(lam, n)
+
+    with mock.patch.object(shooting, "_tip_kernel", spy):
+        got = isolate_second_derivative(*state)
+    assert kinds == [float, Fraction]
+    want = _exact_second_derivative(*state)[0]
+    try:
+        want = float(want)
+    except OverflowError:
+        want = math.inf if want > 0 else -math.inf
+    assert got.hex() == want.hex()
+
+
 def test_kernel_is_right_or_raises_at_large_n():
     # the former coefficient summed terms of size n that cancel to about 10,
     # and had the wrong sign at n = 1e17; the divisor 1 + z^2 + n w^2/den
@@ -248,6 +287,22 @@ def test_evaluation_past_the_span_raises():
     for z in (40.0, -5.5, math.nan):
         with pytest.raises(ValueError, match="span"):
             prof.evaluate(z)
+
+
+def test_shots_and_profiles_pickle():
+    # a trajectory pickles with every step's interpolant formed and without
+    # the kernel closure, which no read needs after that
+    sol = shoot(3, 0.0, -3.0, z_max=10.0)
+    prof = two_sided_profile(0.05, -3.1, (1.0, 0.5), 5.0)
+    sol_back, prof_back = (pickle.loads(pickle.dumps(r)) for r in (sol, prof))
+    for record, back, points in ((sol, sol_back, (-10.0, -2.5, 0.0, 0.3, 7.0, 10.0)),
+                                 (prof, prof_back, (-5.0, -1.2, 0.0, 2.5, 5.0))):
+        for z in points:
+            assert back.evaluate(z) == record.evaluate(z)
+        with pytest.raises(ValueError, match="span"):
+            back.evaluate(2 * points[-1])
+    assert (sol_back.z, sol_back.psi, sol_back.dpsi) == (sol.z, sol.psi, sol.dpsi)
+    assert sol_back.zeros == sol.zeros and prof_back.zeros() == prof.zeros()
 
 
 # (Psi, Psi') of shoot(3, 0.05, -3.1, z_max=10) and of
@@ -544,6 +599,10 @@ def test_trajectory_failures_raise():
         integrate(lambda z, psi, dpsi: -1e300 * psi, 0.0, (1.0, 0.0), 1.0, 1e-10, 1e-10)
     with pytest.raises(NumericsError):
         shoot(2, 0.0, 1e300)
+    # MAX_STEPS steps carry this only to z = 0.0063; the tests' longest
+    # trajectory takes 1591
+    with pytest.raises(NumericsError, match=f"{MAX_STEPS} steps"):
+        shoot(1, 0.0, 1e6, z_max=10.0)
 
 
 def test_integrate_rejects_bad_tolerances_and_spans():
