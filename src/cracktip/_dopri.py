@@ -165,6 +165,17 @@ class Trajectory:
             self._interpolant(i)
         return {k: v for k, v in self.__dict__.items() if k != "_F"}
 
+    def _key(self):
+        return tuple(self._zs), tuple(self._states), tuple(self._stages)
+
+    def __eq__(self, other):
+        """Equal step ends, states and stages; ``nfev`` and the interpolants
+        built so far count what was read, so they take no part."""
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
     def _interpolant(self, i):
         """f0..f6 of step i's Psi and Psi' interpolants, built on first use."""
         if i not in self._dense:

@@ -33,8 +33,11 @@ from .pencil import _lattice, _lattice_points, combine, nodal_set
 
 DEFAULT_TOL = 1e-8
 # check_nonlinear matches a slope to a profile zero within max(this, 10 tol)
-# times 1 + |slope|: a floor, so a tol far below the profiles' rtol of 1e-11
-# cannot reject a zero for its integration error; why 1e-6 is not recorded
+# times 1 + |slope|, and integrates that far past the last slope at most: a
+# floor, so a tol far below the profiles' rtol of 1e-11 cannot reject a zero
+# for its integration error.  At n = 0 a matched zero lay at most 1.3e-10
+# (1 + |slope|) from check_linear's lattice zero (12,073 zeros, l <= 6,
+# |slope| <= 95, tol 1e-8 to 0.3), so 1e-6 leaves a margin of about 7,500
 MATCH_DIST_FLOOR = 1e-6
 
 
@@ -202,14 +205,35 @@ def check_nonlinear(
     ratios (cos t, sin t) at z = 0; the parity profiles are its endpoints.
     The equation is homogeneous of degree 1, so up to scale one member
     vanishes at the first slope alpha_1: the trajectory through
-    (Psi, Psi')(alpha_1) = (0, s), integrated once to 4 past the last slope
-    and at least to z = 0 (a backward solve reaches z = 0 if alpha_1 > 0).
-    No zero left of alpha_1 can carry a slope, so ``zeros`` starts at
-    alpha_1.  The other slopes are tested against them as in the linear
-    scan.  At n = 0 the family reproduces the two-dimensional combination
-    space, so the check reduces to the linear one.  Results are
-    experimental: the one-parameter family is an extrapolation of the
-    n = 0 structure.
+    (Psi, Psi')(alpha_1) = (0, s), integrated once forward to
+    Z = max(0, alpha_m + min(d_m, alpha_m - alpha_1)), with alpha_m the last
+    slope and d_m = max(MATCH_DIST_FLOOR, 10 tol) (1 + |alpha_m|) its match
+    distance.  A backward solve reaches z = 0 if alpha_1 > 0; a single
+    slope at alpha_1 >= 0 is its own zero and needs no forward solve.  No
+    zero left of alpha_1 can carry a slope, so ``zeros`` runs from alpha_1
+    to Z.  Each slope takes its nearest zero, within its match distance,
+    and the residuals and indices are tested as in the linear scan.
+
+    The span is exact: every end Z' >= Z gives the same verdict and the
+    same l and zero indices for each match, so they are an unbounded
+    profile's.  Let slope j's nearest zero zeta lie past Z', delta from
+    alpha_j.  alpha_1 is a zero, so delta <= alpha_j - alpha_1, zeta <=
+    2 alpha_m - alpha_1 and Z' >= alpha_m + d_m; no zero lies within delta
+    of alpha_j, so every zero up to Z' lies below alpha_j.  Unbounded,
+    slope m takes zeta or a zero past it, farther than d_m from alpha_m,
+    or the indices do not increase.  Cut at Z', slopes j..m all take the
+    last zero below alpha_j: two share it, or (j = m) it lies at least
+    delta > d_m away.  So both reject l.  Where every nearest zero lies up
+    to Z', the cut list is a prefix holding it, at the same index.
+
+    At n = 0 the family reproduces the two-dimensional combination space,
+    so the zeros are ``check_linear``'s lattice zeros (see
+    MATCH_DIST_FLOOR), and the verdicts agree at tight ``tol``.  From
+    about tol = 0.01 they can differ, because the residual here is |Psi|
+    at the slopes over the profile's scale, not the lattice angle's
+    |sin|, and the match distance 10 tol (1 + |alpha|) is not an angle.
+    Results are experimental: the one-parameter family is an extrapolation
+    of the n = 0 structure.
     """
     from .continuation import BranchFamily, _eigenvalue, find_fold  # check_linear needs none
     from .shooting import _trajectory  # loaded here, so check_linear loads no ODE layer
@@ -228,9 +252,9 @@ def check_nonlinear(
             f"no real eigenvalue at n={n} for any l in [{scan.start}, {scan.stop - 1}]"
         )
 
-    a1 = spec.alphas[0]
-    z_end = max(spec.alphas[-1] + 4.0, 0.0)
+    a1, am = spec.alphas[0], spec.alphas[-1]
     dist_tol = max(MATCH_DIST_FLOOR, 10.0 * tol)
+    z_end = max(0.0, am + min(dist_tol * (1.0 + abs(am)), am - a1))
     matches: List[CrackMatch] = []
     for l, lam in usable:
         # Solutions grow like |z|**-lam, so the slope s = hypot(1, a1)**-(lam + 2),
@@ -238,20 +262,26 @@ def check_nonlinear(
         # the fixed atol would swamp it.  The n = 0 ratio strays up to 2.1e-9
         # from the exact angle at rtol 1e-10 (|a1| <= 5, l <= 6), 3.9e-10 here.
         s = math.exp(min(700.0, -(lam + 2.0) * math.log(math.hypot(1.0, a1))))
-        prof = _trajectory(lam, n, a1, (0.0, s), z_end, 1e-11, 1e-12)
-        if a1 <= 0.0:
+        if z_end > a1:
+            prof = _trajectory(lam, n, a1, (0.0, s), z_end, 1e-11, 1e-12)
+            # a1 is the first zero, where Psi starts at 0
+            states, zeros = list(map(prof.sol, spec.alphas)), sorted(set(prof.zeros))
+        else:  # one slope, at or right of z = 0: its own zero is the match
+            states, zeros = [(0.0, s)], [a1]
+        if a1 < 0.0:
             psi0, dpsi0 = prof.sol(0.0)
-        else:
+        elif a1 > 0.0:
             psi0, dpsi0 = _trajectory(lam, n, a1, (0.0, s), 0.0, 1e-11, 1e-12).end
+        else:
+            psi0, dpsi0 = 0.0, s
         # unit length with Psi(0) >= 0, and Psi'(0) = -1 where Psi(0) = 0
         norm = math.copysign(math.hypot(psi0, dpsi0), psi0 if psi0 != 0.0 else -dpsi0)
         ratio = (psi0 / norm + 0.0, dpsi0 / norm)
-        at = [(p / abs(norm), d / abs(norm)) for p, d in map(prof.sol, spec.alphas)]
+        at = [(p / abs(norm), d / abs(norm)) for p, d in states]
         scale = max(1.0, max(abs(p) + abs(a * d) for a, (p, d) in zip(spec.alphas, at)))
         worst = max(abs(p) for p, _ in at) / scale
         if worst > tol:
             continue
-        zeros = sorted(set(prof.zeros))  # a1 is the first, where Psi starts at 0
         idx = _match_alphas_to_zeros(spec.alphas, zeros, consecutive, dist_tol)
         if idx is not None:
             matches.append(CrackMatch(l, ratio, idx, worst, tuple(zeros)))

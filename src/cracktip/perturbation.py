@@ -189,7 +189,8 @@ def solve_correction(
     s = y.h / y.u with A^T y = v puts h - s u in A's range, A phi = h - s u,
     and what a nearly singular A amplifies, which lies along x_u = A^-1 u,
     is taken out along it ((phi - c x_u, s + c) keeps A phi + s u).  One
-    step of iterative refinement with the same factors follows.
+    step of iterative refinement with the same factors follows.  A
+    non-finite mu raises NumericsError.
     """
     import numpy as np
     from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -198,6 +199,8 @@ def solve_correction(
         raise ValueError("num_points too small for the boundary stencils")
     if not 0.0 < z_cut < math.inf:
         raise ValueError(f"z_cut must be positive and finite, got {z_cut!r}")
+    if not math.isfinite(mu):
+        raise NumericsError(f"correction solve: non-finite mu={mu!r}")
     _check_index(l)
     seed = build_eigenfunction(l, family).poly.lattice
     lam = -float(seed[0])

@@ -267,8 +267,10 @@ def test_correction_preconditions():
             solve_correction(2, Family.SECOND, 0.5, z_cut=z_cut)
     with pytest.raises(ValueError, match="num_points"):
         solve_correction(2, Family.SECOND, 0.5, num_points=8)
-    with pytest.raises(NumericsError, match="non-finite"):
-        solve_correction(2, Family.SECOND, math.nan, z_cut=10.0, num_points=101)
+    # an infinite mu once raised numpy's RuntimeWarning before this error
+    for mu in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericsError, match="non-finite"):
+            solve_correction(2, Family.SECOND, mu, z_cut=10.0, num_points=101)
 
 
 def test_correction_zero_source_gives_zero():

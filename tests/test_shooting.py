@@ -305,6 +305,22 @@ def test_shots_and_profiles_pickle():
     assert sol_back.zeros == sol.zeros and prof_back.zeros() == prof.zeros()
 
 
+def test_identical_shots_and_profiles_compare_equal():
+    # a trajectory compares by its step ends, states and stages, not by the
+    # interpolants that reads have built or the calls they made
+    sol, prof = shoot(3, 0.0, -3.0), two_sided_profile(0.05, -3.1, (1.0, 0.5), 5.0)
+    sol.evaluate(1.7), prof.evaluate(-2.2)  # interpolants built on this side only
+    for record, again, other in (
+        (sol, shoot(3, 0.0, -3.0), shoot(3, 0.0, -3.1)),
+        (prof, two_sided_profile(0.05, -3.1, (1.0, 0.5), 5.0),
+         two_sided_profile(0.05, -3.2, (1.0, 0.5), 5.0)),
+    ):
+        back = pickle.loads(pickle.dumps(record))
+        assert record == again == back and hash(record) == hash(again) == hash(back)
+        assert record != other
+    assert sol._traj != shoot(3, 0.0, -3.1)._traj and sol._traj != "a trajectory"
+
+
 # (Psi, Psi') of shoot(3, 0.05, -3.1, z_max=10) and of
 # two_sided_profile(0.05, -3.1, (1.0, 0.5), 5.0), recorded from the shot's
 # evaluate and the profile's psi and dpsi before these became one evaluate
