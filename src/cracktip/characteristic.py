@@ -86,23 +86,32 @@ def _real_roots(p: Sequence[float]) -> List[float]:
     critical point c where |p(c)| is within the running error bound of its
     Horner pass (Higham, Alg. 5.1) counts as p(c) = 0, since its sign is
     rounding: c is reported once, as a double root, for two close exact
-    roots or none."""
+    roots or none.  Newton starts in a piece with a critical end c at the
+    root of the quadratic model p(c) + p''(c) (x - c)^2 / 2, and with no real
+    critical point at the mean -a_1 / (d a_0) of the d roots, on the part
+    that p's sign there picks; a start outside the piece falls back to its
+    left end."""
     if not all(math.isfinite(c) for c in p) or p[0] == 0.0:
         raise ValueError(f"coefficients must be finite with a nonzero lead, got {p!r}")
     bound = 2.0 * max(abs(c / p[0]) ** (1.0 / k) for k, c in enumerate(p) if k)
     ends = [-bound] + (_real_roots(_polyder(p)) if len(p) > 2 else []) + [bound]
-    vals = []
+    vals, reach = [], []  # p at each end, and the model's distance to a root
     for i, x in enumerate(ends):
-        y, mu = p[0], 0.5 * abs(p[0])  # Horner's rule and the running bound mu
+        y, d1, d2, mu = p[0], 0.0, 0.0, 0.5 * abs(p[0])  # p, p', p''/2 and the bound mu
         for a in p[1:]:
-            y = y * x + a
+            d2, d1, y = d2 * x + d1, d1 * x + y, y * x + a
             mu = abs(x) * mu + abs(y)
         vals.append(0.0 if 0 < i < len(ends) - 1 and abs(y) <= 2.0 ** -53 * (2.0 * mu - abs(y)) else y)
+        reach.append(math.sqrt(-y / d2) if 0 < i < len(ends) - 1 and y * d2 < 0.0 else math.nan)
     roots: List[float] = []
-    for a, b, fa, fb in zip(ends, ends[1:], vals, vals[1:]):
+    for i, (a, b, fa, fb) in enumerate(zip(ends, ends[1:], vals, vals[1:])):
         if fa == 0.0 and not (roots and roots[-1] >= a):
             roots.append(a)
         elif min(fa, fb) < 0.0 < max(fa, fb):
+            x = a + reach[i] if a + reach[i] < b else b - reach[i + 1]
+            x = -p[1] / ((len(p) - 1) * p[0]) if len(ends) == 2 else x
+            if a < x < b:
+                a, b = (x, b) if (_polyval(p, x) < 0.0) == (fa < 0.0) else (x, a)
             roots.append(_root(p, a, b))
     return roots
 

@@ -129,15 +129,26 @@ def check_linear(
     unit-normalised combination in the stable form, and must not exceed
     ``tol``.  The k_j must strictly increase, and with ``consecutive``
     (the strict reading) they must be 0, 1, ..., m - 1; pass False for
-    the looser any-subset reading.
+    the looser any-subset reading.  In the strict reading with m >= 2,
+    slope 2 is lattice point 1, so only the l with |l d - 1| <= asin(tol) / pi,
+    d = (theta_1 - theta_2) / pi, are tested: the cost is O(m + window),
+    whatever ``l_max`` is.  The any-subset reading and a single slope test
+    every l up to ``l_max``, since each matching l is a report entry.
     """
     halfturns = [math.atan2(1.0, a) / math.pi for a in spec.alphas]  # theta_j / pi
+    scan = _index_range(spec, l_max, tol)
+    if consecutive and spec.m > 1:
+        # x_2 = l d, and no l matches at d = 0; 2^-26 more in w covers the rounding
+        # of l d, of l past 2^53 and of sin near tol = 1, where asin's slope is unbounded
+        d, w = halfturns[0] - halfturns[1], math.asin(min(tol, 1.0)) / math.pi + 2.0 ** -26
+        lo, hi = (min(scan.stop, (1 + s * w) / d) if d > 0.0 else scan.stop for s in (-1, 1))
+        scan = range(max(scan.start, math.floor(lo)), min(scan.stop, math.ceil(hi) + 1))
     # theta_1 / pi measured from the nearer end of (0, 1), so that a steep
     # first slope keeps its precision
     a1 = spec.alphas[0]
     tau = math.atan2(1.0, abs(a1)) / math.pi
     matches: List[CrackMatch] = []
-    for l in _index_range(spec, l_max, tol):
+    for l in scan:
         u = l * tau
         r = round(u)
         # the first slope sits at lattice point K with phase p; lattice

@@ -141,6 +141,23 @@ def test_real_roots_match_exact_oracle(draw):
         assert abs(g - w) <= tol * (1.0 + abs(w))
 
 
+def test_real_roots_start_near_their_roots(monkeypatch):
+    # linear_sweep's grid: Newton from Fujiwara's bound or a bare critical
+    # point took 78.5 evaluations per call (up to 121), from the quadratic
+    # model at the critical point and the mean of the roots about 28 (48)
+    calls = []
+    monkeypatch.setattr("cracktip.characteristic._polyval",
+                        lambda coeffs, x: calls.append(x) or _polyval(coeffs, x))
+    per_call = []
+    for l in (2, 3, 5, 8, 12, 18, 27, 40, 60, 90, 120, 150):
+        star = find_fold(l).n_star
+        for n in (0.0, 0.5 * star, 1.5 * star):
+            calls.clear()
+            real_roots(build_quartic(l, n))
+            per_call.append(len(calls))
+    assert sum(per_call) / len(per_call) <= 40
+
+
 def test_persistent_root_l1():
     q = build_quartic(1, 2.0)
     roots = real_roots(q)

@@ -768,10 +768,11 @@ _ARGVS = st.one_of(
           ("--any-subset", st.none(), False)),
 )
 
-# the two inputs that once ran until stopped
+# the inputs that once ran until stopped, or for seconds to minutes
 SHOOT_RUNAWAY = ["shoot", "--l", "1", "--n", "-0", "--lambda", "1e6", "--z-max", "10"]
 GRID_RUNAWAY = ["char-scan", "--l", "2", "--n-list", "0", "--lambda-min", "0",
                 "--lambda-max", "1e308", "--lambda-step", "1"]
+CRACK_RUNAWAY = ["crack", "--alphas", "-1,0.3,1", "--l-max", "100000000"]
 
 
 class Overtime(Exception):
@@ -786,6 +787,7 @@ def _overtime(signum, frame):
 @given(_ARGVS)
 @example(SHOOT_RUNAWAY)
 @example(GRID_RUNAWAY)
+@example(CRACK_RUNAWAY)
 # both error estimates of a step vanish but for a subnormal n3: the error
 # norm once divided by 0 and exited 1 with a ZeroDivisionError
 @example(["shoot", "--l", "2", "--n", "0.0", "--lambda", "2.3164102042525366e-239",
@@ -804,4 +806,5 @@ def test_any_argv_exits_with_a_documented_code(argv):
         signal.signal(signal.SIGALRM, previous)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_INADMISSIBLE, EXIT_NUMERICAL)
     assert code == {tuple(SHOOT_RUNAWAY): EXIT_NUMERICAL,
-                    tuple(GRID_RUNAWAY): EXIT_USAGE}.get(tuple(argv), code)
+                    tuple(GRID_RUNAWAY): EXIT_USAGE,
+                    tuple(CRACK_RUNAWAY): EXIT_INADMISSIBLE}.get(tuple(argv), code)

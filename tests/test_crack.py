@@ -24,9 +24,11 @@ from cracktip import (
     nodal_set,
     roundtrip_generate,
 )
+import cracktip.crack
 import cracktip.shooting
 from cracktip.continuation import BranchFamily, _eigenvalue
 from cracktip.crack import MATCH_DIST_FLOOR, _match_alphas_to_zeros
+from cracktip.pencil import _lattice, _lattice_points
 from oracles import initial_angle_exact, stable_residuals_sq
 
 
@@ -260,6 +262,83 @@ def test_verdict_agrees_with_exact_residuals(l0, u, data):
         if all(r <= tol * tol for r in res):
             expected.add(l)
     assert {mm.l for mm in report.matches} == expected
+
+
+def _full_scan(alphas, l_max, tol, consecutive):
+    """check_linear's per-index test at every l = m .. l_max, each match as
+    its report fields: the oracle for the strict reading's window."""
+    halfturns = [math.atan2(1.0, a) / math.pi for a in alphas]
+    tau = math.atan2(1.0, abs(alphas[0])) / math.pi
+    matches = []
+    for l in range(len(alphas), l_max + 1):
+        u = l * tau
+        r = round(u)
+        K, p = (r, u - r) if alphas[0] >= 0.0 else (l - r, r - u)
+        points = _lattice_points(l, p)
+        first = points.start - K
+        idx, worst = [], 0.0
+        for t in halfturns:
+            x = l * (halfturns[0] - t)
+            k = round(x)
+            worst = max(worst, abs(math.sin(math.pi * (x - k))))
+            i = first + k
+            if worst > tol or not 0 <= i < len(points) or idx and (
+                i <= idx[-1] or consecutive and i != idx[-1] + 1
+            ):
+                break
+            idx.append(i)
+        else:
+            c, d = -math.sin(math.pi * p), l * math.sin(math.pi * (0.5 - abs(p)))
+            big = c if abs(c) >= abs(d) else d
+            zeros = tuple(z for z, _ in _lattice(l, p, p - math.copysign(0.5, p)))
+            matches.append(dict(l=l, ratio=(c / big + 0.0, d / big + 0.0),
+                                zero_indices=tuple(idx), max_residual=worst, zeros=zeros))
+    return matches
+
+
+@st.composite
+def _moved_lattices(draw):
+    """(alphas, l_max, tol, consecutive): consecutive points of an index-L
+    lattice, at most one moved within its cell, l_max up to 3 L, and tol
+    from 1e-12 to 5."""
+    L, k0, m, u = draw(_lattices(l_max=40))
+    ys = [k + u for k in range(k0, k0 + m)]
+    j = draw(st.integers(0, m - 1))
+    ys[j] += draw(st.one_of(st.just(0.0), st.floats(-0.49, 0.49)))
+    assume(0.0 < ys[j] < L)
+    alphas = tuple(sorted(_cot(y * math.pi / L) for y in ys))
+    tol = draw(st.one_of(st.floats(1e-12, 1.0), st.floats(1.0, 5.0)))
+    return alphas, draw(st.integers(m, 3 * L)), tol, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_moved_lattices())
+# the half-turns of both slopes round to 1: d = 0, so no index matches
+@example(((-2e17, -1e17), 1000, 1e-8, True))
+@example(((-2e17, -1e17), 1000, 1e-8, False))
+# a single slope: every index matches
+@example(((0.7,), 40, 1e-8, True))
+def test_strict_window_reports_what_the_full_scan_does(case):
+    alphas, l_max, tol, consecutive = case
+    report = check_linear(CrackSpec(alphas), l_max=l_max, tol=tol, consecutive=consecutive)
+    want = _full_scan(alphas, l_max, tol, consecutive)
+    assert [mm._asdict() for mm in report.matches] == want
+    assert report.admissible == bool(want)
+    assert report.decay_exponent == (want[0]["l"] if want else None)
+    assert len(alphas) > 1 or [mm.l for mm in report.matches] == list(range(1, l_max + 1))
+
+
+def test_strict_scan_work_does_not_grow_with_l_max(monkeypatch):
+    # one lattice per tested index; the full scan tested 8, 9,998 and about 1e8
+    tested = []
+    real = cracktip.crack._lattice_points
+    monkeypatch.setattr(cracktip.crack, "_lattice_points", lambda l, p: tested.append(l) or real(l, p))
+    counts = []
+    for l_max in (10, 10 ** 4, 10 ** 8):
+        tested.clear()
+        assert not check_linear(CrackSpec((-1.0, 0.3, 1.0)), l_max=l_max).admissible
+        counts.append(len(tested))
+    assert counts == [counts[0]] * 3 and 1 <= counts[0] <= 2
 
 
 @pytest.mark.parametrize("L", [90, 120, 150])
